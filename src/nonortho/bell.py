@@ -12,7 +12,10 @@ CHSH value 2*sqrt(1 + |2 c+ c-|^2).
 
 ``oracle_bell_max`` is the independent check: it maximizes the raw CHSH
 combination over all four settings by exhaustive grid search plus local
-refinement, sharing no algebra with the closed form.
+refinement, sharing no algebra with the closed form.  The grid search is
+folded by exact symmetries: by Theta(pi - chi, phi + pi) = -Theta(chi, phi)
+it visits one setting per {Theta, -Theta} pair, and each unordered (B, B')
+pair once.  Refinement stops at its first fixed point.
 """
 
 from __future__ import annotations
@@ -137,42 +140,82 @@ def _chsh_value(psi: np.ndarray, angles: np.ndarray) -> float:
             + np.einsum('ab,ab->', k_ap, obs[2] - obs[3])).real
 
 
+def _orbit_representatives(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(chi, phi) of one setting per {Theta, -Theta} orbit of the search set.
+
+    The search set is the grid chi_k = k pi/(n-1), phi_j = -pi + 2 pi j/n
+    closed under the antipode map (chi, phi) -> (pi - chi, phi + pi), which
+    sends Theta to -Theta.  With phi counted in half-steps h = 2j the map
+    reads (k, h) -> (n-1-k, h+n mod 2n): for even n it stays on the grid, so
+    the set is the grid itself; for odd n it adds the odd-h points.  Each
+    orbit is labelled by its member with the smaller (k, h), and the two pole
+    rows, where sin(chi) = 0 makes phi irrelevant, collapse to one orbit.
+    """
+    n = grid_n
+    k, h = (g.ravel() for g in np.meshgrid(np.arange(n), np.arange(0, 2 * n, 2),
+                                           indexing="ij"))
+    k_anti, h_anti = n - 1 - k, (h + n) % (2 * n)
+    anti = (k_anti < k) | ((k_anti == k) & (h_anti < h))
+    k, h = np.where(anti, k_anti, k), np.where(anti, h_anti, h)
+    h[k == 0] = 0
+    k, h = np.divmod(np.unique(k * 2 * n + h), 2 * n)
+    chis = np.linspace(0.0, math.pi, n)
+    phis = np.linspace(-math.pi, math.pi, 2 * n, endpoint=False)
+    return chis[k], phis[h]
+
+
 def _grid_stage(psi: np.ndarray, grid_n: int) -> tuple[float, np.ndarray]:
-    """Best CHSH value over the full settings grid and its angle vector."""
-    chis = np.linspace(0.0, math.pi, grid_n)
-    phis = np.linspace(-math.pi, math.pi, grid_n, endpoint=False)
-    grid_chi, grid_phi = (g.ravel() for g in np.meshgrid(chis, phis, indexing="ij"))
-    obs = _theta_entries(grid_chi, grid_phi)
+    """Best CHSH value over the antipode-closed settings grid and its angle vector.
+
+    With r running over orbit representatives, corr[r, s] = <Theta_r Theta_s>
+    and the full set is {+Theta_r} and {-Theta_r}, so for B settings
+    (+-Theta_i, +-Theta_j) the best A and A' give
+
+        max_r |corr[r, i] + corr[r, j]| + max_r |corr[r, i] - corr[r, j]|,
+
+    which no sign choice on B and no swap of i and j changes: only i <= j
+    is scanned.  An A setting picked with a negative sign maps back to the
+    antipode angles.
+    """
+    chis, phis = _orbit_representatives(grid_n)
+    obs = _theta_entries(chis, phis)
     contracted = np.einsum('ki,nkl,lj->nij', psi.conj(), obs, psi, optimize=True)
-    corr = np.einsum('nab,mab->nm', contracted, obs, optimize=True).real
+    corr_t = np.ascontiguousarray(
+        np.einsum('nab,mab->mn', contracted, obs, optimize=True).real)
     best = -np.inf
-    arg = (0, 0, 0, 0)
-    for ib in range(corr.shape[1]):
-        col = corr[:, ib][:, None]
-        plus = col + corr
-        minus = col - corr
-        totals = plus.max(axis=0) + minus.max(axis=0)
-        ibp = int(np.argmax(totals))
-        if totals[ibp] > best:
-            best = float(totals[ibp])
-            arg = (int(np.argmax(plus[:, ibp])), int(np.argmax(minus[:, ibp])), ib, ibp)
-    ia, iap, ib, ibp = arg
-    angles = np.array([grid_chi[ia], grid_phi[ia], grid_chi[iap], grid_phi[iap],
-                       grid_chi[ib], grid_phi[ib], grid_chi[ibp], grid_phi[ibp]])
-    return best, angles
+    arg = (0, 0)
+    for ib in range(len(chis)):
+        row, tail = corr_t[ib], corr_t[ib:]
+        totals = np.abs(tail + row).max(axis=1) + np.abs(row - tail).max(axis=1)
+        offset = int(np.argmax(totals))
+        if totals[offset] > best:
+            best = float(totals[offset])
+            arg = (ib, ib + offset)
+    ib, ibp = arg
+    angles = []
+    for combo in (corr_t[ib] + corr_t[ibp], corr_t[ib] - corr_t[ibp]):
+        ia = int(np.argmax(np.abs(combo)))
+        if combo[ia] >= 0.0:
+            angles += [chis[ia], phis[ia]]
+        else:
+            angles += [math.pi - chis[ia], phis[ia] + math.pi]
+    return best, np.array(angles + [chis[ib], phis[ib], chis[ibp], phis[ibp]])
 
 
 def oracle_bell_max(vector: np.ndarray, grid_n: int = 24,
                     refine_iters: int = 40) -> float:
     """Brute-force CHSH maximum over all four settings.
 
-    Exhaustive grid at ``grid_n`` points per angle seeds a coordinate-wise
-    refinement: the objective is an exact sinusoid in each single angle, so
-    each coordinate is maximized from three samples in closed form; a
-    pattern move along each sweep's displacement (doubled while it improves)
-    accelerates the slow collinear modes.  Every accepted move strictly
-    improves the value, so the result is monotone non-decreasing in
-    ``refine_iters``.
+    An exhaustive search over the ``grid_n`` x ``grid_n`` (chi, phi) grid
+    closed under the antipode map Theta -> -Theta (the grid itself for even
+    ``grid_n``, a superset for odd) seeds a coordinate-wise refinement: the
+    objective is an exact sinusoid in each single angle, so each coordinate
+    is maximized from three samples in closed form; a pattern move along
+    each sweep's displacement (doubled while it improves) accelerates the
+    slow collinear modes.  Every accepted move strictly improves the value,
+    so the result is monotone non-decreasing in ``refine_iters``.  A sweep
+    that accepts no move is a fixed point, where refinement stops: the
+    result equals that of any larger ``refine_iters``.
     """
     if grid_n < 8:
         raise ValueError(f"grid_n must be >= 8, got {grid_n}")
@@ -202,14 +245,15 @@ def oracle_bell_max(vector: np.ndarray, grid_n: int = 24,
             if value > current:
                 current, angles = value, trial
         displacement = angles - sweep_start
-        if displacement.any():
-            scale = 1.0
-            for _ in range(50):
-                trial = angles + scale * displacement
-                value = _chsh_value(psi, trial)
-                if value > current:
-                    current, angles = value, trial
-                    scale *= 2.0
-                else:
-                    break
+        if not displacement.any():
+            break       # fixed point: every later sweep would repeat this one
+        scale = 1.0
+        for _ in range(50):
+            trial = angles + scale * displacement
+            value = _chsh_value(psi, trial)
+            if value > current:
+                current, angles = value, trial
+                scale *= 2.0
+            else:
+                break
     return current

@@ -81,10 +81,16 @@ def _state_from_args(args: argparse.Namespace):
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError("InputFile", f"cannot read state file: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise CliError("InputFile", "state file must hold a JSON object")
         for key in STATE_KEYS:
             if key not in doc:
                 raise CliError("InputFile", f"state file missing key {key!r}")
-            values[key] = float(doc[key])
+            try:
+                values[key] = float(doc[key])
+            except (TypeError, ValueError) as exc:
+                raise CliError("InputFile",
+                               f"state file key {key!r} is not a number") from exc
     else:
         for key in STATE_KEYS:
             flag = getattr(args, key)

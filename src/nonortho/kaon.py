@@ -17,6 +17,7 @@ bounded.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -30,6 +31,8 @@ from .state import NonorthogonalState, make_state
 
 def _check_eps(eps: complex) -> complex:
     eps = complex(eps)
+    if not cmath.isfinite(eps):
+        raise DomainError(f"CP parameter must be finite, got eps={eps}")
     if abs(eps) >= 1.0:
         raise DomainError(f"CP parameter must satisfy |eps| < 1, got |eps|={abs(eps)}")
     return eps

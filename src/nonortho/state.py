@@ -78,9 +78,13 @@ def make_state(mu: complex, nu: complex, x: complex, y: complex,
     their ratio and all phases are preserved.  Without ``auto_normalize`` the
     norm must already be 1 within ``NORM_TOL``.
 
-    Raises LinearDependence, ZeroState or NotNormalized on bad input.
+    Raises DomainError, LinearDependence, ZeroState or NotNormalized on bad
+    input.
     """
     mu, nu, x, y = complex(mu), complex(nu), complex(x), complex(y)
+    for name, value in (("mu", mu), ("nu", nu), ("x", x), ("y", y)):
+        if not cmath.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     if abs(x) >= 1.0 or abs(y) >= 1.0:
         raise LinearDependence(
             f"overlaps must satisfy |x| < 1 and |y| < 1, got |x|={abs(x)}, |y|={abs(y)}")

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from nonortho.bell import (MeasurementSetting, analytic_bell, bell_expectation,
-                           canonical_settings, oracle_bell_max, spin_observable)
-from nonortho.schmidt import schmidt_decompose
+from nonortho.bell import (MeasurementSetting, _chsh_value, _grid_stage,
+                           _orbit_representatives, _theta_entries,
+                           analytic_bell, bell_expectation, canonical_settings,
+                           oracle_bell_max, spin_observable)
+from nonortho.schmidt import coefficient_matrix, schmidt_decompose
 from nonortho.state import embed, make_state
 from nonortho.report import canonical_bell_value
 
@@ -125,3 +127,43 @@ def test_oracle_monotone_in_refinement_and_grid_floor():
 def test_oracle_rejects_tiny_grid():
     with pytest.raises(ValueError):
         oracle_bell_max(embed(make_state(SQ2, -SQ2, 0, 0)), grid_n=4)
+
+
+def _full_grid_best(psi, grid_n):
+    """Reference O(N^3) scan over every (a, a', b, b') of the plain grid."""
+    chis = np.linspace(0.0, math.pi, grid_n)
+    phis = np.linspace(-math.pi, math.pi, grid_n, endpoint=False)
+    grid_chi, grid_phi = (g.ravel() for g in np.meshgrid(chis, phis, indexing="ij"))
+    obs = _theta_entries(grid_chi, grid_phi)
+    contracted = np.einsum('ki,nkl,lj->nij', psi.conj(), obs, psi)
+    corr = np.einsum('nab,mab->nm', contracted, obs).real    # [a, b]
+    plus = corr[:, :, None] + corr[:, None, :]               # [a, b, b']
+    minus = corr[:, :, None] - corr[:, None, :]
+    return float((plus.max(axis=0) + minus.max(axis=0)).max())
+
+
+@given(valid_states())
+@settings(max_examples=40, deadline=None)
+def test_folded_grid_matches_full_scan(s):
+    psi = coefficient_matrix(embed(s))
+    for grid_n in (8, 9):
+        folded, angles = _grid_stage(psi, grid_n)
+        full = _full_grid_best(psi, grid_n)
+        if grid_n % 2 == 0:     # the antipode-closed grid is the grid itself
+            assert abs(folded - full) <= 1e-14
+        else:                   # a superset of the grid
+            assert folded >= full - 1e-14
+        # the mapped-back angles attain the folded best
+        assert abs(_chsh_value(psi, angles) - folded) <= 1e-14
+
+
+def test_oracle_early_stop_is_exact():
+    # this state's refinement reaches its fixed point well before sweep 40
+    v = embed(make_state(0.8, 0.6, 0.4, 0.2j, auto_normalize=True))
+    assert oracle_bell_max(v, refine_iters=40) == oracle_bell_max(v, refine_iters=1000)
+
+
+def test_orbit_representatives_count():
+    # interior orbits: (n-2) n/2 for even n, (n-2) n for odd n; the poles add one
+    for grid_n, count in ((8, 25), (9, 64), (24, 265)):
+        assert len(_orbit_representatives(grid_n)[0]) == count

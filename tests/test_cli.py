@@ -108,6 +108,26 @@ def test_analyze_input_file_missing_key(tmp_path, capsys):
     assert json.loads(out)["error"]["type"] == "InputFile"
 
 
+@pytest.mark.parametrize("doc", [
+    {"mu_re": 1.0, "mu_im": 0.0, "nu_re": 0.0, "nu_im": 0.0,
+     "x_re": "abc", "x_im": 0.0, "y_re": 0.0, "y_im": 0.0},
+    5.0,
+])
+def test_analyze_input_file_non_numeric(doc, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(["analyze", "--input", str(path), "--normalize"], capsys)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InputFile"
+
+
+def test_analyze_rejects_nan_component(capsys):
+    code, out = run_cli(["analyze", "--mu-re=nan", *SINGLET_FLAGS[2:], "--normalize"],
+                        capsys)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
 def test_analyze_json_to_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, _ = run_cli(["analyze", *SINGLET_FLAGS, "--json", str(target)], capsys)
@@ -228,6 +248,12 @@ def test_kaon_with_evolution(capsys):
 
 def test_kaon_rejects_large_epsilon(capsys):
     code, out = run_cli(["kaon", "--eps-re", "1.5"], capsys)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
+def test_kaon_rejects_nan_epsilon(capsys):
+    code, out = run_cli(["kaon", "--eps-re", "nan"], capsys)
     assert code == 2
     assert json.loads(out)["error"]["type"] == "DomainError"
 

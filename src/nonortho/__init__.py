@@ -13,21 +13,19 @@ from .bell import (BellSettings, MeasurementSetting, analytic_bell,
 from .errors import (DomainError, LinearDependence, NoCompatibleNu,
                      NonHermitianDrift, NonorthoError, NotNormalized,
                      PhaseUndefined, SingularNorm, ZeroState)
-from .feasibility import (ClosedFormDeviation, FeasibilityVerdict,
-                          QuadraticCoefficients, concurrence_scan, deviation,
-                          deviation_closed_form, maximal_feasibility,
-                          mu_squared_solutions, nn_case_floor, on_case_floor,
-                          quadratic_coefficients)
-from .kaon import (KaonDeviation, KaonEvolution, kaon_deviation_closed_form,
-                   kaon_entangled_state, kaon_overlap, kaon_overlap_mag_sq_alt,
-                   mass_eigenstates, weak_decay_norm)
+from .feasibility import (ClosedFormDeviation, FeasibilityVerdict, concurrence_scan,
+                          deviation, deviation_closed_form, maximal_feasibility,
+                          mu_squared_solutions, nn_case_floor, on_case_floor)
+from .kaon import (KaonEvolution, kaon_deviation_closed_form, kaon_entangled_state,
+                   kaon_overlap, kaon_overlap_mag_sq_alt, mass_eigenstates,
+                   weak_decay_norm)
 from .measures import (concurrence_det, concurrence_spin_flip,
                        entanglement_entropy, entropy_direct)
 from .report import EntanglementReport, analyze_state, kaon_report
 from .schmidt import (SchmidtForm, eigh_2x2, reconstruct, reduced_density,
                       schmidt_decompose, schmidt_eigenvalues)
-from .state import (DerivedScalars, NonorthogonalState, derived_scalars, embed,
-                    eta_phase, make_state, state_from_magnitudes, wrap_angle)
+from .state import (NonorthogonalState, embed, eta_phase, make_state,
+                    state_from_magnitudes, wrap_angle)
 from .verify import run_verify
 
 __version__ = "0.1.0"
@@ -38,11 +36,10 @@ __all__ = [
     "DomainError", "LinearDependence", "NoCompatibleNu", "NonHermitianDrift",
     "NonorthoError", "NotNormalized", "PhaseUndefined", "SingularNorm",
     "ZeroState",
-    "ClosedFormDeviation", "FeasibilityVerdict", "QuadraticCoefficients",
-    "concurrence_scan", "deviation", "deviation_closed_form",
-    "maximal_feasibility", "mu_squared_solutions", "nn_case_floor",
-    "on_case_floor", "quadratic_coefficients",
-    "KaonDeviation", "KaonEvolution", "kaon_deviation_closed_form",
+    "ClosedFormDeviation", "FeasibilityVerdict", "concurrence_scan", "deviation",
+    "deviation_closed_form", "maximal_feasibility", "mu_squared_solutions",
+    "nn_case_floor", "on_case_floor",
+    "KaonEvolution", "kaon_deviation_closed_form",
     "kaon_entangled_state", "kaon_overlap", "kaon_overlap_mag_sq_alt",
     "mass_eigenstates", "weak_decay_norm",
     "concurrence_det", "concurrence_spin_flip", "entanglement_entropy",
@@ -50,7 +47,7 @@ __all__ = [
     "EntanglementReport", "analyze_state", "kaon_report",
     "SchmidtForm", "eigh_2x2", "reconstruct", "reduced_density",
     "schmidt_decompose", "schmidt_eigenvalues",
-    "DerivedScalars", "NonorthogonalState", "derived_scalars", "embed",
-    "eta_phase", "make_state", "state_from_magnitudes", "wrap_angle",
+    "NonorthogonalState", "embed", "eta_phase", "make_state",
+    "state_from_magnitudes", "wrap_angle",
     "run_verify",
 ]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonHermitianDrift
+from .errors import DomainError, NonHermitianDrift
 from .schmidt import SchmidtForm, coefficient_matrix
 from .state import wrap_angle
 
@@ -218,7 +218,7 @@ def oracle_bell_max(vector: np.ndarray, grid_n: int = 24,
     result equals that of any larger ``refine_iters``.
     """
     if grid_n < 8:
-        raise ValueError(f"grid_n must be >= 8, got {grid_n}")
+        raise DomainError(f"grid_n must be >= 8, got {grid_n}")
     psi = coefficient_matrix(vector)
     best, angles = _grid_stage(psi, grid_n)
     current = _chsh_value(psi, angles)

@@ -12,9 +12,10 @@ discriminant analysis splits by overlap pattern:
                                 where the boundary family q = 1/(2(1-|x||y|))
                                 is maximal.
 
-Verdicts are never trusted from the printed inequalities alone: feasible
-witnesses are validated by running the state pipeline, infeasible verdicts
-by a scan oracle over (eta, q) grids.
+Feasible witnesses are validated by running the state pipeline.  Infeasible
+verdicts carry the exact margin from the case floor; the scan oracle over
+the (eta, q) domain is the independent check of that floor, run by
+``verify``, the tests and ``analyze --oracle``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoCompatibleNu
-from .schmidt import SchmidtForm, schmidt_decompose
+from .schmidt import SchmidtForm, _clamp_unit, schmidt_decompose
 from .state import ORTHO_EPS, make_state, state_from_magnitudes
 
 SCAN_ETA_POINTS = 720
@@ -35,51 +36,14 @@ SCAN_Q_POINTS = 2000
 
 def deviation(form: SchmidtForm) -> float:
     """d = 1 - |2 c+ c-|^2, clamped to [0, 1] against rounding no wider than 1e-12."""
-    d = 1.0 - (2.0 * abs(form.c_plus) * abs(form.c_minus)) ** 2
-    if -1e-12 <= d < 0.0:
-        return 0.0
-    if 1.0 < d <= 1.0 + 1e-12:
-        return 1.0
-    if not 0.0 <= d <= 1.0:
-        raise ArithmeticError(f"deviation {d} outside [0,1] beyond tolerance")
-    return d
+    return _clamp_unit(1.0 - (2.0 * abs(form.c_plus) * abs(form.c_minus)) ** 2,
+                       "deviation")
 
 
 def state_deviation(mu_sq: float, x_abs: float, y_abs: float,
                     eta: float = math.pi) -> float:
     """Pipeline deviation of the canonical state with these magnitudes."""
     return deviation(schmidt_decompose(state_from_magnitudes(mu_sq, x_abs, y_abs, eta)))
-
-
-@dataclass(frozen=True)
-class QuadraticCoefficients:
-    """Coefficients of a*q^2 + b*q + c = 0 with q = |mu|^2."""
-
-    a: float
-    b: float
-    c: float
-
-
-def quadratic_coefficients(abs_x: float, abs_y: float, eta: float,
-                           d: float) -> QuadraticCoefficients:
-    """Quadratic in q whose roots are the amplitude splittings reaching deviation d.
-
-    For d = 0 the scaled form (a = 4(1-|x|^2)(1-|y|^2), b = a[K cos(eta) - 1],
-    c = 1) is returned; for d > 0 the monic form with
-    c = (1-d) / (4(1-|x|^2)(1-|y|^2)).
-    """
-    if not (0.0 <= abs_x < 1.0 and 0.0 <= abs_y < 1.0):
-        raise DomainError(f"overlaps out of range: {abs_x}, {abs_y}")
-    if not (0.0 <= d < 1.0):
-        raise DomainError(f"deviation target out of range: {d}")
-    g = (1.0 - abs_x ** 2) * (1.0 - abs_y ** 2)
-    if d == 0.0:
-        a = 4.0 * g
-        k = abs_x * abs_y / math.sqrt(g)
-        return QuadraticCoefficients(a, a * (k * math.cos(eta) - 1.0), 1.0)
-    big_x = math.sqrt(abs_x ** 2 * abs_y ** 2 * (1.0 - d) / g)
-    return QuadraticCoefficients(1.0, big_x * math.cos(eta) - 1.0,
-                                 (1.0 - d) / (4.0 * g))
 
 
 def mu_squared_solutions(abs_x: float, abs_y: float, d: float,
@@ -95,9 +59,8 @@ def mu_squared_solutions(abs_x: float, abs_y: float, d: float,
         raise DomainError(f"overlaps out of range: {abs_x}, {abs_y}")
     if not (0.0 <= d < 1.0):
         raise DomainError(f"deviation target out of range: {d}")
-    x_on = abs_x > ORTHO_EPS
-    y_on = abs_y > ORTHO_EPS
-    if x_on and y_on:
+    case = overlap_case(abs_x, abs_y)
+    if case == "NN":
         if eta is None:
             raise DomainError("eta is required when both overlaps are nonzero")
         g = (1.0 - abs_x ** 2) * (1.0 - abs_y ** 2)
@@ -105,8 +68,8 @@ def mu_squared_solutions(abs_x: float, abs_y: float, d: float,
         lead = 1.0 - big_x * math.cos(eta)
         disc = lead * lead - big_x ** 2 / (abs_x ** 2 * abs_y ** 2)
         roots = _quadratic_roots(lead, disc)
-    elif x_on or y_on:
-        s = abs_x if x_on else abs_y   # the surviving overlap
+    elif case == "ON":
+        s = max(abs_x, abs_y)   # the surviving overlap
         roots = _quadratic_roots(1.0, (d - s * s) / (1.0 - s * s))
     else:
         roots = _quadratic_roots(1.0, d)
@@ -170,17 +133,11 @@ def deviation_closed_form(abs_mu: float, abs_x: float, abs_y: float, eta: float,
     if nu_mag < -1e-12:
         raise NoCompatibleNu(
             f"branch {branch:+d} gives |nu| = {nu_mag:.3e} < 0 for these inputs")
-    nu_mag = max(nu_mag, 0.0)
-    pipeline = _pipeline_deviation_from_mags(abs_mu, nu_mag, abs_x, abs_y, eta)
+    nu = max(nu_mag, 0.0) * cmath.exp(-1j * eta)
+    state = make_state(complex(abs_mu), nu, complex(abs_x), complex(abs_y),
+                       auto_normalize=True)
+    pipeline = deviation(schmidt_decompose(state))
     return ClosedFormDeviation(closed, pipeline, abs(closed - pipeline))
-
-
-def _pipeline_deviation_from_mags(mu_mag: float, nu_mag: float, abs_x: float,
-                                  abs_y: float, eta: float) -> float:
-    mu = complex(mu_mag)
-    nu = nu_mag * cmath.exp(-1j * eta)
-    state = make_state(mu, nu, complex(abs_x), complex(abs_y), auto_normalize=True)
-    return deviation(schmidt_decompose(state))
 
 
 VERDICT_FEASIBLE_ORTHOGONAL = "FeasibleOrthogonal"
@@ -193,15 +150,15 @@ class FeasibilityVerdict:
     """Outcome of the maximal-violation feasibility analysis for (|x|, |y|).
 
     ``witness_q`` is present iff feasible, and ``witness_pipeline_d`` is its
-    validated pipeline deviation.  For infeasible pairs, ``scan_margin`` is
-    1 minus the largest concurrence found by the (eta, q) scan oracle.
+    validated pipeline deviation.  For infeasible pairs, ``margin`` is 1
+    minus the largest reachable concurrence, sqrt(1 - floor), in closed form.
     """
 
     verdict: str
     witness_q: float | None = None
     required_eta: float | None = None
     witness_pipeline_d: float | None = None
-    scan_margin: float | None = None
+    margin: float | None = None
 
 
 def overlap_case(abs_x: float, abs_y: float) -> str:
@@ -215,24 +172,36 @@ def overlap_case(abs_x: float, abs_y: float) -> str:
     return "OO"
 
 
+def scan_concurrence(q, eta, abs_x: float, abs_y: float):
+    """Concurrence 2 sqrt(q) |nu| sqrt(G) of the canonical state, elementwise.
+
+    ``q`` = |mu|^2 and ``eta`` are arrays (or scalars) that broadcast; |nu|
+    is the principal root sqrt(1 - q + s^2) - s, s = sqrt(q)|x||y|cos(eta),
+    of the normalization constraint, as in ``state_from_magnitudes``.  Where
+    that root is negative no state exists and the value is negative.
+    """
+    s = np.sqrt(q) * abs_x * abs_y * np.cos(eta)
+    nu_mag = np.sqrt(np.maximum(1.0 - q + s * s, 0.0)) - s
+    g = (1.0 - abs_x ** 2) * (1.0 - abs_y ** 2)
+    return 2.0 * np.sqrt(q) * nu_mag * math.sqrt(g)
+
+
 def concurrence_scan(abs_x: float, abs_y: float,
                      eta_points: int = SCAN_ETA_POINTS,
                      q_points: int = SCAN_Q_POINTS) -> float:
     """Largest pipeline concurrence over an (eta, q) grid, vectorized.
 
-    For each grid point the unique nonnegative |nu| solving normalization is
-    used, so the scan covers every admissible state at these overlap
-    magnitudes up to the phase conventions that the concurrence ignores.
+    For each eta, q runs over the open interval (0, 1/(1 - |x|^2|y|^2
+    cos^2 eta)) on which a real |nu| exists.  Where two nonnegative roots
+    exist (q > 1, cos eta < 0) the principal one is the larger, and the
+    concurrence grows with |nu|, so the scan covers the maximum over every
+    admissible state at these overlap magnitudes, up to the phase
+    conventions that the concurrence ignores.
     """
-    etas = np.linspace(-math.pi, math.pi, eta_points)
-    qs = np.linspace(0.0, 1.0, q_points + 2)[1:-1]
-    grid_eta, grid_q = np.meshgrid(etas, qs, indexing="ij")
-    s = np.sqrt(grid_q) * abs_x * abs_y * np.cos(grid_eta)
-    w = np.sqrt(np.maximum(1.0 - grid_q + s * s, 0.0))
-    nu_mag = w - s
-    g = (1.0 - abs_x ** 2) * (1.0 - abs_y ** 2)
-    conc = 2.0 * np.sqrt(grid_q) * nu_mag * math.sqrt(g)
-    return float(conc.max())
+    etas = np.linspace(-math.pi, math.pi, eta_points)[:, None]
+    q_max = 1.0 / (1.0 - (abs_x * abs_y * np.cos(etas)) ** 2)
+    qs = q_max * np.linspace(0.0, 1.0, q_points + 2)[1:-1]
+    return float(scan_concurrence(qs, etas, abs_x, abs_y).max())
 
 
 def maximal_feasibility(abs_x: float, abs_y: float) -> FeasibilityVerdict:
@@ -240,8 +209,9 @@ def maximal_feasibility(abs_x: float, abs_y: float) -> FeasibilityVerdict:
 
     Equal overlaps are matched within 1e-12, as is the orthogonality
     threshold.  Feasible witnesses are checked by constructing the state and
-    requiring pipeline d < 1e-10; infeasible verdicts carry the margin from
-    the concurrence scan oracle.
+    requiring pipeline d < 1e-10.  Infeasible verdicts carry the margin
+    1 - sqrt(1 - f) = f / (1 + sqrt(1 - f)) from the case floor f, written
+    without the cancellation near f = 0.
     """
     if not (0.0 <= abs_x < 1.0 and 0.0 <= abs_y < 1.0):
         raise DomainError(f"overlaps out of range: {abs_x}, {abs_y}")
@@ -253,8 +223,10 @@ def maximal_feasibility(abs_x: float, abs_y: float) -> FeasibilityVerdict:
         witness = 1.0 / (2.0 * (1.0 - abs_x * abs_y))
         return _validated_feasible(VERDICT_FEASIBLE_DEGENERATE, witness, math.pi,
                                    abs_x, abs_y)
-    margin = 1.0 - concurrence_scan(abs_x, abs_y)
-    return FeasibilityVerdict(VERDICT_INFEASIBLE, scan_margin=margin)
+    floor = (on_case_floor(max(abs_x, abs_y)) if case == "ON"
+             else nn_case_floor(abs_x, abs_y))
+    return FeasibilityVerdict(VERDICT_INFEASIBLE,
+                              margin=floor / (1.0 + math.sqrt(1.0 - floor)))
 
 
 def _validated_feasible(verdict: str, witness_q: float, required_eta: float | None,
@@ -278,6 +250,7 @@ def nn_case_floor(abs_x: float, abs_y: float) -> float:
 
     d >= 1 - (1-|x|^2)(1-|y|^2) / (1 - |x||y|)^2, tight at cos(eta) = -1 and
     the balanced splitting q = 1/(2(1-|x||y|)); zero exactly when |x| = |y|.
+    Evaluated as the equal ((|x| - |y|) / (1 - |x||y|))^2, which keeps its
+    relative accuracy as |x| - |y| -> 0, where the printed form cancels.
     """
-    g = (1.0 - abs_x ** 2) * (1.0 - abs_y ** 2)
-    return 1.0 - g / (1.0 - abs_x * abs_y) ** 2
+    return ((abs_x - abs_y) / (1.0 - abs_x * abs_y)) ** 2

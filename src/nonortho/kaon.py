@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularNorm
-from .feasibility import deviation
+from .feasibility import ClosedFormDeviation, deviation
 from .schmidt import schmidt_decompose
 from .state import NonorthogonalState, make_state
 
@@ -85,6 +85,8 @@ class KaonEvolution:
     t: float
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.gamma_s, self.gamma_l, self.t)):
+            raise DomainError("decay widths and time must be finite")
         if self.gamma_s < 0 or self.gamma_l < 0:
             raise DomainError("decay widths must be nonnegative")
         if self.t < 0:
@@ -105,16 +107,8 @@ def weak_decay_norm(eps: complex, evo: KaonEvolution) -> float:
             * math.exp(-0.5 * (evo.gamma_s + evo.gamma_l) * evo.t))
 
 
-@dataclass(frozen=True)
-class KaonDeviation:
-    """Closed-form d(eps) for one branch next to the pipeline value."""
-
-    closed_form: float
-    pipeline: float
-    difference: float
-
-
-def kaon_deviation_closed_form(eps: complex, eta: float, branch: int) -> KaonDeviation:
+def kaon_deviation_closed_form(eps: complex, eta: float,
+                               branch: int) -> ClosedFormDeviation:
     """Evaluate the explicit d(eps) formula and compare with the pipeline.
 
     With r = Re(eps) and k = 1 + |eps|^2:
@@ -129,6 +123,8 @@ def kaon_deviation_closed_form(eps: complex, eta: float, branch: int) -> KaonDev
     the difference is reported, not bounded.
     """
     eps = _check_eps(eps)
+    if not math.isfinite(eta):
+        raise DomainError(f"eta must be finite, got {eta}")
     if branch not in (+1, -1):
         raise DomainError(f"branch must be +1 or -1, got {branch}")
     r = eps.real
@@ -138,4 +134,4 @@ def kaon_deviation_closed_form(eps: complex, eta: float, branch: int) -> KaonDev
     closed = 1.0 - (1.0 - (r / k) ** 2) ** 2 * (
         1.0 + math.sqrt(2.0) * y * math.cos(eta) * r ** 2 * k ** -4)
     pipeline = deviation(schmidt_decompose(kaon_entangled_state(eps)))
-    return KaonDeviation(closed, pipeline, abs(closed - pipeline))
+    return ClosedFormDeviation(closed, pipeline, abs(closed - pipeline))

@@ -6,21 +6,19 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import measures
 from .bell import analytic_bell, bell_expectation, canonical_settings, oracle_bell_max
 from .errors import PhaseUndefined
-from .feasibility import FeasibilityVerdict, deviation, maximal_feasibility
+from .feasibility import (VERDICT_INFEASIBLE, FeasibilityVerdict, concurrence_scan,
+                          deviation, maximal_feasibility)
 from .kaon import (KaonEvolution, kaon_deviation_closed_form,
                    kaon_entangled_state, kaon_overlap, kaon_overlap_mag_sq_alt,
                    weak_decay_norm)
 from .schmidt import schmidt_decompose, schmidt_eigenvalues
 from .state import NonorthogonalState, embed, eta_phase
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
-JSON_SIG_DIGITS = 17
 CSV_SIG_DIGITS = 12
 
 CSV_COLUMNS = ("mu_sq", "x_abs", "y_abs", "eta", "lambda_plus", "lambda_minus",
@@ -29,7 +27,12 @@ CSV_COLUMNS = ("mu_sq", "x_abs", "y_abs", "eta", "lambda_plus", "lambda_minus",
 
 @dataclass
 class EntanglementReport:
-    """All derived scalars for one state, plus the feasibility summary."""
+    """All derived scalars for one state, plus the feasibility summary.
+
+    ``bell_oracle`` and ``scan_margin`` come from the brute-force oracles and
+    are None unless they were requested; ``scan_margin`` is 1 minus the
+    largest concurrence the (eta, q) scan finds for an infeasible verdict.
+    """
 
     state: NonorthogonalState
     lambda_plus: float
@@ -41,6 +44,7 @@ class EntanglementReport:
     eta: float | None
     feasibility: FeasibilityVerdict | None
     bell_oracle: float | None = None
+    scan_margin: float | None = None
     warnings: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -67,7 +71,8 @@ class EntanglementReport:
                 "witness_q": self.feasibility.witness_q,
                 "required_eta": self.feasibility.required_eta,
                 "witness_pipeline_d": self.feasibility.witness_pipeline_d,
-                "scan_margin": self.feasibility.scan_margin,
+                "margin": self.feasibility.margin,
+                "scan_margin": self.scan_margin,
             },
             "warnings": list(self.warnings),
         }
@@ -79,9 +84,10 @@ def analyze_state(state: NonorthogonalState, with_oracle: bool = False,
                   with_feasibility: bool = True) -> EntanglementReport:
     """Run the full pipeline on one validated state.
 
-    ``with_feasibility=False`` skips the overlap-pattern verdict and its
-    scan oracle; sweeps use this since their CSV schema carries only the
-    per-state scalars.
+    ``with_feasibility=False`` skips the overlap-pattern verdict; sweeps use
+    this since their CSV schema carries only the per-state scalars.
+    ``with_oracle`` runs the CHSH maximizer and, for an infeasible verdict,
+    the concurrence scan.
     """
     warnings: list[str] = []
     vector = embed(state)
@@ -114,6 +120,9 @@ def analyze_state(state: NonorthogonalState, with_oracle: bool = False,
     if with_oracle:
         report.bell_oracle = oracle_bell_max(vector, grid_n=grid_n,
                                              refine_iters=refine_iters)
+        verdict = report.feasibility
+        if verdict is not None and verdict.verdict == VERDICT_INFEASIBLE:
+            report.scan_margin = 1.0 - concurrence_scan(abs(state.x), abs(state.y))
     return report
 
 
@@ -148,23 +157,12 @@ def kaon_report(eps: complex, eta: float = math.pi,
     return doc
 
 
-def _round_trip_floats(obj):
-    """Pass every float through a 17-significant-digit format.
-
-    The .17g representation reparses to the identical double, so values are
-    unchanged while the emitted text is full precision and byte-stable.
-    """
-    if isinstance(obj, float):
-        return float(f"{obj:.{JSON_SIG_DIGITS}g}")
-    if isinstance(obj, dict):
-        return {k: _round_trip_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_trip_floats(v) for v in obj]
-    return obj
-
-
 def to_json(doc: dict) -> str:
-    return json.dumps(_round_trip_floats(doc), indent=2)
+    """Indented strict JSON; floats print as their shortest round-trip repr.
+
+    A non-finite float raises ValueError rather than printing NaN.
+    """
+    return json.dumps(doc, indent=2, allow_nan=False)
 
 
 def csv_row(mu_sq: float, x_abs: float, y_abs: float, eta: float,
@@ -173,10 +171,6 @@ def csv_row(mu_sq: float, x_abs: float, y_abs: float, eta: float,
               report.bell_analytic, report.d, report.concurrence,
               report.entropy_bits)
     return [f"{v:.{CSV_SIG_DIGITS}g}" for v in values]
-
-
-def report_vector(state: NonorthogonalState) -> np.ndarray:
-    return embed(state)
 
 
 def canonical_bell_value(state: NonorthogonalState) -> float:

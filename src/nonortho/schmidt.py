@@ -90,15 +90,14 @@ def schmidt_eigenvalues(state: NonorthogonalState) -> tuple[float, float]:
 
 
 def _clamp_unit(value: float, what: str, tol: float = 1e-12) -> float:
-    if value < 0.0:
-        if value < -tol:
-            raise ArithmeticError(f"{what} = {value} is below 0 beyond tolerance")
+    """Clamp to [0, 1] against rounding within ``tol``; raise beyond it or on NaN."""
+    if 0.0 <= value <= 1.0:
+        return value
+    if -tol <= value < 0.0:
         return 0.0
-    if value > 1.0:
-        if value > 1.0 + tol:
-            raise ArithmeticError(f"{what} = {value} is above 1 beyond tolerance")
+    if 1.0 < value <= 1.0 + tol:
         return 1.0
-    return value
+    raise ArithmeticError(f"{what} = {value} outside [0, 1] beyond tolerance")
 
 
 @dataclass(frozen=True)
@@ -127,14 +126,6 @@ class SchmidtForm:
     @property
     def phi_plus(self) -> float:
         return cmath.phase(self.c_plus)
-
-    @property
-    def lambda_minus(self) -> float:
-        return abs(self.c_minus) ** 2
-
-    @property
-    def lambda_plus(self) -> float:
-        return abs(self.c_plus) ** 2
 
 
 def _first_big_phase(v: np.ndarray) -> float:

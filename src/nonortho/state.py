@@ -52,22 +52,15 @@ class NonorthogonalState:
         return self.mu * self.x + self.nu * self.y
 
 
-@dataclass(frozen=True)
-class DerivedScalars:
-    """Convenience bundle of the embedding normalizers and phase combination."""
-
-    n_a: float
-    n_b: float
-    cross_amp: complex
-    eta: float | None
+def _norm_sq(mu: complex, nu: complex, x: complex, y: complex) -> float:
+    """Squared norm |mu N_B|^2 + |nu N_A|^2 + |mu x + nu y|^2 of the embedded vector."""
+    return (abs(mu) ** 2 * (1.0 - abs(x) ** 2) + abs(nu) ** 2 * (1.0 - abs(y) ** 2)
+            + abs(mu * x + nu * y) ** 2)
 
 
 def normalization_residual(mu: complex, nu: complex, x: complex, y: complex) -> float:
     """Absolute deviation of the embedded-vector norm from 1."""
-    n_a_sq = 1.0 - abs(y) ** 2
-    n_b_sq = 1.0 - abs(x) ** 2
-    norm_sq = abs(mu) ** 2 * n_b_sq + abs(nu) ** 2 * n_a_sq + abs(mu * x + nu * y) ** 2
-    return abs(norm_sq - 1.0)
+    return abs(_norm_sq(mu, nu, x, y) - 1.0)
 
 
 def make_state(mu: complex, nu: complex, x: complex, y: complex,
@@ -91,13 +84,18 @@ def make_state(mu: complex, nu: complex, x: complex, y: complex,
     if mu == 0 and nu == 0:
         raise ZeroState("both amplitudes are zero")
     if auto_normalize:
-        norm_sq = (abs(mu) ** 2 * (1.0 - abs(x) ** 2)
-                   + abs(nu) ** 2 * (1.0 - abs(y) ** 2)
-                   + abs(mu * x + nu * y) ** 2)
-        scale = 1.0 / math.sqrt(norm_sq)
+        big = max(abs(mu.real), abs(mu.imag), abs(nu.real), abs(nu.imag))
+        if not 1e-100 < big < 1e100:
+            # only here would the squares under- or overflow; dividing
+            # ordinary amplitudes would change their last-bit rounding
+            mu, nu = mu / big, nu / big
+        scale = 1.0 / math.sqrt(_norm_sq(mu, nu, x, y))
         mu *= scale
         nu *= scale
-    residual = normalization_residual(mu, nu, x, y)
+    try:
+        residual = normalization_residual(mu, nu, x, y)
+    except OverflowError:   # an amplitude beyond ~1e154 is far from unit norm
+        residual = math.inf
     if residual > NORM_TOL:
         raise NotNormalized(
             f"norm residual {residual:.3e} exceeds {NORM_TOL:.0e}; "
@@ -132,15 +130,6 @@ def wrap_angle(angle: float) -> float:
     """Wrap to the half-open interval (-pi, pi]."""
     r = (angle + math.pi) % (2.0 * math.pi)
     return math.pi if r == 0.0 else r - math.pi
-
-
-def derived_scalars(state: NonorthogonalState) -> DerivedScalars:
-    """Bundle N_A, N_B, the cross amplitude, and eta (None when undefined)."""
-    try:
-        eta = eta_phase(state)
-    except PhaseUndefined:
-        eta = None
-    return DerivedScalars(state.n_a, state.n_b, state.cross_amp, eta)
 
 
 def state_from_magnitudes(mu_sq: float, x_abs: float, y_abs: float,

@@ -9,6 +9,7 @@ aborting the run.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -21,7 +22,7 @@ from .errors import NonorthoError
 from .feasibility import (VERDICT_FEASIBLE_DEGENERATE, VERDICT_FEASIBLE_ORTHOGONAL,
                           VERDICT_INFEASIBLE, concurrence_scan, deviation,
                           maximal_feasibility, mu_squared_solutions, nn_case_floor,
-                          state_deviation)
+                          scan_concurrence, state_deviation)
 from .kaon import (KaonEvolution, kaon_deviation_closed_form, kaon_entangled_state,
                    kaon_overlap, weak_decay_norm)
 from .report import analyze_state, canonical_bell_value
@@ -30,6 +31,11 @@ from .schmidt import reconstruct, reduced_density, schmidt_decompose
 from .state import embed, make_state, state_from_magnitudes
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
+# overlap levels of the single- and double-overlap impossibility checks
+ON_OVERLAPS = tuple(round(0.05 * k, 2) for k in range(1, 19))
+NN_PAIRS = tuple(itertools.permutations((0.1, 0.3, 0.5, 0.7, 0.9), 2))
+
+Check = Callable[[], tuple[bool, str]]
 
 
 @dataclass(frozen=True)
@@ -57,13 +63,12 @@ def max_deviation_up_to_phase(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.max(np.abs(u - phase * v)))
 
 
-def _run(name: str, fn: Callable[[], tuple[bool, str]],
-         out: list[CheckResult]) -> None:
+def _run(name: str, fn: Check) -> CheckResult:
     try:
         passed, detail = fn()
     except Exception as exc:   # a crash is a failure, not an abort
         passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-    out.append(CheckResult(name, passed, detail))
+    return CheckResult(name, passed, detail)
 
 
 def _check_oo_maximal() -> tuple[bool, str]:
@@ -74,8 +79,8 @@ def _check_oo_maximal() -> tuple[bool, str]:
     return max(errs) <= 1e-12, f"max error {max(errs):.2e} (tol 1e-12)"
 
 
-def _check_identities(seed: int, count: int = 10_000) -> list[tuple[str, float, float]]:
-    """Worst-case residuals of the four dual-route identities."""
+def _check_identities(seed: int, count: int = 10_000) -> tuple[bool, str]:
+    """Worst-case residuals of the four dual-route identities, each within 1e-12."""
     worst_bell = worst_cd = worst_cc = worst_ee = 0.0
     for s in random_states(count, seed):
         form = schmidt_decompose(s)
@@ -89,10 +94,10 @@ def _check_identities(seed: int, count: int = 10_000) -> list[tuple[str, float, 
         worst_cd = max(worst_cd, abs(c_det ** 2 + d - 1.0))
         worst_cc = max(worst_cc, abs(c_det - c_flip))
         worst_ee = max(worst_ee, abs(e_direct - e_wootters))
-    return [("bell-vs-deviation", worst_bell, 1e-12),
-            ("concurrence-sq-plus-d", worst_cd, 1e-12),
-            ("concurrence-two-routes", worst_cc, 1e-12),
-            ("entropy-two-routes", worst_ee, 1e-12)]
+    rows = (("bell-vs-deviation", worst_bell), ("concurrence-sq-plus-d", worst_cd),
+            ("concurrence-two-routes", worst_cc), ("entropy-two-routes", worst_ee))
+    detail = ", ".join(f"{name} {val:.2e}" for name, val in rows)
+    return all(val <= 1e-12 for _, val in rows), detail + " (tol 1e-12 each)"
 
 
 def _check_canonical_settings(seed: int, count: int = 1000) -> tuple[bool, str]:
@@ -154,18 +159,16 @@ def _check_root_feedback() -> tuple[bool, str]:
 
 
 def _check_on_impossibility(full_pipeline: bool) -> tuple[bool, str]:
-    overlaps = [round(0.05 * k, 2) for k in range(1, 19)]
     qs = np.linspace(0.0, 1.0, 2002)[1:-1]
     worst_gap = math.inf
-    for s_abs in overlaps:
+    for s_abs in ON_OVERLAPS:
         verdict = maximal_feasibility(s_abs, 0.0)
         if verdict.verdict != VERDICT_INFEASIBLE:
             return False, f"|x|={s_abs} not flagged infeasible"
         if full_pipeline:
             dmin = min(state_deviation(float(q), s_abs, 0.0) for q in qs)
         else:
-            conc = 2.0 * np.sqrt(qs * (1.0 - qs)) * math.sqrt(1.0 - s_abs ** 2)
-            dmin = float((1.0 - conc ** 2).min())
+            dmin = float((1.0 - scan_concurrence(qs, 0.0, s_abs, 0.0) ** 2).min())
         worst_gap = min(worst_gap, dmin - s_abs ** 2)
     return worst_gap >= -1e-10, f"worst (min d - s^2) gap {worst_gap:.2e} (>= -1e-10)"
 
@@ -230,37 +233,31 @@ def _check_oracle(seed: int, grid_n: int, refine_iters: int,
 
 
 def _check_nn_generic() -> tuple[bool, str]:
-    levels = (0.1, 0.3, 0.5, 0.7, 0.9)
-    worst_gap = math.inf
+    """The scan's min d over each unequal pair lies on the closed-form floor."""
+    low_gap, high_gap = math.inf, -math.inf
     min_floor = math.inf
-    for abs_x in levels:
-        for abs_y in levels:
-            if abs_x == abs_y:
-                continue
-            floor = nn_case_floor(abs_x, abs_y)
-            min_floor = min(min_floor, floor)
-            dmin = 1.0 - concurrence_scan(abs_x, abs_y) ** 2
-            worst_gap = min(worst_gap, dmin - floor)
-            verdict = maximal_feasibility(abs_x, abs_y)
-            if verdict.verdict != VERDICT_INFEASIBLE:
-                return False, f"({abs_x},{abs_y}) not flagged infeasible"
-    ok = worst_gap >= -1e-9 and min_floor > 0
-    return ok, (f"worst (scan min d - floor) {worst_gap:.2e} (>= -1e-9), "
-                f"smallest floor {min_floor:.3e} > 0")
+    for abs_x, abs_y in NN_PAIRS:
+        floor = nn_case_floor(abs_x, abs_y)
+        min_floor = min(min_floor, floor)
+        gap = 1.0 - concurrence_scan(abs_x, abs_y) ** 2 - floor
+        low_gap, high_gap = min(low_gap, gap), max(high_gap, gap)
+        verdict = maximal_feasibility(abs_x, abs_y)
+        if verdict.verdict != VERDICT_INFEASIBLE:
+            return False, f"({abs_x},{abs_y}) not flagged infeasible"
+    ok = low_gap >= -1e-9 and high_gap <= 1e-6 and min_floor > 0
+    return ok, (f"(scan min d - floor) in [{low_gap:.2e}, {high_gap:.2e}] "
+                f"(within [-1e-9, 1e-6]), smallest floor {min_floor:.3e} > 0")
 
 
 def _check_scan_vs_pipeline(seed: int) -> tuple[bool, str]:
-    """The vectorized scan agrees with the per-state pipeline on a subsample."""
+    """The scan's concurrence kernel agrees with the per-state pipeline."""
     rng = np.random.default_rng(seed + 4)
     worst = 0.0
     for _ in range(100):
         abs_x, abs_y = rng.uniform(0.05, 0.9, 2)
         eta = rng.uniform(-math.pi, math.pi)
         q = rng.uniform(0.01, 0.99)
-        s = math.sqrt(q) * abs_x * abs_y * math.cos(eta)
-        nu = math.sqrt(max(1 - q + s * s, 0.0)) - s
-        g = (1 - abs_x ** 2) * (1 - abs_y ** 2)
-        d_vec = 1.0 - (2.0 * math.sqrt(q) * nu * math.sqrt(g)) ** 2
+        d_vec = 1.0 - scan_concurrence(q, eta, abs_x, abs_y) ** 2
         worst = max(worst, abs(d_vec - state_deviation(q, abs_x, abs_y, eta)))
     return worst <= 1e-10, f"worst |vectorized - pipeline| {worst:.2e} (tol 1e-10)"
 
@@ -274,32 +271,34 @@ def _check_feasible_orthogonal() -> tuple[bool, str]:
     return ok, f"verdict {verdict.verdict}, witness d {verdict.witness_pipeline_d}"
 
 
-def run_verify(level: str = "quick", seed: int = DEFAULT_SEED,
-               grid_n: int = 24, refine_iters: int = 40) -> VerifySummary:
+def checks(level: str = "quick", seed: int = DEFAULT_SEED, grid_n: int = 24,
+           refine_iters: int = 40) -> dict[str, Check]:
+    """The named checks of one level, in run order, each not yet run."""
     if level not in ("quick", "full"):
         raise NonorthoError(f"verify level must be 'quick' or 'full', got {level!r}")
-    results: list[CheckResult] = []
-    _run("oo-maximal-case", _check_oo_maximal, results)
-
-    def identities() -> tuple[bool, str]:
-        rows = _check_identities(seed)
-        ok = all(val <= tol for _, val, tol in rows)
-        detail = ", ".join(f"{name} {val:.2e}" for name, val, _ in rows)
-        return ok, detail + " (tol 1e-12 each)"
-    _run("closed-form-identities-10k", identities, results)
-    _run("canonical-settings-1k", lambda: _check_canonical_settings(seed), results)
-    _run("schmidt-round-trip-1k", lambda: _check_round_trip(seed), results)
-    _run("fixed-examples", _check_fixed_examples, results)
-    _run("root-feedback", _check_root_feedback, results)
-    _run("feasible-orthogonal", _check_feasible_orthogonal, results)
-    _run("nn-boundary-family", _check_nn_boundary, results)
-    _run("on-impossibility",
-         lambda: _check_on_impossibility(full_pipeline=(level == "full")), results)
-    _run("kaon-suite", _check_kaon, results)
-    _run("kaon-discrepancy-log", _check_kaon_discrepancy_logged, results)
-    _run("scan-vs-pipeline", lambda: _check_scan_vs_pipeline(seed), results)
+    table: dict[str, Check] = {
+        "oo-maximal-case": _check_oo_maximal,
+        "closed-form-identities-10k": lambda: _check_identities(seed),
+        "canonical-settings-1k": lambda: _check_canonical_settings(seed),
+        "schmidt-round-trip-1k": lambda: _check_round_trip(seed),
+        "fixed-examples": _check_fixed_examples,
+        "root-feedback": _check_root_feedback,
+        "feasible-orthogonal": _check_feasible_orthogonal,
+        "nn-boundary-family": _check_nn_boundary,
+        "on-impossibility":
+            lambda: _check_on_impossibility(full_pipeline=(level == "full")),
+        "kaon-suite": _check_kaon,
+        "kaon-discrepancy-log": _check_kaon_discrepancy_logged,
+        "scan-vs-pipeline": lambda: _check_scan_vs_pipeline(seed),
+    }
     if level == "full":
-        _run("nn-generic-impossibility", _check_nn_generic, results)
-        _run("oracle-vs-analytic-100",
-             lambda: _check_oracle(seed, grid_n, refine_iters), results)
+        table["nn-generic-impossibility"] = _check_nn_generic
+        table["oracle-vs-analytic-100"] = lambda: _check_oracle(seed, grid_n, refine_iters)
+    return table
+
+
+def run_verify(level: str = "quick", seed: int = DEFAULT_SEED,
+               grid_n: int = 24, refine_iters: int = 40) -> VerifySummary:
+    table = checks(level, seed, grid_n, refine_iters)
+    results = [_run(name, fn) for name, fn in table.items()]
     return VerifySummary(level=level, seed=seed, results=results)

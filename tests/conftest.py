@@ -24,13 +24,6 @@ def valid_states(draw, min_amp=1e-3, max_overlap=0.95):
     return make_state(mu, nu, x, y, auto_normalize=True)
 
 
-def phase_aligned_distance(u, v):
-    """max-norm distance between 4-vectors after removing a global phase."""
-    overlap = np.vdot(v, u)
-    phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
-    return float(np.max(np.abs(u - phase * v)))
-
-
 def det2(m):
     """2x2 determinant by the product formula (subnormal-safe, unlike LU)."""
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]

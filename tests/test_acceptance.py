@@ -1,8 +1,10 @@
-"""Acceptance criteria, one test per criterion, each at its stated tolerance.
+"""Acceptance criteria, one test per criterion.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
-criterion.  The random-state populations are seeded and the tolerances are
-pinned in the assertions.
+Criteria 1-8 run the named checks of ``nonortho verify full``, so each
+criterion is implemented once, in ``verify.py``, with its counts, seeds and
+tolerances.  Criteria 9a and 9b mutate the program and require verify to
+fail.  Run with ``pytest tests/test_acceptance.py -v -s`` to see one line
+per check.
 """
 
 import math
@@ -12,166 +14,54 @@ import pytest
 
 import nonortho.measures as measures_mod
 import nonortho.state as state_mod
-from nonortho.bell import analytic_bell, oracle_bell_max
-from nonortho.feasibility import (VERDICT_FEASIBLE_DEGENERATE, VERDICT_INFEASIBLE,
-                                  concurrence_scan, deviation, maximal_feasibility,
-                                  nn_case_floor, state_deviation)
-from nonortho.kaon import (KaonEvolution, kaon_deviation_closed_form,
-                           kaon_entangled_state, kaon_overlap, weak_decay_norm)
-from nonortho.measures import (concurrence_det, concurrence_spin_flip,
-                               entanglement_entropy, entropy_direct)
-from nonortho.report import analyze_state, canonical_bell_value
-from nonortho.sampling import DEFAULT_SEED, random_states
-from nonortho.schmidt import reconstruct, reduced_density, schmidt_decompose
+from nonortho.measures import concurrence_det, concurrence_spin_flip
 from nonortho.state import embed, make_state
-from nonortho.verify import run_verify
+from nonortho.verify import checks, run_verify
 
-from conftest import det2, phase_aligned_distance
-
-TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
+FULL = checks("full")
 
 
 def report(line):
     print(f"\nACCEPTANCE {line}")
 
 
+def assert_checks_pass(*names):
+    for name in names:
+        passed, detail = FULL[name]()
+        report(f"{name} {'PASS' if passed else 'FAIL'}: {detail}")
+        assert passed, f"{name}: {detail}"
+
+
 def test_criterion_1_oo_maximal_case():
-    state = make_state(1 / math.sqrt(2), 1 / math.sqrt(2), 0, 0)
-    rep = analyze_state(state)
-    assert abs(rep.bell_analytic - TWO_SQRT_TWO) <= 1e-12
-    assert abs(rep.d) <= 1e-12
-    assert abs(rep.concurrence - 1.0) <= 1e-12
-    assert abs(rep.entropy_bits - 1.0) <= 1e-12
-    report("1 PASS: balanced orthogonal state reaches 2*sqrt(2), d=0, C=1, E=1 bit")
+    assert_checks_pass("oo-maximal-case")
 
 
 def test_criterion_2_closed_form_pipeline_consistency():
-    worst = {"bell": 0.0, "cd": 0.0, "cc": 0.0, "ee": 0.0}
-    for s in random_states(10_000, DEFAULT_SEED):
-        form = schmidt_decompose(s)
-        d = deviation(form)
-        c_det = concurrence_det(s)
-        worst["bell"] = max(worst["bell"],
-                            abs(analytic_bell(form) - 2.0 * math.sqrt(2.0 - d)))
-        worst["cd"] = max(worst["cd"], abs(c_det ** 2 + d - 1.0))
-        worst["cc"] = max(worst["cc"],
-                          abs(c_det - concurrence_spin_flip(embed(s))))
-        worst["ee"] = max(worst["ee"],
-                          abs(entropy_direct(reduced_density(s, "A"))
-                              - entanglement_entropy(c_det)))
-    for key, value in worst.items():
-        assert value <= 1e-12, f"{key} residual {value}"
-    report(f"2 PASS: 10^4 states, worst residuals {worst}")
+    assert_checks_pass("closed-form-identities-10k")
 
 
 def test_criterion_3_canonical_settings_achieve_closed_form():
-    worst = 0.0
-    for s in random_states(1000, DEFAULT_SEED + 1):
-        worst = max(worst, abs(canonical_bell_value(s)
-                               - analytic_bell(schmidt_decompose(s))))
-    assert worst <= 1e-9
-    report(f"3 PASS: canonical settings match the closed form, worst {worst:.2e}")
+    assert_checks_pass("canonical-settings-1k")
 
 
 def test_criterion_4_independent_chsh_oracle():
-    worst_match = 0.0
-    worst_shortfall = 0.0
-    for s in random_states(100, DEFAULT_SEED + 3):
-        vector = embed(s)
-        oracle = oracle_bell_max(vector, grid_n=24, refine_iters=40)
-        analytic = analytic_bell(schmidt_decompose(s))
-        canonical = canonical_bell_value(s)
-        worst_match = max(worst_match, abs(oracle - analytic))
-        worst_shortfall = max(worst_shortfall, canonical - oracle)
-        assert oracle <= TWO_SQRT_TWO + 1e-9
-    assert worst_match <= 1e-4
-    assert worst_shortfall <= 1e-9
-    report(f"4 PASS: oracle vs analytic worst {worst_match:.2e}, "
-           f"worst shortfall vs canonical {worst_shortfall:.2e}")
+    assert_checks_pass("oracle-vs-analytic-100")
 
 
 def test_criterion_5_single_overlap_impossibility():
-    overlaps = [round(0.05 * k, 2) for k in range(1, 19)]
-    qs = np.linspace(0.0, 1.0, 2002)[1:-1]
-    worst_gap = math.inf
-    for s_abs in overlaps:
-        dmin = min(state_deviation(float(q), s_abs, 0.0) for q in qs)
-        worst_gap = min(worst_gap, dmin - s_abs ** 2)
-        assert dmin >= s_abs ** 2 - 1e-10
-        assert maximal_feasibility(s_abs, 0.0).verdict == VERDICT_INFEASIBLE
-    report(f"5 PASS: 18 single-overlap levels, worst (min d - s^2) {worst_gap:.2e}")
+    assert_checks_pass("on-impossibility")   # full level: the per-state pipeline
 
 
 def test_criterion_6_double_overlap_impossibility_and_boundary():
-    # generic pairs |x| != |y|: scan floor respected and strictly positive
-    levels = (0.1, 0.3, 0.5, 0.7, 0.9)
-    worst_gap = math.inf
-    for abs_x in levels:
-        for abs_y in levels:
-            if abs_x == abs_y:
-                continue
-            floor = nn_case_floor(abs_x, abs_y)
-            assert floor > 0
-            dmin = 1.0 - concurrence_scan(abs_x, abs_y) ** 2
-            worst_gap = min(worst_gap, dmin - floor)
-            assert dmin >= floor - 1e-9
-            assert maximal_feasibility(abs_x, abs_y).verdict == VERDICT_INFEASIBLE
-    # the scan evaluator agrees with the per-state pipeline on a subsample
-    rng = np.random.default_rng(DEFAULT_SEED)
-    for _ in range(50):
-        abs_x, abs_y = rng.uniform(0.05, 0.9, 2)
-        eta = rng.uniform(-math.pi, math.pi)
-        q = rng.uniform(0.01, 0.99)
-        s = math.sqrt(q) * abs_x * abs_y * math.cos(eta)
-        nu = math.sqrt(max(1 - q + s * s, 0.0)) - s
-        g = (1 - abs_x ** 2) * (1 - abs_y ** 2)
-        d_vec = 1.0 - (2.0 * math.sqrt(q) * nu * math.sqrt(g)) ** 2
-        assert abs(d_vec - state_deviation(q, abs_x, abs_y, eta)) <= 1e-10
-    # boundary family: equal overlaps, anti-aligned phase, balanced splitting
-    worst_boundary = 0.0
-    for t in (0.1, 0.3, 0.5):
-        q = 1.0 / (2.0 * (1.0 - t * t))
-        d = state_deviation(q, t, t, math.pi)
-        worst_boundary = max(worst_boundary, d)
-        assert d <= 1e-12
-        assert maximal_feasibility(t, t).verdict == VERDICT_FEASIBLE_DEGENERATE
-    report(f"6 PASS: 20 generic pairs respect the floor (worst gap {worst_gap:.2e}), "
-           f"boundary family d <= {worst_boundary:.2e}")
+    assert_checks_pass("nn-generic-impossibility", "scan-vs-pipeline", "nn-boundary-family")
 
 
 def test_criterion_7_schmidt_round_trip():
-    worst_vec = 0.0
-    worst_det = 0.0
-    for s in random_states(1000, DEFAULT_SEED + 2):
-        worst_vec = max(worst_vec, phase_aligned_distance(
-            embed(s), reconstruct(schmidt_decompose(s))))
-        target = (abs(s.mu * s.nu) * s.n_a * s.n_b) ** 2
-        for side in "AB":
-            det = det2(reduced_density(s, side)).real
-            worst_det = max(worst_det, abs(det - target))
-    assert worst_vec <= 1e-12
-    assert worst_det <= 1e-12
-    report(f"7 PASS: 10^3 round trips, worst vector {worst_vec:.2e}, "
-           f"worst det residual {worst_det:.2e}")
+    assert_checks_pass("schmidt-round-trip-1k")
 
 
 def test_criterion_8_kaon_application():
-    for eps in (0.0, 1e-3, 1e-2, 1e-1):
-        s = kaon_entangled_state(eps)
-        assert deviation(schmidt_decompose(s)) <= 1e-12
-        assert abs(concurrence_det(s) - 1.0) <= 1e-12
-        expected = 2.0 * eps / (1.0 + eps * eps)
-        assert abs(kaon_overlap(eps) - expected) <= 1e-15
-    evo = KaonEvolution(gamma_s=1.0, gamma_l=0.5, t=2.0 / 1.5)
-    assert abs(weak_decay_norm(0.0, evo) - math.exp(-1.0)) <= 1e-12
-    lines = []
-    for eps in (1e-3, 1e-2, 1e-1):
-        for branch in (+1, -1):
-            res = kaon_deviation_closed_form(eps, math.pi, branch)
-            lines.append(f"eps={eps:g} branch={branch:+d} closed={res.closed_form:.6e} "
-                         f"pipeline={res.pipeline:.1e} |diff|={res.difference:.3e}")
-    report("8 PASS: kaon pipeline maximal for all eps; closed-form evaluations "
-           "logged: " + "; ".join(lines))
+    assert_checks_pass("kaon-suite", "kaon-discrepancy-log")
 
 
 def _mutated_residual(mu, nu, x, y):

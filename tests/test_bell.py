@@ -8,6 +8,7 @@ from nonortho.bell import (MeasurementSetting, _chsh_value, _grid_stage,
                            _orbit_representatives, _theta_entries,
                            analytic_bell, bell_expectation, canonical_settings,
                            oracle_bell_max, spin_observable)
+from nonortho.errors import DomainError
 from nonortho.schmidt import coefficient_matrix, schmidt_decompose
 from nonortho.state import embed, make_state
 from nonortho.report import canonical_bell_value
@@ -125,7 +126,7 @@ def test_oracle_monotone_in_refinement_and_grid_floor():
 
 
 def test_oracle_rejects_tiny_grid():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         oracle_bell_max(embed(make_state(SQ2, -SQ2, 0, 0)), grid_n=4)
 
 

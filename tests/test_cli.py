@@ -1,11 +1,16 @@
+import contextlib
 import csv
 import io
 import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from nonortho.cli import main
+import nonortho.feasibility as feasibility_mod
+import nonortho.report as report_mod
+from nonortho.cli import STATE_KEYS, main
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -24,7 +29,7 @@ def test_analyze_singlet(capsys):
     code, out = run_cli(["analyze", *SINGLET_FLAGS], capsys)
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["d"] == pytest.approx(0.0, abs=1e-12)
     assert doc["concurrence"] == pytest.approx(1.0, abs=1e-12)
     assert doc["entropy_bits"] == pytest.approx(1.0, abs=1e-12)
@@ -141,6 +146,149 @@ def test_analyze_with_oracle(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["bell_oracle"] == pytest.approx(2 * math.sqrt(2), abs=1e-4)
+
+
+def state_flags(mu, nu, x, y):
+    comps = (mu.real, mu.imag, nu.real, nu.imag, x.real, x.imag, y.real, y.imag)
+    return [f"--{k.replace('_', '-')}={v!r}" for k, v in zip(STATE_KEYS, comps)]
+
+
+# one single-overlap (ON) and one unequal-overlap (NN) state
+INFEASIBLE_FLAGS = [state_flags(0.6 + 0j, 0.8j, 0.3 + 0j, 0j),
+                    state_flags(0.6 + 0j, 0.8j, 0.3 + 0.1j, 0.5 + 0j)]
+
+
+def test_default_reports_never_scan(monkeypatch, capsys):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("concurrence_scan called")
+    monkeypatch.setattr(feasibility_mod, "concurrence_scan", no_scan)
+    monkeypatch.setattr(report_mod, "concurrence_scan", no_scan)
+    for flags in INFEASIBLE_FLAGS:
+        code, out = run_cli(["analyze", *flags, "--normalize"], capsys)
+        assert code == 0
+        feas = json.loads(out)["feasibility"]
+        assert feas["verdict"] == "Infeasible" and feas["margin"] > 0
+        assert feas["scan_margin"] is None
+    code, _ = run_cli(["kaon", "--eps-re", "0.1"], capsys)
+    assert code == 0
+
+
+def test_oracle_runs_the_scan_once(monkeypatch, capsys):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return feasibility_mod.concurrence_scan(*args, **kwargs)
+    monkeypatch.setattr(report_mod, "concurrence_scan", counting)
+    for flags in INFEASIBLE_FLAGS:
+        calls.clear()
+        code, out = run_cli(["analyze", *flags, "--normalize", "--oracle",
+                             "--grid-n", "8"], capsys)
+        assert code == 0 and len(calls) == 1
+        feas = json.loads(out)["feasibility"]
+        assert abs(feas["scan_margin"] - feas["margin"]) <= 1e-6
+
+
+@pytest.mark.parametrize("amp", [1e-200, 1e300])
+def test_analyze_normalizes_extreme_amplitudes(amp, capsys):
+    code, out = run_cli(["analyze", *state_flags(complex(amp), complex(amp), 0.5 + 0j, 0j),
+                         "--normalize"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["input"]["mu_re"] == pytest.approx(doc["input"]["nu_re"])
+    assert doc["d"] == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("flag", ["--t=nan", "--gamma-s=nan", "--eta=nan", "--eta=inf"])
+def test_kaon_rejects_non_finite_inputs(flag, capsys):
+    code, out = run_cli(["kaon", "--eps-re=0.1", "--t=1", flag], capsys)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
+def test_analyze_oracle_rejects_tiny_grid(capsys):
+    code, out = run_cli(["analyze", *SINGLET_FLAGS, "--oracle", "--grid-n", "4"], capsys)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
+EDGE_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300,
+                               -1e-300, 0.0, -0.0, 1.0, -1.0])
+
+
+def values(bound):
+    """One branch in eight draws an edge value, the rest a float in [-bound, bound]."""
+    return st.one_of(EDGE_VALUES, *[st.floats(-bound, bound)] * 7)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def assert_clean_exit(argv):
+    """The run ends in exit 0 with strict JSON, or in exit 2 with an error object."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    doc = json.loads(buf.getvalue(), parse_constant=_reject_constant)
+    if code == 0:
+        assert "error" not in doc and doc["schema_version"] == 2
+    else:
+        assert code == 2 and set(doc) == {"error"}
+
+
+def oracle_flags(draw):
+    if draw(st.integers(0, 3)):
+        return []
+    return ["--oracle", f"--grid-n={draw(st.integers(0, 9))}", "--refine-iters=3"]
+
+
+@st.composite
+def analyze_argv(draw):
+    bounds = {k: 0.7 if k[0] in "xy" else 2.0 for k in STATE_KEYS}   # overlaps, amplitudes
+    argv = ["analyze", *[f"--{k.replace('_', '-')}={draw(values(b))!r}"
+                         for k, b in bounds.items()]]
+    return argv + (["--normalize"] if draw(st.integers(0, 3)) else []) + oracle_flags(draw)
+
+
+@st.composite
+def kaon_argv(draw):
+    argv = ["kaon"]
+    for flag in ("--eps-re", "--eps-im", "--eta", "--gamma-s", "--gamma-l", "--t"):
+        if flag == "--eps-re" or draw(st.booleans()):
+            argv.append(f"{flag}={draw(values(0.7 if flag.startswith('--eps') else 5))!r}")
+    return argv + oracle_flags(draw)
+
+
+@st.composite
+def input_documents(draw):
+    value = values(0.7) | st.none() | st.text(max_size=3)
+    doc = {k: draw(value) for k in STATE_KEYS if draw(st.integers(0, 9))}
+    return draw(st.sampled_from([doc, doc, doc, [doc], 5.0, None]))
+
+
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUZZ
+@given(argv=analyze_argv())
+def test_fuzz_analyze_argv(argv):
+    assert_clean_exit(argv)
+
+
+@FUZZ
+@given(argv=kaon_argv())
+def test_fuzz_kaon_argv(argv):
+    assert_clean_exit(argv)
+
+
+@FUZZ
+@given(doc=input_documents(), normalize=st.booleans())
+def test_fuzz_input_documents(doc, normalize, tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    assert_clean_exit(["analyze", "--input", str(path), *(["--normalize"] if normalize else [])])
 
 
 def parse_csv(text):

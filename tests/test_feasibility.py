@@ -10,11 +10,11 @@ from nonortho.feasibility import (VERDICT_FEASIBLE_DEGENERATE,
                                   concurrence_scan, deviation,
                                   deviation_closed_form, maximal_feasibility,
                                   mu_squared_solutions, nn_case_floor,
-                                  on_case_floor, quadratic_coefficients,
-                                  state_deviation)
+                                  on_case_floor, state_deviation)
 from nonortho.measures import concurrence_det
 from nonortho.schmidt import schmidt_decompose
 from nonortho.state import make_state
+from nonortho.verify import NN_PAIRS, ON_OVERLAPS
 
 from conftest import valid_states
 
@@ -37,36 +37,6 @@ class TestDeviation:
         d = deviation(schmidt_decompose(s))
         assert 0.0 <= d <= 1.0
         assert d == pytest.approx(1.0 - concurrence_det(s) ** 2, abs=1e-12)
-
-
-class TestQuadraticCoefficients:
-    def test_orthogonal_case(self):
-        q = quadratic_coefficients(0.0, 0.0, 0.0, 0.0)
-        assert (q.a, q.b, q.c) == (4.0, -4.0, 1.0)
-
-    def test_single_overlap_case(self):
-        q = quadratic_coefficients(math.sqrt(0.19), 0.0, 0.0, 0.0)
-        assert q.a == pytest.approx(3.24, abs=1e-12)
-        assert q.b == pytest.approx(-3.24, abs=1e-12)
-        assert q.c == 1.0
-
-    def test_double_overlap_antialigned(self):
-        q = quadratic_coefficients(0.3, 0.3, math.pi, 0.0)
-        k = 0.09 / 0.91
-        assert q.a == pytest.approx(4 * 0.91 ** 2, abs=1e-12)
-        assert q.b == pytest.approx(q.a * (-k - 1.0), abs=1e-12)
-
-    def test_monic_form_for_positive_deviation(self):
-        q = quadratic_coefficients(0.3, 0.4, 1.0, 0.2)
-        g = (1 - 0.09) * (1 - 0.16)
-        assert q.a == 1.0
-        assert q.c == pytest.approx((1 - 0.2) / (4 * g), abs=1e-15)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            quadratic_coefficients(1.0, 0.0, 0.0, 0.0)
-        with pytest.raises(DomainError):
-            quadratic_coefficients(0.1, 0.1, 0.0, 1.0)
 
 
 class TestMuSquaredSolutions:
@@ -148,12 +118,12 @@ class TestMaximalFeasibility:
     def test_single_overlap_infeasible(self):
         verdict = maximal_feasibility(0.3, 0.0)
         assert verdict.verdict == VERDICT_INFEASIBLE
-        assert verdict.scan_margin is not None and verdict.scan_margin > 0
+        assert verdict.margin is not None and verdict.margin > 0
 
     def test_unequal_overlaps_infeasible(self):
         verdict = maximal_feasibility(0.3, 0.5)
         assert verdict.verdict == VERDICT_INFEASIBLE
-        assert verdict.scan_margin > 0
+        assert verdict.margin > 0
 
     def test_equal_overlaps_boundary_family(self):
         verdict = maximal_feasibility(0.3, 0.3)
@@ -165,6 +135,23 @@ class TestMaximalFeasibility:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             maximal_feasibility(1.0, 0.3)
+
+    def test_margin_is_closed_form_in_the_floor(self):
+        cases = ([((s, 0.0), on_case_floor(s)) for s in ON_OVERLAPS]
+                 + [(pair, nn_case_floor(*pair)) for pair in NN_PAIRS])
+        for (abs_x, abs_y), floor in cases:
+            margin = maximal_feasibility(abs_x, abs_y).margin
+            assert abs(margin - (1.0 - math.sqrt(1.0 - floor))) <= 1e-15
+
+    def test_scan_reaches_states_beyond_unit_mu_squared(self):
+        # the best state has |mu|^2 = 1/(2(1 - |x||y|)) = 3.45 at eta = pi
+        abs_x, abs_y = 0.9, 0.95
+        q = 1.0 / (2.0 * (1.0 - abs_x * abs_y))
+        floor = nn_case_floor(abs_x, abs_y)
+        assert state_deviation(q, abs_x, abs_y, math.pi) == pytest.approx(floor, abs=1e-12)
+        margin = maximal_feasibility(abs_x, abs_y).margin
+        assert margin == pytest.approx(0.0613, abs=1e-4)
+        assert abs((1.0 - concurrence_scan(abs_x, abs_y)) - margin) <= 1e-6
 
 
 class TestFloors:
@@ -183,6 +170,13 @@ class TestFloors:
     def test_floor_zero_only_for_equal_overlaps(self):
         assert nn_case_floor(0.3, 0.3) == pytest.approx(0.0, abs=1e-15)
         assert nn_case_floor(0.3, 0.31) > 0
+
+    def test_floor_keeps_relative_accuracy_near_equal_overlaps(self):
+        # exact floor (|x|-|y|)^2 / (1-|x||y|)^2 = 1.7777778193e-16 in rationals
+        floor = nn_case_floor(0.5, 0.50000001)
+        assert floor == pytest.approx(1.7777778193472928e-16, rel=1e-12)
+        margin = maximal_feasibility(0.5, 0.50000001).margin
+        assert margin == pytest.approx(floor / 2, rel=1e-12)
 
     @given(st.floats(0.05, 0.9), st.floats(0.05, 0.9), st.floats(0.01, 0.99),
            st.floats(-math.pi, math.pi))

@@ -7,8 +7,9 @@ from hypothesis import given
 from nonortho.schmidt import (eigh_2x2, reconstruct, reduced_density,
                               schmidt_decompose, schmidt_eigenvalues)
 from nonortho.state import embed, make_state, state_from_magnitudes
+from nonortho.verify import max_deviation_up_to_phase
 
-from conftest import det2, phase_aligned_distance, valid_states
+from conftest import det2, valid_states
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -148,7 +149,7 @@ def test_decompose_properties(s):
 @given(valid_states())
 def test_round_trip(s):
     form = schmidt_decompose(s)
-    assert phase_aligned_distance(embed(s), reconstruct(form)) <= 1e-12
+    assert max_deviation_up_to_phase(embed(s), reconstruct(form)) <= 1e-12
 
 
 def test_reconstruct_computational_bases():

@@ -1,0 +1,30 @@
+"""The experiment scripts run to completion against the current package."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("name, args", [("kaon_audit.py", []), ("oracle_check.py", ["2"])])
+def test_script_exits_zero(name, args):
+    result = run_script(name, *args)
+    assert result.returncode == 0, result.stderr
+
+
+def test_overlap_sweep_writes_csv(tmp_path):
+    result = run_script("overlap_sweep.py", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "on_sweep.csv").exists() and (tmp_path / "oo_sweep.csv").exists()

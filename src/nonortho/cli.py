@@ -18,19 +18,20 @@ object on stdout), 1 for verify when any check fails.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import contextlib
+import functools
 import json
 import math
 import sys
 
 import numpy as np
 
+from .batch import sweep_blocks
 from .errors import NonorthoError
 from .kaon import KaonEvolution
-from .report import (CSV_COLUMNS, analyze_state, csv_row, kaon_report, to_json)
+from .report import CSV_COLUMNS, analyze_state, csv_lines, kaon_report, to_json
 from .sampling import DEFAULT_SEED
-from .state import make_state, state_from_magnitudes, wrap_angle
+from .state import make_state
 from .verify import run_verify
 
 STATE_KEYS = ("mu_re", "mu_im", "nu_re", "nu_im", "x_re", "x_im", "y_re", "y_im")
@@ -110,12 +111,13 @@ def _state_from_args(args: argparse.Namespace):
         raise CliError(type(exc).__name__, str(exc)) from exc
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        print(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + ("" if text.endswith("\n") else "\n"))
+def _emit(lines: list[str], path: str | None) -> None:
+    """Write each line and a newline to PATH, or to stdout."""
+    with (open(path, "w", encoding="utf-8") if path is not None
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -124,7 +126,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                            refine_iters=args.refine_iters)
     doc = report.to_dict()
     doc["seed"] = args.seed
-    _emit(to_json(doc), args.json)
+    _emit([to_json(doc)], args.json)
     return 0
 
 
@@ -164,7 +166,12 @@ def _parse_fixes(items: list[str] | None) -> dict:
     return fixes
 
 
-def _validate_sweep_domain(name: str, lo: float, hi: float) -> None:
+def _validate_sweep_domain(name: str, *values: float) -> None:
+    lo, hi = min(values), max(values)
+    # min and max skip NaN, and linspace yields NaN when hi - lo overflows
+    if not (all(map(math.isfinite, values)) and math.isfinite(hi - lo)):
+        raise CliError("SweepSpec",
+                       f"{name} values and their span must be finite, got {list(values)}")
     if name == "mu_sq" and not (0.0 <= lo and hi <= 1.0):
         raise CliError("SweepSpec", "mu_sq range must lie within [0, 1]")
     if name in ("x_abs", "y_abs") and not (0.0 <= lo and hi < 1.0):
@@ -180,35 +187,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if overlap:
         raise CliError("SweepSpec", f"parameters both swept and fixed: {sorted(overlap)}")
     for name, (lo, hi, _) in specs.items():
-        _validate_sweep_domain(name, min(lo, hi), max(lo, hi))
+        _validate_sweep_domain(name, lo, hi)
     for name, value in fixes.items():
-        _validate_sweep_domain(name, value, value)
+        _validate_sweep_domain(name, value)
 
-    axes = [(name, np.linspace(lo, hi, steps)) for name, (lo, hi, steps) in specs.items()]
-    fixed = dict(SWEEP_DEFAULTS)
-    fixed.update(fixes)
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    grids = np.meshgrid(*[axis for _, axis in axes], indexing="ij")
-    flat = [g.ravel() for g in grids]
-    names = [name for name, _ in axes]
-    for idx in range(flat[0].size):
-        params = dict(fixed)
-        for name, column in zip(names, flat):
-            params[name] = float(column[idx])
-        params["eta"] = wrap_angle(params["eta"])
-        try:
-            state = state_from_magnitudes(params["mu_sq"], params["x_abs"],
-                                          params["y_abs"], params["eta"])
-        except NonorthoError as exc:
-            raise CliError(type(exc).__name__,
-                           f"row {idx}: {exc} (params {params})") from exc
-        report = analyze_state(state, with_feasibility=False)
-        writer.writerow(csv_row(params["mu_sq"], params["x_abs"], params["y_abs"],
-                                params["eta"], report))
-    _emit(buf.getvalue().rstrip("\n"), args.csv)
+    grids = np.meshgrid(*[np.linspace(lo, hi, steps) for lo, hi, steps in specs.values()],
+                        indexing="ij")
+    columns = {**SWEEP_DEFAULTS, **fixes,
+               **{name: grid.ravel() for name, grid in zip(specs, grids)}}
+    params = [np.broadcast_to(columns[name], grids[0].size) for name in SWEEP_PARAMS]
+    # every block is formatted before any is written, so a rejected row
+    # leaves only the error object on stdout
+    lines = [",".join(CSV_COLUMNS), *map(csv_lines, sweep_blocks(*params))]
+    _emit(lines, args.csv)
     return 0
 
 
@@ -224,7 +215,7 @@ def cmd_kaon(args: argparse.Namespace) -> int:
     except NonorthoError as exc:
         raise CliError(type(exc).__name__, str(exc)) from exc
     doc["seed"] = args.seed
-    _emit(to_json(doc), args.json)
+    _emit([to_json(doc)], args.json)
     return 0
 
 
@@ -240,6 +231,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if summary.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nonortho",

@@ -33,8 +33,9 @@ def _check_eps(eps: complex) -> complex:
     eps = complex(eps)
     if not cmath.isfinite(eps):
         raise DomainError(f"CP parameter must be finite, got eps={eps}")
-    if abs(eps) >= 1.0:
-        raise DomainError(f"CP parameter must satisfy |eps| < 1, got |eps|={abs(eps)}")
+    # a component >= 1 is rejected before abs(), which overflows near the largest float
+    if max(abs(eps.real), abs(eps.imag)) >= 1.0 or abs(eps) >= 1.0:
+        raise DomainError(f"CP parameter must satisfy |eps| < 1, got eps={eps}")
     return eps
 
 
@@ -103,8 +104,9 @@ def weak_decay_norm(eps: complex, evo: KaonEvolution) -> float:
     denom = abs(1.0 - eps * eps)
     if denom < 1e-300:
         raise SingularNorm("1 - eps^2 vanishes; intensity factor is singular")
-    return ((1.0 + abs(eps) ** 2) / denom
-            * math.exp(-0.5 * (evo.gamma_s + evo.gamma_l) * evo.t))
+    # halve before adding: two widths near the largest float overflow in their sum
+    rate = 0.5 * evo.gamma_s + 0.5 * evo.gamma_l
+    return (1.0 + abs(eps) ** 2) / denom * math.exp(-rate * evo.t)
 
 
 def kaon_deviation_closed_form(eps: complex, eta: float,
@@ -123,8 +125,8 @@ def kaon_deviation_closed_form(eps: complex, eta: float,
     the difference is reported, not bounded.
     """
     eps = _check_eps(eps)
-    if not math.isfinite(eta):
-        raise DomainError(f"eta must be finite, got {eta}")
+    if not math.isfinite(2.0 * eta):   # the formula takes cos(2 eta)
+        raise DomainError(f"eta and 2*eta must be finite, got {eta}")
     if branch not in (+1, -1):
         raise DomainError(f"branch must be +1 or -1, got {branch}")
     r = eps.real

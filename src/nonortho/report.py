@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from . import measures
 from .bell import analytic_bell, bell_expectation, canonical_settings, oracle_bell_max
@@ -165,12 +166,21 @@ def to_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, allow_nan=False)
 
 
+# one conversion per value: "%.12g" % v and f"{v:.12g}" print the same digits
+_CSV_LINE = ",".join([f"%.{CSV_SIG_DIGITS}g"] * len(CSV_COLUMNS))
+
+
+def csv_lines(rows: Iterable[tuple]) -> str:
+    """CSV text of report rows, tuples in CSV_COLUMNS order, one line each."""
+    return "\n".join(map(_CSV_LINE.__mod__, rows))
+
+
 def csv_row(mu_sq: float, x_abs: float, y_abs: float, eta: float,
             report: EntanglementReport) -> list[str]:
     values = (mu_sq, x_abs, y_abs, eta, report.lambda_plus, report.lambda_minus,
               report.bell_analytic, report.d, report.concurrence,
               report.entropy_bits)
-    return [f"{v:.{CSV_SIG_DIGITS}g}" for v in values]
+    return csv_lines([values]).split(",")
 
 
 def canonical_bell_value(state: NonorthogonalState) -> float:

@@ -21,6 +21,7 @@ import numpy as np
 from .state import NonorthogonalState, embed
 
 DEGENERACY_TOL = 1e-10
+CLAMP_TOL = 1e-12   # rounding that _clamp_unit absorbs at the edges of [0, 1]
 
 
 def eigh_2x2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -89,7 +90,7 @@ def schmidt_eigenvalues(state: NonorthogonalState) -> tuple[float, float]:
     return 0.5 + 0.5 * root, 0.5 - 0.5 * root
 
 
-def _clamp_unit(value: float, what: str, tol: float = 1e-12) -> float:
+def _clamp_unit(value: float, what: str, tol: float = CLAMP_TOL) -> float:
     """Clamp to [0, 1] against rounding within ``tol``; raise beyond it or on NaN."""
     if 0.0 <= value <= 1.0:
         return value

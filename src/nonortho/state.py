@@ -78,9 +78,11 @@ def make_state(mu: complex, nu: complex, x: complex, y: complex,
     for name, value in (("mu", mu), ("nu", nu), ("x", x), ("y", y)):
         if not cmath.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
-    if abs(x) >= 1.0 or abs(y) >= 1.0:
+    # a component >= 1 is rejected before abs(), which overflows near the largest float
+    if (max(abs(x.real), abs(x.imag), abs(y.real), abs(y.imag)) >= 1.0
+            or abs(x) >= 1.0 or abs(y) >= 1.0):
         raise LinearDependence(
-            f"overlaps must satisfy |x| < 1 and |y| < 1, got |x|={abs(x)}, |y|={abs(y)}")
+            f"overlaps must satisfy |x| < 1 and |y| < 1, got x={x}, y={y}")
     if mu == 0 and nu == 0:
         raise ZeroState("both amplitudes are zero")
     if auto_normalize:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import nonortho.feasibility as feasibility_mod
 import nonortho.report as report_mod
-from nonortho.cli import STATE_KEYS, main
+from nonortho.cli import STATE_KEYS, SWEEP_PARAMS, build_parser, main
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -62,6 +62,10 @@ def test_analyze_single_overlap_example(capsys):
     doc = json.loads(out)
     assert doc["d"] == pytest.approx(0.1, abs=1e-12)
     assert doc["concurrence"] == pytest.approx(math.sqrt(0.9), abs=1e-12)
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_analyze_byte_stable(capsys):
@@ -206,14 +210,32 @@ def test_kaon_rejects_non_finite_inputs(flag, capsys):
     assert json.loads(out)["error"]["type"] == "DomainError"
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["analyze", *state_flags(1 + 0j, 0j, complex(1.5e308, 1.5e308), 0j)], "LinearDependence"),
+    (["kaon", "--eps-re=1.5e308", "--eps-im=1.5e308"], "DomainError"),
+    (["kaon", "--eps-re=0.1", "--eta=1.5e308"], "DomainError"),
+])
+def test_largest_floats_are_rejected(argv, error, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == error
+
+
+def test_kaon_widths_near_the_largest_float(capsys):
+    code, out = run_cli(["kaon", "--eps-re=0.1", "--gamma-s=1.5e308", "--gamma-l=1.5e308",
+                         "--t=0"], capsys)
+    assert code == 0
+    assert json.loads(out)["kaon"]["weak_decay_norm"] == pytest.approx(1.01 / 0.99)
+
+
 def test_analyze_oracle_rejects_tiny_grid(capsys):
     code, out = run_cli(["analyze", *SINGLET_FLAGS, "--oracle", "--grid-n", "4"], capsys)
     assert code == 2
     assert json.loads(out)["error"]["type"] == "DomainError"
 
 
-EDGE_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300,
-                               -1e-300, 0.0, -0.0, 1.0, -1.0])
+EDGE_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 1.5e308, -1.5e308, 1e300,
+                               -1e300, 1e-300, -1e-300, 0.0, -0.0, 1.0, -1.0])
 
 
 def values(bound):
@@ -291,6 +313,52 @@ def test_fuzz_input_documents(doc, normalize, tmp_path):
     assert_clean_exit(["analyze", "--input", str(path), *(["--normalize"] if normalize else [])])
 
 
+# one bound in four is an edge value
+SWEEP_BOUNDS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 0.0, 1.0, 0.999]),
+    *[st.floats(0.0, 1.0, exclude_max=True)] * 3)
+SWEEP_STEPS = st.sampled_from([2, 3, 4, 5, 6] * 2 + [0, 1])   # one in six is < 2
+
+
+@st.composite
+def sweep_argv(draw):
+    """Distinct known names, and in some draws one more: unknown, repeated or
+    conflicting."""
+    names = draw(st.permutations(SWEEP_PARAMS))
+    n_swept = draw(st.sampled_from([1, 2, 3, 0]))
+    swept = list(names[:n_swept])
+    fixed = list(names[n_swept:n_swept + draw(st.integers(0, 4 - n_swept))])
+    extra = draw(st.sampled_from([None] * 12 + ["zeta", "", *SWEEP_PARAMS]))
+    if extra is not None:
+        draw(st.sampled_from([swept, fixed])).append(extra)
+    argv = ["sweep"]
+    for name in swept:
+        lo, hi, steps = draw(SWEEP_BOUNDS), draw(SWEEP_BOUNDS), draw(SWEEP_STEPS)
+        argv += ["--sweep", f"{name}={lo!r}:{hi!r}:{steps}"]
+    for name in fixed:
+        argv += ["--fix", f"{name}={draw(SWEEP_BOUNDS)!r}"]
+    return argv
+
+
+@FUZZ
+@given(argv=sweep_argv())
+def test_fuzz_sweep_argv(argv):
+    """Exit 0 with finite CSV rows obeying C^2 + d = 1, or exit 2 with an error object."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    if code == 2:
+        assert set(json.loads(buf.getvalue())) == {"error"}
+        return
+    assert code == 0
+    header, data = parse_csv(buf.getvalue())
+    assert data and all(len(row) == len(header) for row in data)
+    conc, d = header.index("concurrence"), header.index("d")
+    for row in data:
+        assert all(map(math.isfinite, row))
+        assert abs(row[conc] ** 2 + row[d] - 1.0) <= 1e-10
+
+
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     header, data = rows[0], rows[1:]
@@ -362,6 +430,20 @@ def test_sweep_rejects_unknown_parameter(capsys):
 def test_sweep_rejects_out_of_domain(capsys):
     code, out = run_cli(["sweep", "--sweep", "x_abs=0:1.0:5"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["--sweep", "mu_sq=1:nan:3"],
+    ["--sweep", "x_abs=0:nan:3"],
+    ["--sweep", "eta=0:inf:3"],
+    ["--sweep", "eta=-1.5e308:1.5e308:3"],
+    ["--sweep", "mu_sq=0:1:3", "--fix", "eta=nan"],
+    ["--sweep", "mu_sq=0:1:3", "--fix", "y_abs=-inf"],
+])
+def test_sweep_rejects_non_finite_spec(args, capsys):
+    code, out = run_cli(["sweep", *args], capsys)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "SweepSpec"
 
 
 def test_kaon_cp_conserving(capsys):

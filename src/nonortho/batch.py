@@ -36,12 +36,15 @@ def wrap_angles(angle: np.ndarray) -> np.ndarray:
     return np.where(r == 0.0, math.pi, r - math.pi)
 
 
-def _norm_sq(mu, nu, x, y):
-    """``state._norm_sq`` for real mu, x, y and complex nu."""
+def _norm_terms(mu, nu, x, y):
+    """``state._norm_terms`` for real mu, x, y and complex nu."""
     cross_re = mu * x + nu.real * y
-    return (mu * mu * (1.0 - x * x)
-            + np.hypot(nu.real, nu.imag) ** 2 * (1.0 - y * y)
-            + np.hypot(cross_re, nu.imag * y) ** 2)
+    return (mu * mu * (1.0 - x * x), np.hypot(nu.real, nu.imag) ** 2 * (1.0 - y * y),
+            np.hypot(cross_re, nu.imag * y) ** 2)
+
+
+def _norm_sq(mu, nu, x, y):
+    return sum(_norm_terms(mu, nu, x, y))
 
 
 def _states(mu_sq: np.ndarray, x: np.ndarray, y: np.ndarray, eta: np.ndarray):
@@ -89,9 +92,13 @@ def report_scalars(mu: np.ndarray, nu: np.ndarray, x: np.ndarray, y: np.ndarray)
     n_b = np.sqrt(1.0 - x * x)
     mu_nu = np.hypot(mu * nu.real, mu * nu.imag)
     det = mu_nu * n_a * n_b
-    root = np.sqrt(_clamp_units(1.0 - 4.0 * det * det, "schmidt eigenvalue radicand"))
+    _clamp_units(1.0 - 4.0 * det * det, "schmidt eigenvalue radicand")
+    a, b, c = _norm_terms(mu, nu, x, y)
+    n_sq = (a + b + c) ** 2
+    root = np.sqrt(_clamp_units(((a - b) ** 2 + c * (2.0 * (a + b) + c)) / n_sq,
+                                "schmidt eigenvalue radicand"))
     lambda_plus = 0.5 + 0.5 * root
-    lambda_minus = 0.5 - 0.5 * root
+    lambda_minus = 2.0 * a * b / (n_sq * (1.0 + root))
 
     # psi = [[0, nu N_A], [mu N_B, mu x + nu y]]; h = psi^dag psi
     p = mu * n_b

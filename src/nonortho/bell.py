@@ -15,7 +15,17 @@ combination over all four settings by exhaustive grid search plus local
 refinement, sharing no algebra with the closed form.  The grid search is
 folded by exact symmetries: by Theta(pi - chi, phi + pi) = -Theta(chi, phi)
 it visits one setting per {Theta, -Theta} pair, and each unordered (B, B')
-pair once.  Refinement stops at its first fixed point.
+pair once.  It is also pruned without changing its result: Theta(chi, phi)
+is n . sigma with the Bloch vector n = (sin chi cos phi, -sin chi sin phi,
+cos chi), so every grid correlation is the bilinear form n_A^T T n_B of one
+3x3 tensor T, and by Cauchy-Schwarz a (B, B') pair totals at most
+|T(n_B + n_B')| + |T(n_B - n_B')|.  T is fitted to the grid's own
+correlations, and the fit's largest residual eps enters the bound as 4 eps
+of slack, so a poor fit only prunes less.  Pairs whose bound falls below
+the best total seen are skipped; the others are scanned in the unpruned
+order with the unpruned arithmetic, so the first pair reaching the maximum
+wins, exactly as without pruning.  Refinement evaluates the CHSH value in
+scalar complex arithmetic and stops at its first fixed point.
 """
 
 from __future__ import annotations
@@ -132,12 +142,37 @@ def _theta_entries(chis: np.ndarray, phis: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chsh_value(psi: np.ndarray, angles: np.ndarray) -> float:
-    obs = _theta_entries(angles[0::2], angles[1::2])
-    k_a = psi.conj().T @ obs[0] @ psi
-    k_ap = psi.conj().T @ obs[1] @ psi
-    return (np.einsum('ab,ab->', k_a, obs[2] + obs[3])
-            + np.einsum('ab,ab->', k_ap, obs[2] - obs[3])).real
+def _contract(psi, chi: float, phi: float) -> tuple[float, complex]:
+    """(K00 - K11, K01) of the Hermitian K = psi^dagger Theta(chi, phi) psi."""
+    (u0, u1), (v0, v1) = psi
+    c, s = math.cos(chi), math.sin(chi)
+    se = complex(s * math.cos(phi), s * math.sin(phi))
+    sec = se.conjugate()
+    # (a0, a1) and (b0, b1) are the rows of Theta psi
+    a0, a1 = c * u0 + se * v0, c * u1 + se * v1
+    b0, b1 = sec * u0 - c * v0, sec * u1 - c * v1
+    u0c, v0c = u0.conjugate(), v0.conjugate()
+    k00 = u0c * a0 + v0c * b0
+    k11 = u1.conjugate() * a1 + v1.conjugate() * b1
+    return (k00 - k11).real, u0c * a1 + v0c * b1
+
+
+def _chsh_value(psi, angles) -> float:
+    """CHSH value of the 2x2 coefficient matrix ``psi`` (rows) at the 8 ``angles``.
+
+    ``angles`` is (chi, phi) of A, A', B, B' in turn.  With K = psi^dagger
+    Theta_A psi and W = Theta_B + Theta_B', <A (B + B')> = Re sum K_ab W_ab,
+    and K, W Hermitian with W11 = -W00 reduce the sum to
+    (K00 - K11) W00 + 2 Re(K01 W01); likewise for A' with B - B'.
+    """
+    d_a, k_a = _contract(psi, angles[0], angles[1])
+    d_ap, k_ap = _contract(psi, angles[2], angles[3])
+    c_b, s_b = math.cos(angles[4]), math.sin(angles[4])
+    c_bp, s_bp = math.cos(angles[6]), math.sin(angles[6])
+    w_b = complex(s_b * math.cos(angles[5]), s_b * math.sin(angles[5]))
+    w_bp = complex(s_bp * math.cos(angles[7]), s_bp * math.sin(angles[7]))
+    return (d_a * (c_b + c_bp) + 2.0 * (k_a * (w_b + w_bp)).real
+            + d_ap * (c_b - c_bp) + 2.0 * (k_ap * (w_b - w_bp)).real)
 
 
 def _orbit_representatives(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -164,6 +199,84 @@ def _orbit_representatives(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
     return chis[k], phis[h]
 
 
+def _bloch_vectors(chis: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Rows n with Theta(chi, phi) = n . sigma."""
+    sin_chi = np.sin(chis)
+    return np.stack([sin_chi * np.cos(phis), -sin_chi * np.sin(phis), np.cos(chis)],
+                    axis=1)
+
+
+def _pair_bounds(corr_t: np.ndarray, bloch: np.ndarray,
+                 tensor: np.ndarray) -> np.ndarray:
+    """Upper bounds U[i, j] on the grid total of every B pair i <= j.
+
+    ``bloch`` holds the settings' Bloch vectors as rows, and ``tensor`` is
+    any 3x3 X meant to give corr_t ~ bloch X bloch^T, i.e. X = T^T.  With
+    eps the largest residual of that form, each correlation lies within eps
+    of n_r . T n_s, so by Cauchy-Schwarz the total of pair (i, j) is at most
+
+        U = |T(n_i + n_j)| + |T(n_i - n_j)| + 4 eps + 1e-12,
+
+    whatever X is.  The norms come from the Gram matrix G of the rows T n_i,
+    |T(n_i +- n_j)|^2 = G_ii + G_jj +- 2 G_ij, whose absolute rounding error
+    (a few ulp of G_ii + G_jj) the square root would magnify near zero, so
+    1e-13 (G_ii + G_jj) is added under each root; 1e-12 covers the rest.
+    Entries below the diagonal are -inf.
+    """
+    # the R x R arrays are reused in place, as they set the oracle's peak memory
+    work = bloch @ tensor @ bloch.T
+    work -= corr_t
+    eps = float(np.abs(work, out=work).max())
+    image = bloch @ tensor                  # row i is T n_i
+    gram = image @ image.T
+    sq = np.diag(gram).copy()
+    outer = np.add.outer(sq, sq, out=work)
+    gram *= 2.0
+    minus = outer - gram
+    plus = np.add(outer, gram, out=gram)
+    slack = np.multiply(outer, 1e-13, out=outer)
+    for half in (plus, minus):
+        np.maximum(half, 0.0, out=half)
+        half += slack
+        np.sqrt(half, out=half)
+    plus += minus
+    plus += 4.0 * eps + 1e-12
+    plus[np.tri(len(plus), k=-1, dtype=bool)] = -np.inf
+    return plus
+
+
+def _best_pair(corr_t: np.ndarray, bounds: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """Largest grid total over B pairs i <= j, and the first pair reaching it.
+
+    The total of (i, j) is max_r |corr_t[i, r] + corr_t[j, r]| +
+    max_r |corr_t[i, r] - corr_t[j, r]|.  The exact total of the pair with
+    the largest bound is a floor on the maximum; rows are then scanned in
+    order, each over the columns whose bound reaches the floor and the best
+    total so far.  A pair reaching the maximum is never skipped, and the
+    totals and the strict comparison are those of the unpruned row scan, so
+    the result is bit-identical to it: the maximum, at the first pair in
+    (i, j) order.
+    """
+    i, j = np.unravel_index(int(np.argmax(bounds)), bounds.shape)
+    row, other = corr_t[i], corr_t[j]
+    floor = float(np.abs(other + row).max() + np.abs(row - other).max())
+    row_tops = bounds.max(axis=1).tolist()
+    best = -np.inf
+    arg = (0, 0)
+    for ib, row_top in enumerate(row_tops):
+        threshold = max(best, floor)
+        if row_top < threshold:
+            continue
+        cols = np.flatnonzero(bounds[ib] >= threshold)
+        row, tail = corr_t[ib], corr_t[cols]
+        totals = np.abs(tail + row).max(axis=1) + np.abs(row - tail).max(axis=1)
+        offset = int(np.argmax(totals))
+        if totals[offset] > best:
+            best = float(totals[offset])
+            arg = (ib, int(cols[offset]))
+    return best, arg
+
+
 def _grid_stage(psi: np.ndarray, grid_n: int) -> tuple[float, np.ndarray]:
     """Best CHSH value over the antipode-closed settings grid and its angle vector.
 
@@ -174,24 +287,23 @@ def _grid_stage(psi: np.ndarray, grid_n: int) -> tuple[float, np.ndarray]:
         max_r |corr[r, i] + corr[r, j]| + max_r |corr[r, i] - corr[r, j]|,
 
     which no sign choice on B and no swap of i and j changes: only i <= j
-    is scanned.  An A setting picked with a negative sign maps back to the
-    antipode angles.
+    is considered.  T is fitted to corr by least squares, and with eps its
+    largest residual no pair totals more than
+    |T(n_i + n_j)| + |T(n_i - n_j)| + 4 eps (``_pair_bounds``).  Pairs
+    whose bound is below the best total found are skipped, and of the pairs
+    reaching the maximum the first in (i, j) order wins (``_best_pair``), as
+    in the unpruned scan.  An A setting picked with a negative sign maps back
+    to the antipode angles.
     """
     chis, phis = _orbit_representatives(grid_n)
     obs = _theta_entries(chis, phis)
     contracted = np.einsum('ki,nkl,lj->nij', psi.conj(), obs, psi, optimize=True)
     corr_t = np.ascontiguousarray(
         np.einsum('nab,mab->mn', contracted, obs, optimize=True).real)
-    best = -np.inf
-    arg = (0, 0)
-    for ib in range(len(chis)):
-        row, tail = corr_t[ib], corr_t[ib:]
-        totals = np.abs(tail + row).max(axis=1) + np.abs(row - tail).max(axis=1)
-        offset = int(np.argmax(totals))
-        if totals[offset] > best:
-            best = float(totals[offset])
-            arg = (ib, ib + offset)
-    ib, ibp = arg
+    bloch = _bloch_vectors(chis, phis)
+    pinv = np.linalg.solve(bloch.T @ bloch, bloch.T)     # least-squares fit of T
+    best, (ib, ibp) = _best_pair(
+        corr_t, _pair_bounds(corr_t, bloch, pinv @ corr_t @ pinv.T))
     angles = []
     for combo in (corr_t[ib] + corr_t[ibp], corr_t[ib] - corr_t[ibp]):
         ia = int(np.argmax(np.abs(combo)))
@@ -221,13 +333,14 @@ def oracle_bell_max(vector: np.ndarray, grid_n: int = 24,
         raise DomainError(f"grid_n must be >= 8, got {grid_n}")
     psi = coefficient_matrix(vector)
     best, angles = _grid_stage(psi, grid_n)
+    psi, angles = psi.tolist(), angles.tolist()
     current = _chsh_value(psi, angles)
-    if current < best:      # identical algebra; guards rounding asymmetry
+    if current < best:      # different arithmetic; guards rounding asymmetry
         current = best
     probe = 0.5
     sin_p, cos_p = math.sin(probe), math.cos(probe)
     for _ in range(refine_iters):
-        sweep_start = angles.copy()
+        sweep_start = angles    # angles is rebound below, never changed in place
         for k in range(8):
             up = angles.copy()
             up[k] += probe
@@ -244,12 +357,12 @@ def oracle_bell_max(vector: np.ndarray, grid_n: int = 24,
             value = _chsh_value(psi, trial)
             if value > current:
                 current, angles = value, trial
-        displacement = angles - sweep_start
-        if not displacement.any():
+        displacement = [a - s for a, s in zip(angles, sweep_start)]
+        if not any(displacement):
             break       # fixed point: every later sweep would repeat this one
         scale = 1.0
         for _ in range(50):
-            trial = angles + scale * displacement
+            trial = [a + scale * d for a, d in zip(angles, displacement)]
             value = _chsh_value(psi, trial)
             if value > current:
                 current, angles = value, trial

@@ -18,7 +18,6 @@ object on stdout), 1 for verify when any check fails.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
@@ -111,13 +110,26 @@ def _state_from_args(args: argparse.Namespace):
         raise CliError(type(exc).__name__, str(exc)) from exc
 
 
+def _write_lines(fh, lines: list[str]) -> None:
+    for line in lines:
+        fh.write(line)
+        fh.write("\n")
+
+
 def _emit(lines: list[str], path: str | None) -> None:
-    """Write each line and a newline to PATH, or to stdout."""
-    with (open(path, "w", encoding="utf-8") if path is not None
-          else contextlib.nullcontext(sys.stdout)) as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+    """Write each line and a newline to PATH, or to stdout.
+
+    A PATH that cannot be opened or written raises CliError("OutputFile"),
+    so stdout carries only the error object.
+    """
+    if path is None:
+        _write_lines(sys.stdout, lines)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            _write_lines(fh, lines)
+    except OSError as exc:
+        raise CliError("OutputFile", f"cannot write output file: {exc}") from exc
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

@@ -52,10 +52,16 @@ class NonorthogonalState:
         return self.mu * self.x + self.nu * self.y
 
 
+def _norm_terms(mu: complex, nu: complex, x: complex,
+                y: complex) -> tuple[float, float, float]:
+    """|mu N_B|^2, |nu N_A|^2 and |mu x + nu y|^2: the embedded components' squared moduli."""
+    return (abs(mu) ** 2 * (1.0 - abs(x) ** 2), abs(nu) ** 2 * (1.0 - abs(y) ** 2),
+            abs(mu * x + nu * y) ** 2)
+
+
 def _norm_sq(mu: complex, nu: complex, x: complex, y: complex) -> float:
-    """Squared norm |mu N_B|^2 + |nu N_A|^2 + |mu x + nu y|^2 of the embedded vector."""
-    return (abs(mu) ** 2 * (1.0 - abs(x) ** 2) + abs(nu) ** 2 * (1.0 - abs(y) ** 2)
-            + abs(mu * x + nu * y) ** 2)
+    """Squared norm of the embedded vector."""
+    return sum(_norm_terms(mu, nu, x, y))
 
 
 def normalization_residual(mu: complex, nu: complex, x: complex, y: complex) -> float:

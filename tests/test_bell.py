@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nonortho.bell import (MeasurementSetting, _chsh_value, _grid_stage,
-                           _orbit_representatives, _theta_entries,
-                           analytic_bell, bell_expectation, canonical_settings,
-                           oracle_bell_max, spin_observable)
+from nonortho.bell import (MeasurementSetting, _best_pair, _bloch_vectors,
+                           _chsh_value, _grid_stage, _orbit_representatives,
+                           _pair_bounds, _theta_entries, analytic_bell,
+                           bell_expectation, canonical_settings, oracle_bell_max,
+                           spin_observable)
 from nonortho.errors import DomainError
+from nonortho.sampling import random_states
 from nonortho.schmidt import coefficient_matrix, schmidt_decompose
-from nonortho.state import embed, make_state
+from nonortho.state import embed, make_state, state_from_magnitudes
 from nonortho.report import canonical_bell_value
 
 from conftest import valid_states
@@ -168,3 +171,152 @@ def test_orbit_representatives_count():
     # interior orbits: (n-2) n/2 for even n, (n-2) n for odd n; the poles add one
     for grid_n, count in ((8, 25), (9, 64), (24, 265)):
         assert len(_orbit_representatives(grid_n)[0]) == count
+
+
+# --- pruned grid scan against the unpruned reference -----------------------
+
+def _grid_correlations(psi, grid_n):
+    """Orbit settings and corr_t[s, r] = <Theta_r Theta_s>, as the grid stage has them."""
+    chis, phis = _orbit_representatives(grid_n)
+    obs = _theta_entries(chis, phis)
+    contracted = np.einsum('ki,nkl,lj->nij', psi.conj(), obs, psi, optimize=True)
+    corr_t = np.ascontiguousarray(
+        np.einsum('nab,mab->mn', contracted, obs, optimize=True).real)
+    return chis, phis, corr_t
+
+
+def _fitted_tensor(corr_t, bloch):
+    pinv = np.linalg.pinv(bloch)
+    return pinv @ corr_t @ pinv.T
+
+
+def _reference_scan(corr_t):
+    """The unpruned row scan over every B pair i <= j."""
+    best = -np.inf
+    arg = (0, 0)
+    for ib in range(len(corr_t)):
+        row, tail = corr_t[ib], corr_t[ib:]
+        totals = np.abs(tail + row).max(axis=1) + np.abs(row - tail).max(axis=1)
+        offset = int(np.argmax(totals))
+        if totals[offset] > best:
+            best = float(totals[offset])
+            arg = (ib, ib + offset)
+    return best, arg
+
+
+def _reference_grid_stage(psi, grid_n):
+    """The grid stage with the unpruned scan, angles mapped back as in bell.py."""
+    chis, phis, corr_t = _grid_correlations(psi, grid_n)
+    best, (ib, ibp) = _reference_scan(corr_t)
+    angles = []
+    for combo in (corr_t[ib] + corr_t[ibp], corr_t[ib] - corr_t[ibp]):
+        ia = int(np.argmax(np.abs(combo)))
+        if combo[ia] >= 0.0:
+            angles += [chis[ia], phis[ia]]
+        else:
+            angles += [math.pi - chis[ia], phis[ia] + math.pi]
+    return best, np.array(angles + [chis[ib], phis[ib], chis[ibp], phis[ibp]])
+
+
+def _assert_grid_exact(psi):
+    for grid_n in (8, 9, 24):
+        best, angles = _grid_stage(psi, grid_n)
+        ref_best, ref_angles = _reference_grid_stage(psi, grid_n)
+        assert best == ref_best
+        assert np.array_equal(angles, ref_angles)
+
+
+@given(valid_states())
+@settings(max_examples=30, deadline=None)
+def test_pruned_grid_is_bit_identical_on_random_states(s):
+    _assert_grid_exact(coefficient_matrix(embed(s)))
+
+
+def _family_states():
+    for a in np.linspace(0.0, math.pi / 2, 7):              # cos/sin Bell family
+        yield make_state(math.cos(a), math.sin(a), 0, 0)
+        yield make_state(math.cos(a), -math.sin(a) * 1j, 0, 0)
+    yield make_state(SQ2, -SQ2, 0, 0)                        # maximally entangled
+    for nu in (0.0, 1e-12, 1e-8, 1e-4, 1e-2):               # near-product states
+        yield make_state(1.0, nu, 0.4, 0.3j, auto_normalize=True)
+        yield state_from_magnitudes(1.0 - nu, 0.2, 0.7, 1.0)
+    for overlap in (0.0, 0.3, 0.6, 0.9, 0.95):               # |x| = |y|, eta = pi
+        q = 1.0 / (2.0 * (1.0 - overlap ** 2))
+        yield state_from_magnitudes(q, overlap, overlap, math.pi)
+        yield state_from_magnitudes(0.97 * q, overlap, overlap, math.pi)
+
+
+def test_pruned_grid_is_bit_identical_on_families():
+    for s in _family_states():
+        _assert_grid_exact(coefficient_matrix(embed(s)))
+
+
+def test_pair_bounds_dominate_every_total():
+    # near-product states have pairs with |T(n_i - n_j)| ~ 1e-8, where the
+    # square root of the Gram form magnifies its rounding up to that size
+    near_product = [make_state(0.6 + 0.3j, nu * (0.5 - 0.8j), x, y, auto_normalize=True)
+                    for nu in (1e-16, 1e-12, 1e-10, 1e-8) for x, y in ((0.4, 0.3j), (0, 0))]
+    for s in [*random_states(20, 11), *near_product]:
+        chis, phis, corr_t = _grid_correlations(coefficient_matrix(embed(s)), 24)
+        bloch = _bloch_vectors(chis, phis)
+        bounds = _pair_bounds(corr_t, bloch, _fitted_tensor(corr_t, bloch))
+        for ib in range(len(corr_t)):
+            row, tail = corr_t[ib], corr_t[ib:]
+            totals = np.abs(tail + row).max(axis=1) + np.abs(row - tail).max(axis=1)
+            assert (bounds[ib, ib:] >= totals).all()
+            assert (bounds[ib, :ib] == -np.inf).all()
+
+
+def test_pruning_stays_exact_with_a_wrong_tensor_or_noisy_correlations():
+    rng = np.random.default_rng(5)
+    states = list(random_states(5, 12)) + [make_state(SQ2, -SQ2, 0, 0)]
+    for s in states:
+        chis, phis, corr_t = _grid_correlations(coefficient_matrix(embed(s)), 24)
+        bloch = _bloch_vectors(chis, phis)
+        expected = _reference_scan(corr_t)
+        tensor = _fitted_tensor(corr_t, bloch)
+        for wrong in (0.9 * tensor, np.zeros((3, 3)), tensor + 0.05):
+            assert _best_pair(corr_t, _pair_bounds(corr_t, bloch, wrong)) == expected
+        noisy = corr_t + rng.normal(0.0, 1e-3, corr_t.shape)
+        assert (_best_pair(noisy, _pair_bounds(noisy, bloch, _fitted_tensor(noisy, bloch)))
+                == _reference_scan(noisy))
+
+
+def test_pair_bounds_are_tight_on_pure_states():
+    # corr is exactly rank 3 in the Bloch vectors, so the fit leaves only
+    # rounding, and on the maximally entangled state most pairs are pruned
+    chis, phis, corr_t = _grid_correlations(
+        coefficient_matrix(embed(make_state(SQ2, -SQ2, 0, 0))), 24)
+    bloch = _bloch_vectors(chis, phis)
+    obs = _theta_entries(chis, phis)        # Theta = n . sigma, read off its entries
+    read_off = np.stack([obs[:, 0, 1].real, -obs[:, 0, 1].imag, obs[:, 0, 0].real], axis=1)
+    assert np.abs(bloch - read_off).max() < 1e-15
+    tensor = _fitted_tensor(corr_t, bloch)
+    assert np.abs(bloch @ tensor @ bloch.T - corr_t).max() < 1e-13
+    bounds = _pair_bounds(corr_t, bloch, tensor)
+    best, _ = _best_pair(corr_t, bounds)
+    n = len(corr_t)
+    assert (bounds >= best).sum() / (n * (n + 1) / 2) < 0.2
+
+
+# --- scalar CHSH value against the matrix form ------------------------------
+
+def _einsum_chsh_value(psi, angles):
+    """The CHSH value by 2x2 matrix products: Re sum_ab K_ab (B +- B')_ab per A side."""
+    angles = np.asarray(angles)
+    obs = _theta_entries(angles[0::2], angles[1::2])
+    k_a = psi.conj().T @ obs[0] @ psi
+    k_ap = psi.conj().T @ obs[1] @ psi
+    return (np.einsum('ab,ab->', k_a, obs[2] + obs[3])
+            + np.einsum('ab,ab->', k_ap, obs[2] - obs[3])).real
+
+
+@given(valid_states(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_scalar_chsh_value_matches_einsum_form(s, seed):
+    psi = coefficient_matrix(embed(s))
+    rng = np.random.default_rng(seed)
+    for angles in rng.uniform(-2 * math.pi, 2 * math.pi, (20, 8)):
+        reference = _einsum_chsh_value(psi, angles)
+        assert abs(_chsh_value(psi, angles) - reference) <= 1e-15
+        assert abs(_chsh_value(psi.tolist(), angles.tolist()) - reference) <= 1e-15

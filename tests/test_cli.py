@@ -228,6 +228,19 @@ def test_kaon_widths_near_the_largest_float(capsys):
     assert json.loads(out)["kaon"]["weak_decay_norm"] == pytest.approx(1.01 / 0.99)
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", *SINGLET_FLAGS, "--json"],
+    ["kaon", "--eps-re", "1e-3", "--json"],
+    ["sweep", "--sweep", "mu_sq=0:1:3", "--csv"],
+])
+@pytest.mark.parametrize("target", ["missing-dir/out.txt", "is-a-dir", "/dev/full"])
+def test_unwritable_output_path_is_an_error_object(argv, target, tmp_path, capsys):
+    (tmp_path / "is-a-dir").mkdir()
+    code, out = run_cli([*argv, str(tmp_path / target)], capsys)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "OutputFile"
+
+
 def test_analyze_oracle_rejects_tiny_grid(capsys):
     code, out = run_cli(["analyze", *SINGLET_FLAGS, "--oracle", "--grid-n", "4"], capsys)
     assert code == 2

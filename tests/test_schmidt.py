@@ -101,6 +101,36 @@ def test_schmidt_eigenvalues_maximal():
     assert lam_plus >= 0.5 >= lam_minus
 
 
+def test_schmidt_eigenvalues_exact_at_degeneracy():
+    # 1 - 4|mu nu N_A N_B|^2 rounds to ~5.5e-17 on this phase-rotated maximal
+    # state, and its square root used to split the eigenvalues by 1.5e-8
+    g = np.exp(1j * 1.416015625)
+    for mu, nu in ((SQ2, -SQ2), (SQ2 * 1j, SQ2 * 1j), (SQ2 * 1j * g, SQ2 * 1j * g)):
+        assert schmidt_eigenvalues(make_state(mu, nu, 0, 0)) == (0.5, 0.5)
+    boundary = state_from_magnitudes(1.0 / (2.0 * (1.0 - 0.3 ** 2)), 0.3, 0.3, math.pi)
+    lam_plus, lam_minus = schmidt_eigenvalues(boundary)
+    assert lam_plus - lam_minus <= 1e-15
+
+
+def test_schmidt_eigenvalues_against_high_precision():
+    # relative accuracy of lambda_minus, down to near-product states, and
+    # absolute accuracy of both, against 50-digit arithmetic on the same inputs
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        eps = 10.0 ** rng.uniform(-8, 0)
+        x, y = (rng.uniform(0, 0.9) * np.exp(1j * rng.uniform(-3, 3)) for _ in range(2))
+        s = make_state(complex(*rng.normal(size=2)), eps * complex(*rng.normal(size=2)),
+                       x, y, auto_normalize=True)
+        mu, nu, x, y = (mp.mpc(complex(z).real, complex(z).imag) for z in (s.mu, s.nu, s.x, s.y))
+        a, b = abs(mu) ** 2 * (1 - abs(x) ** 2), abs(nu) ** 2 * (1 - abs(y) ** 2)
+        root = mp.sqrt(1 - 4 * a * b / (a + b + abs(mu * x + nu * y) ** 2) ** 2)
+        lam_plus, lam_minus = schmidt_eigenvalues(s)
+        assert abs(lam_plus - (1 + root) / 2) <= 4e-16
+        assert abs(lam_minus - (1 - root) / 2) <= 4e-15 * (1 - root) / 2
+
+
 @given(valid_states())
 def test_schmidt_eigenvalues_match_eigensolver(s):
     lam_plus, lam_minus = schmidt_eigenvalues(s)

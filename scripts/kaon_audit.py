@@ -2,8 +2,9 @@
 """Audit the two-kaon deviation: closed form versus pipeline.
 
 For a range of CP parameters, print the overlap under both conventions and
-the closed-form d for both branches next to the pipeline value (which is 0
-for every eps: the antisymmetric state renormalizes to the singlet).
+the closed-form d for both branches next to the Schmidt-route pipeline
+value (which is 0 for every eps: the antisymmetric state renormalizes to
+the singlet).
 
 Usage: python scripts/kaon_audit.py
 """
@@ -24,9 +25,10 @@ for eps in (0.0, 1e-4, 1e-3, 1e-2, 1e-1, 0.3):
     minus = kaon_deviation_closed_form(eps, math.pi, -1)
     d_pipe = deviation(schmidt_decompose(kaon_entangled_state(eps)))
     print(f"{eps:8.0e} {ov:12.5e} {alt:12.5e} "
-          f"{plus.closed_form:14.6e} {minus.closed_form:14.6e} {d_pipe:12.2e}")
+          f"{plus:14.6e} {minus:14.6e} {d_pipe:12.2e}")
 
 print("\nThe pipeline value stays 0: with mu = -nu and equal overlaps the "
       "cross amplitude cancels,\nso the renormalized state is the singlet "
-      "for every |eps| < 1.  The closed-form values are\nreported as printed; "
-      "the discrepancy is part of the audit, not an error in either number.")
+      "for every |eps| < 1.  The closed form is the general\nd(|mu|^2, |x|, |y|, eta) "
+      "at |mu|^2 = 1/2 with |x| = |y| = |Re eps|/(1+|eps|^2), half the\nkaon overlap; "
+      "its + branch admits no nonnegative |nu|.")

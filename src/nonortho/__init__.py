@@ -29,25 +29,3 @@ from .state import (NonorthogonalState, embed, eta_phase, make_state,
 from .verify import run_verify
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BellSettings", "MeasurementSetting", "analytic_bell", "bell_expectation",
-    "canonical_settings", "oracle_bell_max", "spin_observable",
-    "DomainError", "LinearDependence", "NoCompatibleNu", "NonHermitianDrift",
-    "NonorthoError", "NotNormalized", "PhaseUndefined", "SingularNorm",
-    "ZeroState",
-    "ClosedFormDeviation", "FeasibilityVerdict", "concurrence_scan", "deviation",
-    "deviation_closed_form", "maximal_feasibility", "mu_squared_solutions",
-    "nn_case_floor", "on_case_floor",
-    "KaonEvolution", "kaon_deviation_closed_form",
-    "kaon_entangled_state", "kaon_overlap", "kaon_overlap_mag_sq_alt",
-    "mass_eigenstates", "weak_decay_norm",
-    "concurrence_det", "concurrence_spin_flip", "entanglement_entropy",
-    "entropy_direct",
-    "EntanglementReport", "analyze_state", "kaon_report",
-    "SchmidtForm", "eigh_2x2", "reconstruct", "reduced_density",
-    "schmidt_decompose", "schmidt_eigenvalues",
-    "NonorthogonalState", "embed", "eta_phase", "make_state",
-    "state_from_magnitudes", "wrap_angle",
-    "run_verify",
-]

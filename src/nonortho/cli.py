@@ -12,7 +12,8 @@ State input is a flat record of eight reals, either as flags
 keys mu_re, mu_im, nu_re, nu_im, x_re, x_im, y_re, y_im.
 
 Exit status: 0 success, 2 validation failure (with a machine-readable error
-object on stdout), 1 for verify when any check fails.
+object on stdout), 1 for verify when any check fails, 141 (128 + SIGPIPE)
+when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -60,11 +62,12 @@ def _add_state_flags(parser: argparse.ArgumentParser) -> None:
                         help="JSON file with the eight state components")
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--json", type=str, default=None, metavar="PATH",
-                        help="write the JSON report to PATH instead of stdout")
-    parser.add_argument("--csv", type=str, default=None, metavar="PATH",
-                        help="write CSV output to PATH instead of stdout")
+def _add_output_flag(parser: argparse.ArgumentParser, fmt: str) -> None:
+    parser.add_argument(f"--{fmt}", type=str, default=None, metavar="PATH",
+                        help=f"write the {fmt.upper()} output to PATH instead of stdout")
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="seed for randomized scans (default %(default)s)")
     parser.add_argument("--grid-n", type=int, default=24,
@@ -253,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="report for one state")
     _add_state_flags(p)
-    _add_common_flags(p)
+    _add_output_flag(p, "json")
+    _add_run_flags(p)
     p.add_argument("--oracle", action="store_true",
                    help="also run the brute-force CHSH maximizer")
     p.set_defaults(func=cmd_analyze)
@@ -265,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fix", action="append", metavar="NAME=VALUE",
                    help="fixed parameter value (defaults: mu_sq=0.5, x_abs=0, "
                         "y_abs=0, eta=pi)")
-    _add_common_flags(p)
+    _add_output_flag(p, "csv")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("kaon", help="two-kaon report for a CP parameter")
@@ -278,14 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="long-mode width relative to --gamma-s")
     p.add_argument("--t", type=float, default=None,
                    help="elapsed time; enables the intensity factor output")
-    _add_common_flags(p)
+    _add_output_flag(p, "json")
+    _add_run_flags(p)
     p.add_argument("--oracle", action="store_true",
                    help="also run the brute-force CHSH maximizer")
     p.set_defaults(func=cmd_kaon)
 
     p = sub.add_parser("verify", help="run the self-check suites")
     p.add_argument("level", choices=("quick", "full"), nargs="?", default="quick")
-    _add_common_flags(p)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -296,6 +301,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``); point stdout at devnull
+        # so the interpreter's final flush cannot fail again, and exit 128 +
+        # SIGPIPE as a process ended by that signal would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except CliError as exc:
         print(exc.to_json())
         return 2

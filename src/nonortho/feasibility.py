@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoCompatibleNu
-from .schmidt import SchmidtForm, _clamp_unit, schmidt_decompose
+from .closed_forms import _clamp_unit
+from .schmidt import SchmidtForm, schmidt_decompose
 from .state import ORTHO_EPS, make_state, state_from_magnitudes
 
 SCAN_ETA_POINTS = 720
@@ -95,41 +96,48 @@ class ClosedFormDeviation:
     difference: float
 
 
-def deviation_closed_form(abs_mu: float, abs_x: float, abs_y: float, eta: float,
-                          branch: int) -> ClosedFormDeviation:
-    """Deviation as an explicit function of (|mu|, overlaps, eta) for one branch.
+def deviation_formula(q: float, abs_x: float, abs_y: float, eta: float,
+                      branch: int) -> float:
+    """Deviation as an explicit function of (q = |mu|^2, overlaps, eta) for one branch.
 
-    With q = |mu|^2, G = (1-|x|^2)(1-|y|^2) and
-    Z = sqrt(2(1-q) + q|x|^2|y|^2(1+cos 2 eta)):
+    With G = (1-|x|^2)(1-|y|^2) and Z = sqrt(2(1-q) + q|x|^2|y|^2(1+cos 2 eta)):
 
         d = 1 - 4G [ q + q^2 (2|x|^2|y|^2 cos^2 eta - 1)
                      +- sqrt(2) Z q^{3/2} |x||y| cos(eta) ]
 
-    ``branch`` is +1 or -1 and selects the printed sign.  Each branch
-    corresponds to one solution |nu| of the normalization constraint; the
-    matching pipeline deviation and the absolute difference are reported
-    alongside.  Raises NoCompatibleNu when the selected branch admits no
-    nonnegative |nu|.
+    ``branch`` (+1 or -1) selects the printed sign.  The formula is
+    evaluated as printed, whether or not the branch admits a state.
     """
     if branch not in (+1, -1):
         raise DomainError(f"branch must be +1 or -1, got {branch}")
-    if not (0.0 <= abs_x < 1.0 and 0.0 <= abs_y < 1.0):
-        raise DomainError(f"overlaps out of range: {abs_x}, {abs_y}")
-    if abs_mu < 0.0:
-        raise DomainError(f"abs_mu must be nonnegative, got {abs_mu}")
-    q = abs_mu * abs_mu
     g = (1.0 - abs_x ** 2) * (1.0 - abs_y ** 2)
     t = abs_x * abs_y * math.cos(eta)
     z = math.sqrt(max(2.0 * (1.0 - q) + q * abs_x ** 2 * abs_y ** 2
                       * (1.0 + math.cos(2.0 * eta)), 0.0))
     bracket = (q + q * q * (2.0 * abs_x ** 2 * abs_y ** 2 * math.cos(eta) ** 2 - 1.0)
                + branch * math.sqrt(2.0) * z * q ** 1.5 * t)
-    closed = 1.0 - 4.0 * g * bracket
+    return 1.0 - 4.0 * g * bracket
 
-    # the printed +- maps to |nu| = -s -+ W with s = sqrt(q) t, W = Z/sqrt(2)
-    s = math.sqrt(q) * t
-    w = z / math.sqrt(2.0)
-    nu_mag = -s - branch * w
+
+def deviation_closed_form(abs_mu: float, abs_x: float, abs_y: float, eta: float,
+                          branch: int) -> ClosedFormDeviation:
+    """:func:`deviation_formula` at q = |mu|^2, checked against the pipeline.
+
+    Each branch corresponds to one solution |nu| = -s -+ sqrt(1 - q + s^2),
+    s = |mu||x||y| cos(eta), of the normalization constraint; the matching
+    pipeline deviation and the absolute difference are reported alongside.
+    Raises NoCompatibleNu when the selected branch admits no nonnegative
+    |nu|.
+    """
+    if not (0.0 <= abs_x < 1.0 and 0.0 <= abs_y < 1.0):
+        raise DomainError(f"overlaps out of range: {abs_x}, {abs_y}")
+    if abs_mu < 0.0:
+        raise DomainError(f"abs_mu must be nonnegative, got {abs_mu}")
+    q = abs_mu * abs_mu
+    closed = deviation_formula(q, abs_x, abs_y, eta, branch)
+
+    s = abs_mu * abs_x * abs_y * math.cos(eta)
+    nu_mag = -s - branch * math.sqrt(max(1.0 - q + s * s, 0.0))
     if nu_mag < -1e-12:
         raise NoCompatibleNu(
             f"branch {branch:+d} gives |nu| = {nu_mag:.3e} < 0 for these inputs")

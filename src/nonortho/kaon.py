@@ -6,13 +6,13 @@ In the CP basis (K1, K2) the mass eigenstates are
 
 so <K_S|K_L> = (eps + conj(eps)) / (1 + |eps|^2) = 2 Re(eps) / (1 + |eps|^2).
 The antisymmetric two-kaon state from Phi decay maps onto the general
-parametrization with mu = -nu and x = y = <K_S|K_L>; antisymmetry forces the
-cross amplitude mu*x + nu*y to vanish, so the renormalized state equals the
-eps = 0 singlet exactly and the pipeline gives d = 0, C = 1, E = 1 bit for
-every |eps| < 1.  The explicit closed form d(eps) evaluated by
-:func:`kaon_deviation_closed_form` does not share that property; both
-numbers are reported side by side and the discrepancy is logged, not
-bounded.
+parametrization with mu = -nu and x = y = <K_S|K_L>.  Renormalized, it lies
+on the NN boundary family |x| = |y|, eta = pi, |mu|^2 = 1/(2(1 - |x||y|)),
+so d = 0 for every |eps| < 1: an antisymmetrized pair is the singlet.  The
+explicit d(eps) of :func:`kaon_deviation_closed_form` is the general
+formula at |mu|^2 = 1/2 with the overlap |Re eps| / (1 + |eps|^2), which
+lacks the factor 2 of <K_S|K_L>; its +1 branch admits no |nu| >= 0.  Both
+numbers are reported side by side.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularNorm
-from .feasibility import ClosedFormDeviation, deviation
-from .schmidt import schmidt_decompose
+from .feasibility import deviation_formula
 from .state import NonorthogonalState, make_state
 
 
@@ -109,31 +108,20 @@ def weak_decay_norm(eps: complex, evo: KaonEvolution) -> float:
     return (1.0 + abs(eps) ** 2) / denom * math.exp(-rate * evo.t)
 
 
-def kaon_deviation_closed_form(eps: complex, eta: float,
-                               branch: int) -> ClosedFormDeviation:
-    """Evaluate the explicit d(eps) formula and compare with the pipeline.
+def kaon_deviation_closed_form(eps: complex, eta: float, branch: int) -> float:
+    """The explicit d(eps): :func:`feasibility.deviation_formula` at q = 1/2.
 
-    With r = Re(eps) and k = 1 + |eps|^2:
+    With r = Re(eps) and k = 1 + |eps|^2 this is
 
         d = 1 - {1 - (r/k)^2}^2 [1 + sqrt(2) Y cos(eta) r^2 k^-4]
-        Y = sqrt(2) cos(eta) r^2 +- sqrt(r^4 + r^4 cos(2 eta) + 2 k^4)
+        Y = sqrt(2) cos(eta) r^2 +- sqrt(r^4 + r^4 cos(2 eta) + 2 k^4),
 
-    ``branch`` (+1/-1) picks the sign in Y.  ``eta`` is a free input: the
-    antisymmetric construction pins cos(eta) = -1, but the closed form is
-    defined for any phase combination.  The pipeline comparator is the
-    deviation of :func:`kaon_entangled_state`, which is 0 for all |eps| < 1;
-    the difference is reported, not bounded.
+    the general formula at |x| = |y| = |r| / k.  ``branch`` (+1/-1) picks
+    the sign.  ``eta`` is a free input: the antisymmetric construction pins
+    cos(eta) = -1, but the formula is defined for any phase combination.
     """
     eps = _check_eps(eps)
     if not math.isfinite(2.0 * eta):   # the formula takes cos(2 eta)
         raise DomainError(f"eta and 2*eta must be finite, got {eta}")
-    if branch not in (+1, -1):
-        raise DomainError(f"branch must be +1 or -1, got {branch}")
-    r = eps.real
-    k = 1.0 + abs(eps) ** 2
-    y = (math.sqrt(2.0) * math.cos(eta) * r ** 2
-         + branch * math.sqrt(r ** 4 + r ** 4 * math.cos(2.0 * eta) + 2.0 * k ** 4))
-    closed = 1.0 - (1.0 - (r / k) ** 2) ** 2 * (
-        1.0 + math.sqrt(2.0) * y * math.cos(eta) * r ** 2 * k ** -4)
-    pipeline = deviation(schmidt_decompose(kaon_entangled_state(eps)))
-    return ClosedFormDeviation(closed, pipeline, abs(closed - pipeline))
+    overlap = math.sqrt(kaon_overlap_mag_sq_alt(eps))
+    return deviation_formula(0.5, overlap, overlap, eta, branch)

@@ -4,8 +4,10 @@ Concurrence comes either from the determinant route
 C = 2|mu nu| sqrt((1-|x|^2)(1-|y|^2)) = 2 sqrt(det rho_A), or from the
 spin-flip overlap |<Psi|Psi~>| where Psi~ applies sigma_y on both factors to
 the conjugated vector.  Entropy comes either from the reduced-density
-spectrum or from the binary-entropy form h((1 + sqrt(1-C^2))/2).  All
-entropies are in bits (log base 2); multiply by ln 2 for nats.
+spectrum or from the binary-entropy form h((1 + sqrt(1-C^2))/2).  The
+determinant and binary-entropy routes are the closed forms of
+:mod:`closed_forms`.  All entropies are in bits (log base 2); multiply by
+ln 2 for nats.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 
 import numpy as np
 
+from .closed_forms import entropy_bits, report_scalars
 from .schmidt import eigh_2x2
 from .state import NonorthogonalState
 
@@ -25,8 +28,7 @@ LN2 = math.log(2.0)
 
 def concurrence_det(state: NonorthogonalState) -> float:
     """C = 2|mu nu| N_A N_B, clamped into [0, 1] against rounding."""
-    c = 2.0 * abs(state.mu * state.nu) * state.n_a * state.n_b
-    return min(max(c, 0.0), 1.0)
+    return float(report_scalars(state.mu, state.nu, state.x, state.y)[4])
 
 
 def concurrence_spin_flip(vector: np.ndarray) -> float:
@@ -36,18 +38,11 @@ def concurrence_spin_flip(vector: np.ndarray) -> float:
     return min(max(float(c), 0.0), 1.0)
 
 
-def binary_entropy(z: float) -> float:
-    """h(z) = -z log2 z - (1-z) log2 (1-z), with h(0) = h(1) = 0."""
-    if z <= 0.0 or z >= 1.0:
-        return 0.0
-    return -z * math.log2(z) - (1.0 - z) * math.log2(1.0 - z)
-
-
 def entanglement_entropy(concurrence: float) -> float:
     """Entropy in bits from the concurrence: h((1 + sqrt(1 - C^2)) / 2)."""
     if not (0.0 <= concurrence <= 1.0):
         raise ValueError(f"concurrence out of range: {concurrence}")
-    return binary_entropy(0.5 * (1.0 + math.sqrt(max(1.0 - concurrence ** 2, 0.0))))
+    return float(entropy_bits(concurrence))
 
 
 def entropy_direct(rho: np.ndarray) -> float:

@@ -8,14 +8,15 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import measures
-from .bell import analytic_bell, bell_expectation, canonical_settings, oracle_bell_max
+from .bell import bell_expectation, canonical_settings, oracle_bell_max
+from .closed_forms import report_scalars
 from .errors import PhaseUndefined
 from .feasibility import (VERDICT_INFEASIBLE, FeasibilityVerdict, concurrence_scan,
-                          deviation, maximal_feasibility)
+                          maximal_feasibility)
 from .kaon import (KaonEvolution, kaon_deviation_closed_form,
                    kaon_entangled_state, kaon_overlap, kaon_overlap_mag_sq_alt,
                    weak_decay_norm)
-from .schmidt import schmidt_decompose, schmidt_eigenvalues
+from .schmidt import DEGENERACY_TOL, schmidt_decompose
 from .state import NonorthogonalState, embed, eta_phase
 
 SCHEMA_VERSION = 2
@@ -85,41 +86,39 @@ def analyze_state(state: NonorthogonalState, with_oracle: bool = False,
                   with_feasibility: bool = True) -> EntanglementReport:
     """Run the full pipeline on one validated state.
 
-    ``with_feasibility=False`` skips the overlap-pattern verdict; sweeps use
-    this since their CSV schema carries only the per-state scalars.
-    ``with_oracle`` runs the CHSH maximizer and, for an infeasible verdict,
-    the concurrence scan.
+    The six report scalars come from one :func:`closed_forms.report_scalars`
+    call.  ``with_feasibility=False`` skips the overlap-pattern verdict;
+    sweeps use this since their CSV schema carries only the per-state
+    scalars.  ``with_oracle`` runs the CHSH maximizer and, for an infeasible
+    verdict, the concurrence scan.
     """
     warnings: list[str] = []
-    vector = embed(state)
-    form = schmidt_decompose(state)
-    if form.degenerate:
+    lam_plus, lam_minus, bell, d, concurrence, entropy = map(
+        float, report_scalars(state.mu, state.nu, state.x, state.y))
+    if lam_plus - lam_minus < DEGENERACY_TOL:
         warnings.append("degenerate-schmidt: lambda_plus - lambda_minus < 1e-10, "
                         "local bases are one valid choice among many")
-    lam_plus, lam_minus = schmidt_eigenvalues(state)
     try:
         eta = eta_phase(state)
     except PhaseUndefined:
         eta = None
         warnings.append("eta-undefined: a parameter is zero, phase combination "
                         "not reported")
-    d = deviation(form)
-    concurrence = measures.concurrence_det(state)
     report = EntanglementReport(
         state=state,
         lambda_plus=lam_plus,
         lambda_minus=lam_minus,
-        bell_analytic=analytic_bell(form),
+        bell_analytic=bell,
         d=d,
         concurrence=concurrence,
-        entropy_bits=measures.entanglement_entropy(concurrence),
+        entropy_bits=entropy,
         eta=eta,
         feasibility=(maximal_feasibility(abs(state.x), abs(state.y))
                      if with_feasibility else None),
         warnings=warnings,
     )
     if with_oracle:
-        report.bell_oracle = oracle_bell_max(vector, grid_n=grid_n,
+        report.bell_oracle = oracle_bell_max(embed(state), grid_n=grid_n,
                                              refine_iters=refine_iters)
         verdict = report.feasibility
         if verdict is not None and verdict.verdict == VERDICT_INFEASIBLE:
@@ -131,10 +130,13 @@ def kaon_report(eps: complex, eta: float = math.pi,
                 evolution: KaonEvolution | None = None,
                 with_oracle: bool = False, grid_n: int = 24,
                 refine_iters: int = 40) -> dict:
-    """Entanglement report for the two-kaon state plus comparison fields."""
-    state = kaon_entangled_state(eps)
-    report = analyze_state(state, with_oracle=with_oracle, grid_n=grid_n,
-                           refine_iters=refine_iters)
+    """Entanglement report for the two-kaon state plus comparison fields.
+
+    ``pipeline_d`` is the report's own d; each discrepancy is its distance
+    from the closed-form d(eps) of one branch.
+    """
+    report = analyze_state(kaon_entangled_state(eps), with_oracle=with_oracle,
+                           grid_n=grid_n, refine_iters=refine_iters)
     overlap = kaon_overlap(eps)
     plus = kaon_deviation_closed_form(eps, eta, +1)
     minus = kaon_deviation_closed_form(eps, eta, -1)
@@ -147,11 +149,11 @@ def kaon_report(eps: complex, eta: float = math.pi,
         "overlap_im": overlap.imag,
         "overlap_mag_sq": abs(overlap) ** 2,
         "overlap_mag_sq_alt": kaon_overlap_mag_sq_alt(eps),
-        "closed_form_d_plus": plus.closed_form,
-        "closed_form_d_minus": minus.closed_form,
-        "pipeline_d": plus.pipeline,
-        "discrepancy_plus": plus.difference,
-        "discrepancy_minus": minus.difference,
+        "closed_form_d_plus": plus,
+        "closed_form_d_minus": minus,
+        "pipeline_d": report.d,
+        "discrepancy_plus": abs(plus - report.d),
+        "discrepancy_minus": abs(minus - report.d),
         "weak_decay_norm": (None if evolution is None
                             else weak_decay_norm(eps, evolution)),
     }

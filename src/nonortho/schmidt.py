@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import NonorthogonalState, _norm_terms, embed
+from .closed_forms import _clamp_unit, report_scalars
+from .state import NonorthogonalState, embed
 
 DEGENERACY_TOL = 1e-10
-CLAMP_TOL = 1e-12   # rounding that _clamp_unit absorbs at the edges of [0, 1]
 
 
 def eigh_2x2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -76,38 +76,9 @@ def reduced_density(state: NonorthogonalState, side: str) -> np.ndarray:
 
 
 def schmidt_eigenvalues(state: NonorthogonalState) -> tuple[float, float]:
-    """(lambda_plus, lambda_minus) from the closed-form expression.
-
-    lambda_pm = 1/2 +- 1/2 sqrt(1 - 4 |mu nu N_A N_B|^2).  With a = |mu N_B|^2,
-    b = |nu N_A|^2, c = |mu x + nu y|^2 and n = a + b + c, the state's
-    4 |mu nu N_A N_B|^2 is 4ab / n^2, and both roots are taken without
-    cancellation: the radicand as ((a - b)^2 + c (2 (a + b) + c)) / n^2, a
-    sum of nonnegative terms, and lambda_minus as 2ab / (n^2 (1 + root)).
-    So at the degenerate point lambda_pm = 1/2 they carry no square root of
-    rounding noise (which split them by ~1e-8), and near product states
-    lambda_minus keeps its relative accuracy.  The direct radicand 1 - 4ab
-    is still checked, as it leaves [0, 1] for an unnormalized state.  Both
-    radicands are clamped to [0, 1] when rounding pushes them outside by
-    less than 1e-12.
-    """
-    det = abs(state.mu * state.nu) * state.n_a * state.n_b
-    _clamp_unit(1.0 - 4.0 * det * det, "schmidt eigenvalue radicand")
-    a, b, c = _norm_terms(state.mu, state.nu, state.x, state.y)
-    n_sq = (a + b + c) ** 2
-    root = math.sqrt(_clamp_unit(((a - b) ** 2 + c * (2.0 * (a + b) + c)) / n_sq,
-                                 "schmidt eigenvalue radicand"))
-    return 0.5 + 0.5 * root, 2.0 * a * b / (n_sq * (1.0 + root))
-
-
-def _clamp_unit(value: float, what: str, tol: float = CLAMP_TOL) -> float:
-    """Clamp to [0, 1] against rounding within ``tol``; raise beyond it or on NaN."""
-    if 0.0 <= value <= 1.0:
-        return value
-    if -tol <= value < 0.0:
-        return 0.0
-    if 1.0 < value <= 1.0 + tol:
-        return 1.0
-    raise ArithmeticError(f"{what} = {value} outside [0, 1] beyond tolerance")
+    """(lambda_plus, lambda_minus) from the closed form of :func:`closed_forms.report_scalars`."""
+    lam_plus, lam_minus, *_ = report_scalars(state.mu, state.nu, state.x, state.y)
+    return float(lam_plus), float(lam_minus)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_forms import _norm_terms
 from .errors import (DomainError, LinearDependence, NotNormalized,
                      PhaseUndefined, ZeroState)
 
@@ -52,15 +53,8 @@ class NonorthogonalState:
         return self.mu * self.x + self.nu * self.y
 
 
-def _norm_terms(mu: complex, nu: complex, x: complex,
-                y: complex) -> tuple[float, float, float]:
-    """|mu N_B|^2, |nu N_A|^2 and |mu x + nu y|^2: the embedded components' squared moduli."""
-    return (abs(mu) ** 2 * (1.0 - abs(x) ** 2), abs(nu) ** 2 * (1.0 - abs(y) ** 2),
-            abs(mu * x + nu * y) ** 2)
-
-
-def _norm_sq(mu: complex, nu: complex, x: complex, y: complex) -> float:
-    """Squared norm of the embedded vector."""
+def _norm_sq(mu, nu, x, y):
+    """Squared norm of the embedded vector, for numbers or arrays."""
     return sum(_norm_terms(mu, nu, x, y))
 
 
@@ -100,11 +94,10 @@ def make_state(mu: complex, nu: complex, x: complex, y: complex,
         scale = 1.0 / math.sqrt(_norm_sq(mu, nu, x, y))
         mu *= scale
         nu *= scale
-    try:
+    # an amplitude beyond ~1e154 overflows to a non-finite residual, which fails
+    with np.errstate(over="ignore", invalid="ignore"):
         residual = normalization_residual(mu, nu, x, y)
-    except OverflowError:   # an amplitude beyond ~1e154 is far from unit norm
-        residual = math.inf
-    if residual > NORM_TOL:
+    if not residual <= NORM_TOL:
         raise NotNormalized(
             f"norm residual {residual:.3e} exceeds {NORM_TOL:.0e}; "
             "pass auto_normalize=True to rescale")

@@ -18,17 +18,19 @@ import numpy as np
 
 from . import measures
 from .bell import analytic_bell, oracle_bell_max
-from .errors import NonorthoError
+from .closed_forms import report_scalars
+from .errors import NoCompatibleNu, NonorthoError
 from .feasibility import (VERDICT_FEASIBLE_DEGENERATE, VERDICT_FEASIBLE_ORTHOGONAL,
                           VERDICT_INFEASIBLE, concurrence_scan, deviation,
-                          maximal_feasibility, mu_squared_solutions, nn_case_floor,
-                          scan_concurrence, state_deviation)
+                          deviation_closed_form, deviation_formula, maximal_feasibility,
+                          mu_squared_solutions, nn_case_floor, scan_concurrence,
+                          state_deviation)
 from .kaon import (KaonEvolution, kaon_deviation_closed_form, kaon_entangled_state,
                    kaon_overlap, weak_decay_norm)
 from .report import analyze_state, canonical_bell_value
 from .sampling import DEFAULT_SEED, random_states
 from .schmidt import reconstruct, reduced_density, schmidt_decompose
-from .state import embed, make_state, state_from_magnitudes
+from .state import embed, eta_phase, make_state, state_from_magnitudes
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 # overlap levels of the single- and double-overlap impossibility checks
@@ -79,25 +81,34 @@ def _check_oo_maximal() -> tuple[bool, str]:
     return max(errs) <= 1e-12, f"max error {max(errs):.2e} (tol 1e-12)"
 
 
+def _stacked_report_scalars(states: list) -> tuple:
+    """One :func:`report_scalars` call on the stacked components of ``states``."""
+    return report_scalars(*(np.array([getattr(s, k) for s in states])
+                            for k in ("mu", "nu", "x", "y")))
+
+
 def _check_identities(seed: int, count: int = 10_000) -> tuple[bool, str]:
-    """Worst-case residuals of the four dual-route identities, each within 1e-12."""
-    worst_bell = worst_cd = worst_cc = worst_ee = 0.0
-    for s in random_states(count, seed):
-        form = schmidt_decompose(s)
-        d = deviation(form)
-        bell = analytic_bell(form)
-        c_det = measures.concurrence_det(s)
-        c_flip = measures.concurrence_spin_flip(embed(s))
-        e_direct = measures.entropy_direct(reduced_density(s, "A"))
-        e_wootters = measures.entanglement_entropy(c_det)
-        worst_bell = max(worst_bell, abs(bell - 2.0 * math.sqrt(2.0 - d)))
-        worst_cd = max(worst_cd, abs(c_det ** 2 + d - 1.0))
-        worst_cc = max(worst_cc, abs(c_det - c_flip))
-        worst_ee = max(worst_ee, abs(e_direct - e_wootters))
-    rows = (("bell-vs-deviation", worst_bell), ("concurrence-sq-plus-d", worst_cd),
-            ("concurrence-two-routes", worst_cc), ("entropy-two-routes", worst_ee))
-    detail = ", ".join(f"{name} {val:.2e}" for name, val in rows)
-    return all(val <= 1e-12 for _, val in rows), detail + " (tol 1e-12 each)"
+    """Worst-case residuals of the dual-route identities, each within 1e-12.
+
+    The closed forms are one :func:`report_scalars` call on the stacked
+    states; the Schmidt coefficients, the spin flip and the reduced-density
+    spectrum are evaluated state by state.
+    """
+    states = list(random_states(count, seed))
+    _, _, bell, d, conc, entropy = _stacked_report_scalars(states)
+    forms = [schmidt_decompose(s) for s in states]
+    residuals = {
+        "deviation-two-routes": d - np.array([deviation(f) for f in forms]),
+        "bell-vs-deviation": bell - np.array([analytic_bell(f) for f in forms]),
+        "concurrence-sq-plus-d": conc * conc + d - 1.0,
+        "concurrence-two-routes":
+            conc - np.array([measures.concurrence_spin_flip(embed(s)) for s in states]),
+        "entropy-two-routes": entropy - np.array(
+            [measures.entropy_direct(reduced_density(s, "A")) for s in states]),
+    }
+    worst = {name: float(np.abs(r).max()) for name, r in residuals.items()}
+    detail = ", ".join(f"{name} {val:.2e}" for name, val in worst.items())
+    return all(val <= 1e-12 for val in worst.values()), detail + " (tol 1e-12 each)"
 
 
 def _check_canonical_settings(seed: int, count: int = 1000) -> tuple[bool, str]:
@@ -110,11 +121,12 @@ def _check_canonical_settings(seed: int, count: int = 1000) -> tuple[bool, str]:
 
 def _check_round_trip(seed: int, count: int = 1000) -> tuple[bool, str]:
     worst_vec = worst_det = 0.0
-    for s in random_states(count, seed + 2):
+    states = list(random_states(count, seed + 2))
+    for s, conc in zip(states, _stacked_report_scalars(states)[4].tolist()):
         v = embed(s)
         worst_vec = max(worst_vec,
                         max_deviation_up_to_phase(v, reconstruct(schmidt_decompose(s))))
-        target = (abs(s.mu * s.nu) * s.n_a * s.n_b) ** 2
+        target = 0.25 * conc * conc   # det rho = |mu nu N_A N_B|^2 = C^2 / 4
         for side in "AB":
             rho = reduced_density(s, side)
             det = (rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real
@@ -194,23 +206,41 @@ def _check_kaon() -> tuple[bool, str]:
         expected = (eps + eps) / (1.0 + eps * eps)
         if abs(kaon_overlap(eps) - expected) > 1e-15:
             return False, f"overlap mismatch at eps={eps}"
-        for branch in (+1, -1):
-            kaon_deviation_closed_form(eps, math.pi, branch)   # must evaluate
     evo = KaonEvolution(gamma_s=1.0, gamma_l=0.5, t=2.0 / 1.5)
     errs.append(abs(weak_decay_norm(0.0, evo) - math.exp(-1.0)))
     worst = max(errs)
     return worst <= 1e-12, f"worst kaon error {worst:.2e} (tol 1e-12)"
 
 
-def _check_kaon_discrepancy_logged() -> tuple[bool, str]:
-    rows = []
-    for eps in (1e-3, 1e-1):
-        for branch in (+1, -1):
-            res = kaon_deviation_closed_form(eps, math.pi, branch)
-            rows.append(f"eps={eps:g} branch={branch:+d} "
-                        f"closed={res.closed_form:.6e} pipeline={res.pipeline:.1e} "
-                        f"|diff|={res.difference:.3e}")
-    return True, "; ".join(rows)
+def _check_kaon_closed_form() -> tuple[bool, str]:
+    """Why the kaon d(eps) is nonzero while the pipeline's d is 0.
+
+    The closed form is the general formula at q = 1/2 with half the kaon
+    overlap, its +1 branch admits no |nu|, and the kaon state itself lies
+    on the |x| = |y|, eta = pi boundary family, where d = 0.
+    """
+    worst_formula = worst_family = 0.0
+    for eps in (1e-3, 1e-2, 1e-1, 0.5, 0.3 + 0.2j, -0.2 + 0.4j):
+        half = abs(kaon_overlap(eps)) / 2.0
+        for eta in (math.pi, 2.0, 0.7):
+            for branch in (+1, -1):
+                worst_formula = max(worst_formula, abs(
+                    kaon_deviation_closed_form(eps, eta, branch)
+                    - deviation_formula(0.5, half, half, eta, branch)))
+            try:
+                deviation_closed_form(math.sqrt(0.5), half, half, eta, +1)
+            except NoCompatibleNu:
+                pass
+            else:
+                return False, f"+1 branch has a compatible |nu| at eps={eps}, eta={eta}"
+        s = kaon_entangled_state(eps)
+        x_abs, y_abs = abs(s.x), abs(s.y)
+        worst_family = max(worst_family, abs(x_abs - y_abs), abs(eta_phase(s) - math.pi),
+                           abs(abs(s.mu) ** 2 - 1.0 / (2.0 * (1.0 - x_abs * y_abs))))
+    ok = worst_formula <= 1e-15 and worst_family <= 1e-15
+    return ok, (f"worst |kaon d - general d at q=1/2| {worst_formula:.2e} (tol 1e-15), "
+                f"worst boundary-family residual {worst_family:.2e} (tol 1e-15), "
+                "+1 branch has no |nu|")
 
 
 def _check_oracle(seed: int, grid_n: int, refine_iters: int,
@@ -288,7 +318,7 @@ def checks(level: str = "quick", seed: int = DEFAULT_SEED, grid_n: int = 24,
         "on-impossibility":
             lambda: _check_on_impossibility(full_pipeline=(level == "full")),
         "kaon-suite": _check_kaon,
-        "kaon-discrepancy-log": _check_kaon_discrepancy_logged,
+        "kaon-closed-form": _check_kaon_closed_form,
         "scan-vs-pipeline": lambda: _check_scan_vs_pipeline(seed),
     }
     if level == "full":

@@ -61,7 +61,7 @@ def test_criterion_7_schmidt_round_trip():
 
 
 def test_criterion_8_kaon_application():
-    assert_checks_pass("kaon-suite", "kaon-discrepancy-log")
+    assert_checks_pass("kaon-suite", "kaon-closed-form")
 
 
 def _mutated_residual(mu, nu, x, y):

@@ -9,11 +9,11 @@ import re
 import numpy as np
 import pytest
 
-from nonortho import batch
+from nonortho import batch, closed_forms
 from nonortho.cli import SWEEP_DEFAULTS, main
+from nonortho.closed_forms import _clamp_unit
 from nonortho.errors import DomainError, LinearDependence, NonorthoError
 from nonortho.report import CSV_COLUMNS, analyze_state
-from nonortho.schmidt import _clamp_unit
 from nonortho.state import state_from_magnitudes, wrap_angle
 
 # The five sweep shapes of the benchmark's sweep workload (swept axes with
@@ -97,20 +97,13 @@ def core_rows(sweeps, fixes):
     return [row for block in batch.sweep_blocks(*cols) for row in block]
 
 
-def last_digit_apart(a, b):
-    """The two .12g strings differ by at most one unit in the last printed digit."""
-    x, y = float(a), float(b)
-    unit = 10.0 ** (math.floor(math.log10(max(abs(x), abs(y)))) - 11)
-    return abs(x - y) <= 1.01 * unit
-
-
 @pytest.mark.parametrize("sweeps,fixes", SPECS)
 def test_core_matches_scalar_pipeline(sweeps, fixes):
+    """Bit for bit: the sweep's states and its array call of the closed forms
+    against ``state_from_magnitudes`` and the scalar call in ``analyze_state``."""
     ref = list(reference_rows(sweeps, fixes))
     got = core_rows(sweeps, fixes)
-    assert len(got) == len(ref)
-    diff = np.abs(np.array(got) - np.array(ref))
-    assert diff.max(initial=0.0) <= 2e-15, dict(zip(CSV_COLUMNS, diff.max(axis=0)))
+    assert got == ref
 
 
 @pytest.mark.parametrize("sweeps,fixes", SPECS)
@@ -122,12 +115,7 @@ def test_sweep_csv_matches_scalar_pipeline(sweeps, fixes):
     assert tuple(rows[0]) == CSV_COLUMNS
     ref = [[f"{v:.12g}" for v in values] for values in reference_rows(sweeps, fixes)]
     assert len(rows) - 1 == len(ref)
-    for got, want in zip(rows[1:], ref):
-        for name, g, w in zip(CSV_COLUMNS, got, want):
-            if name in ("d", "bell_analytic"):
-                assert g == w or last_digit_apart(g, w), (name, g, w)
-            else:
-                assert g == w, (name, g, w)
+    assert rows[1:] == ref
 
 
 @pytest.mark.parametrize("column,value,error", [
@@ -164,15 +152,20 @@ def test_clamp_matches_scalar_clamp():
             want = _clamp_unit(v, "x")
         except ArithmeticError as exc:
             with pytest.raises(ArithmeticError, match=re.escape(str(exc))):
-                batch._clamp_units(np.array([0.5, v, 2.0]), "x")
+                closed_forms._clamp_units(np.array([0.5, v, 2.0]), "x")
+            with pytest.raises(ArithmeticError, match=re.escape(str(exc))):
+                closed_forms._clamp_units(np.float64(v), "x")
         else:
-            assert batch._clamp_units(np.array([0.5, v]), "x")[1] == want
+            assert closed_forms._clamp_units(np.array([0.5, v]), "x")[1] == want
+            assert closed_forms._clamp_units(np.float64(v), "x") == want
 
 
 def test_unnormalized_state_raises_in_the_clamp():
     with pytest.raises(ArithmeticError, match="schmidt eigenvalue radicand"):
-        batch.report_scalars(np.array([2.0]), np.array([2.0 + 0j]), np.zeros(1),
-                             np.zeros(1))
+        closed_forms.report_scalars(np.array([2.0]), np.array([2.0 + 0j]), np.zeros(1),
+                                    np.zeros(1))
+    with pytest.raises(ArithmeticError, match="schmidt eigenvalue radicand"):
+        closed_forms.report_scalars(2.0, 2.0 + 0j, 0.0, 0.0)
 
 
 def test_wrap_angles_matches_scalar():

@@ -3,6 +3,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,6 +16,7 @@ import nonortho.feasibility as feasibility_mod
 import nonortho.report as report_mod
 from nonortho.cli import STATE_KEYS, SWEEP_PARAMS, build_parser, main
 
+ROOT = Path(__file__).resolve().parent.parent
 SQ2 = 1.0 / math.sqrt(2.0)
 
 SINGLET_FLAGS = ["--mu-re", str(SQ2), "--mu-im", "0",
@@ -239,6 +244,39 @@ def test_unwritable_output_path_is_an_error_object(argv, target, tmp_path, capsy
     code, out = run_cli([*argv, str(tmp_path / target)], capsys)
     assert code == 2
     assert json.loads(out)["error"]["type"] == "OutputFile"
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", *SINGLET_FLAGS, "--csv", "OUT"],
+    ["kaon", "--eps-re", "1e-3", "--csv", "OUT"],
+    ["sweep", "--sweep", "mu_sq=0:1:3", "--json", "OUT"],
+    ["verify", "quick", "--json", "OUT"],
+    ["verify", "quick", "--csv", "OUT"],
+    ["sweep", "--sweep", "mu_sq=0:1:3", "--seed", "3"],
+    ["sweep", "--sweep", "mu_sq=0:1:3", "--grid-n", "10"],
+    ["sweep", "--sweep", "mu_sq=0:1:3", "--refine-iters", "10"],
+])
+def test_flags_a_subcommand_ignores_are_usage_errors(argv, tmp_path, capsys):
+    target = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([str(target) if a == "OUT" else a for a in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not target.exists()
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "nonortho", "sweep",
+                             "--sweep", "mu_sq=0:1:20000"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"mu_sq,")
+    proc.stdout.close()   # ~2 MB remain unwritten, far beyond a pipe's buffer
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_analyze_oracle_rejects_tiny_grid(capsys):

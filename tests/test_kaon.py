@@ -10,6 +10,7 @@ from nonortho.kaon import (KaonEvolution, kaon_deviation_closed_form,
                            kaon_overlap_mag_sq_alt, mass_eigenstates,
                            weak_decay_norm)
 from nonortho.measures import concurrence_det, entanglement_entropy
+from nonortho.report import kaon_report
 from nonortho.schmidt import schmidt_decompose
 from nonortho.state import embed
 
@@ -92,20 +93,38 @@ def test_weak_decay_norm_domain():
 
 def test_closed_form_deviation_vanishes_at_zero_eps():
     for branch in (+1, -1):
-        res = kaon_deviation_closed_form(0.0, math.pi, branch)
-        assert res.closed_form == pytest.approx(0.0, abs=1e-15)
-        assert res.pipeline == pytest.approx(0.0, abs=1e-12)
+        assert kaon_deviation_closed_form(0.0, math.pi, branch) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_closed_form_deviation_reports_discrepancy():
-    # both branches evaluate; the difference against the pipeline is logged,
-    # not bounded
+    # both branches evaluate; the difference against the report's own d is
+    # logged, not bounded
     for eps in (1e-3, 1e-1):
-        for branch in (+1, -1):
-            res = kaon_deviation_closed_form(eps, math.pi, branch)
-            assert res.pipeline <= 1e-12
-            assert res.difference == pytest.approx(
-                abs(res.closed_form - res.pipeline), abs=1e-18)
+        doc = kaon_report(eps)
+        k = doc["kaon"]
+        assert k["pipeline_d"] == doc["d"] <= 1e-12
+        for branch, sign in (("plus", +1), ("minus", -1)):
+            closed = kaon_deviation_closed_form(eps, math.pi, sign)
+            assert k[f"closed_form_d_{branch}"] == closed
+            assert k[f"discrepancy_{branch}"] == abs(closed - doc["d"])
+
+
+def _printed_kaon_formula(eps, eta, branch):
+    """d(eps) as printed, with r = Re eps and k = 1 + |eps|^2."""
+    r = eps.real
+    k = 1.0 + abs(eps) ** 2
+    y = (math.sqrt(2.0) * math.cos(eta) * r ** 2
+         + branch * math.sqrt(r ** 4 + r ** 4 * math.cos(2.0 * eta) + 2.0 * k ** 4))
+    return 1.0 - (1.0 - (r / k) ** 2) ** 2 * (
+        1.0 + math.sqrt(2.0) * y * math.cos(eta) * r ** 2 * k ** -4)
+
+
+def test_closed_form_is_the_printed_kaon_formula():
+    for eps in (0.0, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 0.3 + 0.2j, -0.2 + 0.4j):
+        for eta in (math.pi, 2.0, 0.7, 0.0, -1.3):
+            for branch in (+1, -1):
+                got = kaon_deviation_closed_form(eps, eta, branch)
+                assert abs(got - _printed_kaon_formula(complex(eps), eta, branch)) <= 1e-15
 
 
 def test_closed_form_branch_validation():

@@ -21,17 +21,23 @@ cos chi), so every grid correlation is the bilinear form n_A^T T n_B of one
 3x3 tensor T, and by Cauchy-Schwarz a (B, B') pair totals at most
 |T(n_B + n_B')| + |T(n_B - n_B')|.  T is fitted to the grid's own
 correlations, and the fit's largest residual eps enters the bound as 4 eps
-of slack, so a poor fit only prunes less.  Pairs whose bound falls below
-the best total seen are skipped; the others are scanned in the unpruned
-order with the unpruned arithmetic, so the first pair reaching the maximum
-wins, exactly as without pruning.  Refinement evaluates the CHSH value in
-scalar complex arithmetic and stops at its first fixed point.
+of slack, so a poor fit only prunes less.  Pairs are evaluated in batches
+in order of descending bound, until the next batch's largest bound falls
+below the best total found; each total uses the unpruned arithmetic, and of
+the pairs reaching the maximum the smallest (B, B') index pair wins, so the
+result is that of the unpruned scan bit for bit.  The grid's orbits,
+observables, Bloch vectors, fit matrix and einsum paths are built once per
+grid size.  Refinement evaluates the CHSH value in scalar complex
+arithmetic, keeps each setting's share of it between moves so that moving
+one angle recomputes one share, and stops at its first fixed point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,6 +163,26 @@ def _contract(psi, chi: float, phi: float) -> tuple[float, complex]:
     return (k00 - k11).real, u0c * a1 + v0c * b1
 
 
+def _setting_terms(psi, angles, side: int) -> tuple[float, complex]:
+    """The part of the CHSH value that setting ``side`` (0..3 for A, A', B, B') sets.
+
+    For A and A' it is (K00 - K11, K01) of ``_contract``; for B and B' it is
+    (Theta00, Theta01), the entries W00 and W01 that ``_combine`` sums.
+    """
+    chi, phi = angles[2 * side], angles[2 * side + 1]
+    if side < 2:
+        return _contract(psi, chi, phi)
+    s = math.sin(chi)
+    return math.cos(chi), complex(s * math.cos(phi), s * math.sin(phi))
+
+
+def _combine(a, a_prime, b, b_prime) -> float:
+    """The CHSH value from the four settings' ``_setting_terms``."""
+    (d_a, k_a), (d_ap, k_ap), (c_b, w_b), (c_bp, w_bp) = a, a_prime, b, b_prime
+    return (d_a * (c_b + c_bp) + 2.0 * (k_a * (w_b + w_bp)).real
+            + d_ap * (c_b - c_bp) + 2.0 * (k_ap * (w_b - w_bp)).real)
+
+
 def _chsh_value(psi, angles) -> float:
     """CHSH value of the 2x2 coefficient matrix ``psi`` (rows) at the 8 ``angles``.
 
@@ -165,14 +191,7 @@ def _chsh_value(psi, angles) -> float:
     and K, W Hermitian with W11 = -W00 reduce the sum to
     (K00 - K11) W00 + 2 Re(K01 W01); likewise for A' with B - B'.
     """
-    d_a, k_a = _contract(psi, angles[0], angles[1])
-    d_ap, k_ap = _contract(psi, angles[2], angles[3])
-    c_b, s_b = math.cos(angles[4]), math.sin(angles[4])
-    c_bp, s_bp = math.cos(angles[6]), math.sin(angles[6])
-    w_b = complex(s_b * math.cos(angles[5]), s_b * math.sin(angles[5]))
-    w_bp = complex(s_bp * math.cos(angles[7]), s_bp * math.sin(angles[7]))
-    return (d_a * (c_b + c_bp) + 2.0 * (k_a * (w_b + w_bp)).real
-            + d_ap * (c_b - c_bp) + 2.0 * (k_ap * (w_b - w_bp)).real)
+    return _combine(*(_setting_terms(psi, angles, side) for side in range(4)))
 
 
 def _orbit_representatives(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -245,36 +264,82 @@ def _pair_bounds(corr_t: np.ndarray, bloch: np.ndarray,
     return plus
 
 
+PAIR_CHUNK = 128    # B pairs per batched evaluation; bounds the scan's temporaries
+
+
 def _best_pair(corr_t: np.ndarray, bounds: np.ndarray) -> tuple[float, tuple[int, int]]:
     """Largest grid total over B pairs i <= j, and the first pair reaching it.
 
     The total of (i, j) is max_r |corr_t[i, r] + corr_t[j, r]| +
     max_r |corr_t[i, r] - corr_t[j, r]|.  The exact total of the pair with
-    the largest bound is a floor on the maximum; rows are then scanned in
-    order, each over the columns whose bound reaches the floor and the best
-    total so far.  A pair reaching the maximum is never skipped, and the
-    totals and the strict comparison are those of the unpruned row scan, so
-    the result is bit-identical to it: the maximum, at the first pair in
-    (i, j) order.
+    the largest bound is a floor on the maximum.  The pairs whose bound
+    reaches the floor are sorted by descending bound and their totals taken
+    PAIR_CHUNK at a time, until the next chunk's largest bound falls below
+    the best total: every pair left has a total below it, so none reaches
+    the maximum.  Every pair whose bound reaches the maximum is evaluated
+    with the unpruned scan's arithmetic, and of those reaching it the
+    smallest (i, j) wins, so the result is bit-identical to the row scan
+    over every pair: the maximum, at the first pair in (i, j) order.
     """
-    i, j = np.unravel_index(int(np.argmax(bounds)), bounds.shape)
+    n = len(corr_t)
+    flat = bounds.ravel()
+    i, j = divmod(int(np.argmax(flat)), n)
     row, other = corr_t[i], corr_t[j]
     floor = float(np.abs(other + row).max() + np.abs(row - other).max())
-    row_tops = bounds.max(axis=1).tolist()
+    cands = np.flatnonzero(flat >= floor)
+    cands = cands[np.argsort(-flat[cands], kind="stable")]
+    rows = np.empty((min(PAIR_CHUNK, len(cands)), n))
+    tails = np.empty_like(rows)
+    work = np.empty_like(rows)
     best = -np.inf
-    arg = (0, 0)
-    for ib, row_top in enumerate(row_tops):
-        threshold = max(best, floor)
-        if row_top < threshold:
-            continue
-        cols = np.flatnonzero(bounds[ib] >= threshold)
-        row, tail = corr_t[ib], corr_t[cols]
-        totals = np.abs(tail + row).max(axis=1) + np.abs(row - tail).max(axis=1)
-        offset = int(np.argmax(totals))
-        if totals[offset] > best:
-            best = float(totals[offset])
-            arg = (ib, int(cols[offset]))
-    return best, arg
+    arg = 0
+    for start in range(0, len(cands), PAIR_CHUNK):
+        chunk = cands[start:start + PAIR_CHUNK]
+        if flat[chunk[0]] < best:
+            break
+        m = len(chunk)
+        row, tail, both = rows[:m], tails[:m], work[:m]
+        np.take(corr_t, chunk // n, axis=0, out=row)
+        np.take(corr_t, chunk % n, axis=0, out=tail)
+        totals = np.abs(np.add(tail, row, out=both), out=both).max(axis=1)
+        totals += np.abs(np.subtract(row, tail, out=both), out=both).max(axis=1)
+        top = float(totals.max())
+        if top >= best:
+            first = int(chunk[totals == top].min())
+            arg = first if top > best else min(arg, first)
+            best = top
+    return best, divmod(arg, n)
+
+
+class _Grid(NamedTuple):
+    """Read-only constants of the grid stage for one ``grid_n``."""
+
+    chis: np.ndarray            # orbit representatives' chi and phi
+    phis: np.ndarray
+    obs: np.ndarray             # their observables, (R, 2, 2)
+    bloch: np.ndarray           # their Bloch vectors as rows, (R, 3)
+    pinv: np.ndarray            # least-squares fit of T: T^T ~ pinv corr_t pinv^T
+    contract_path: list         # einsum paths of the two correlation contractions
+    corr_path: list
+
+
+@functools.cache
+def _grid_constants(grid_n: int) -> _Grid:
+    """The grid stage's state-independent arrays, built once per ``grid_n``.
+
+    The einsum paths are the ones ``optimize=True`` searches for on every
+    call; the contractions depend only on the operand shapes.
+    """
+    chis, phis = _orbit_representatives(grid_n)
+    obs = _theta_entries(chis, phis)
+    bloch = _bloch_vectors(chis, phis)
+    pinv = np.linalg.solve(bloch.T @ bloch, bloch.T)
+    psi = np.zeros((2, 2), dtype=complex)
+    contract_path = np.einsum_path('ki,nkl,lj->nij', psi, obs, psi, optimize=True)[0]
+    corr_path = np.einsum_path('nab,mab->mn', obs, obs, optimize=True)[0]
+    for array in (chis, phis, obs, bloch, pinv):
+        array.flags.writeable = False
+    return _Grid(chis, phis, obs, bloch, pinv, contract_path, corr_path)
 
 
 def _grid_stage(psi: np.ndarray, grid_n: int) -> tuple[float, np.ndarray]:
@@ -289,21 +354,20 @@ def _grid_stage(psi: np.ndarray, grid_n: int) -> tuple[float, np.ndarray]:
     which no sign choice on B and no swap of i and j changes: only i <= j
     is considered.  T is fitted to corr by least squares, and with eps its
     largest residual no pair totals more than
-    |T(n_i + n_j)| + |T(n_i - n_j)| + 4 eps (``_pair_bounds``).  Pairs
-    whose bound is below the best total found are skipped, and of the pairs
+    |T(n_i + n_j)| + |T(n_i - n_j)| + 4 eps (``_pair_bounds``).  Only pairs
+    whose bound reaches the best total are evaluated, and of the pairs
     reaching the maximum the first in (i, j) order wins (``_best_pair``), as
     in the unpruned scan.  An A setting picked with a negative sign maps back
     to the antipode angles.
     """
-    chis, phis = _orbit_representatives(grid_n)
-    obs = _theta_entries(chis, phis)
-    contracted = np.einsum('ki,nkl,lj->nij', psi.conj(), obs, psi, optimize=True)
+    grid = _grid_constants(grid_n)
+    chis, phis, obs, pinv = grid.chis, grid.phis, grid.obs, grid.pinv
+    contracted = np.einsum('ki,nkl,lj->nij', psi.conj(), obs, psi,
+                           optimize=grid.contract_path)
     corr_t = np.ascontiguousarray(
-        np.einsum('nab,mab->mn', contracted, obs, optimize=True).real)
-    bloch = _bloch_vectors(chis, phis)
-    pinv = np.linalg.solve(bloch.T @ bloch, bloch.T)     # least-squares fit of T
+        np.einsum('nab,mab->mn', contracted, obs, optimize=grid.corr_path).real)
     best, (ib, ibp) = _best_pair(
-        corr_t, _pair_bounds(corr_t, bloch, pinv @ corr_t @ pinv.T))
+        corr_t, _pair_bounds(corr_t, grid.bloch, pinv @ corr_t @ pinv.T))
     angles = []
     for combo in (corr_t[ib] + corr_t[ibp], corr_t[ib] - corr_t[ibp]):
         ia = int(np.argmax(np.abs(combo)))
@@ -334,7 +398,9 @@ def oracle_bell_max(vector: np.ndarray, grid_n: int = 24,
     psi = coefficient_matrix(vector)
     best, angles = _grid_stage(psi, grid_n)
     psi, angles = psi.tolist(), angles.tolist()
-    current = _chsh_value(psi, angles)
+    # each setting's share of the value; a move of one angle recomputes one
+    terms = [_setting_terms(psi, angles, side) for side in range(4)]
+    current = _combine(*terms)
     if current < best:      # different arithmetic; guards rounding asymmetry
         current = best
     probe = 0.5
@@ -342,11 +408,16 @@ def oracle_bell_max(vector: np.ndarray, grid_n: int = 24,
     for _ in range(refine_iters):
         sweep_start = angles    # angles is rebound below, never changed in place
         for k in range(8):
+            side = k // 2
+            moved = terms.copy()
             up = angles.copy()
             up[k] += probe
+            moved[side] = _setting_terms(psi, up, side)
+            f_up = _combine(*moved)
             down = angles.copy()
             down[k] -= probe
-            f_up, f_down = _chsh_value(psi, up), _chsh_value(psi, down)
+            moved[side] = _setting_terms(psi, down, side)
+            f_down = _combine(*moved)
             # f(t) = A cos t + B sin t + C along offset t of this angle
             coef_b = (f_up - f_down) / (2.0 * sin_p)
             coef_a = (0.5 * (f_up + f_down) - current) / (cos_p - 1.0)
@@ -354,18 +425,20 @@ def oracle_bell_max(vector: np.ndarray, grid_n: int = 24,
                 continue
             trial = angles.copy()
             trial[k] += math.atan2(coef_b, coef_a)
-            value = _chsh_value(psi, trial)
+            moved[side] = _setting_terms(psi, trial, side)
+            value = _combine(*moved)
             if value > current:
-                current, angles = value, trial
+                current, angles, terms = value, trial, moved
         displacement = [a - s for a, s in zip(angles, sweep_start)]
         if not any(displacement):
             break       # fixed point: every later sweep would repeat this one
         scale = 1.0
         for _ in range(50):
             trial = [a + scale * d for a, d in zip(angles, displacement)]
-            value = _chsh_value(psi, trial)
+            moved = [_setting_terms(psi, trial, side) for side in range(4)]
+            value = _combine(*moved)
             if value > current:
-                current, angles = value, trial
+                current, angles, terms = value, trial, moved
                 scale *= 2.0
             else:
                 break

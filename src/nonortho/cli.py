@@ -53,6 +53,17 @@ class CliError(Exception):
                           indent=2)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise CliError("Usage") for ``main``.
+
+    Subparsers are built with the class of their parent, so they raise too;
+    ``--help`` still prints and exits 0.
+    """
+
+    def error(self, message: str):
+        raise CliError("Usage", f"{self.prog}: {message}")
+
+
 def _add_state_flags(parser: argparse.ArgumentParser) -> None:
     for key in STATE_KEYS:
         parser.add_argument(f"--{key.replace('_', '-')}", type=float, default=None)
@@ -246,9 +257,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if summary.ok else 1
 
 
+def closed_stdout_status() -> int:
+    """Exit status after the reader closed stdout early (``| head``).
+
+    Points stdout at devnull, so that the interpreter's final flush cannot
+    fail again, and returns 141 = 128 + SIGPIPE, as a process ended by that
+    signal would exit.
+    """
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 141
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nonortho",
         description="Entanglement analysis for bipartite states over "
                     "non-orthogonal components")
@@ -297,16 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BrokenPipeError:
-        # the reader closed stdout early (``| head``); point stdout at devnull
-        # so the interpreter's final flush cannot fail again, and exit 128 +
-        # SIGPIPE as a process ended by that signal would
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+        return closed_stdout_status()
     except CliError as exc:
         print(exc.to_json())
         return 2

@@ -11,9 +11,12 @@ calls return numpy scalars or 0-d arrays; ``float()`` makes them printable.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 CLAMP_TOL = 1e-12   # rounding that _clamp_unit absorbs at the edges of [0, 1]
+LN2 = math.log(2.0)
 
 
 def _clamp_unit(value: float, what: str) -> float:
@@ -50,14 +53,18 @@ def _norm_terms(mu, nu, x, y):
 
 
 def entropy_bits(concurrence):
-    """Entropy in bits from the concurrence: h((1 + sqrt(1 - C^2)) / 2) (Wootters).
+    """Entropy in bits from the concurrence: h(lambda_minus) (Wootters).
 
-    h(z) = -z log2 z - (1 - z) log2 (1 - z), with h(1) = 0.
+    h(z) = -z log2 z - (1 - z) log2 (1 - z), with h(0) = 0, at the smaller
+    Schmidt eigenvalue lambda_minus = (1 - sqrt(1 - C^2))/2, evaluated as
+    C^2 / (2 (1 + sqrt(1 - C^2))) and with log2(1 - z) = log1p(-z)/ln 2, so
+    that neither cancels near product states, where C and E tend to 0.
     """
-    z = 0.5 * (1.0 + np.sqrt(np.maximum(1.0 - concurrence * concurrence, 0.0)))
-    inner = z < 1.0
-    zi = np.where(inner, z, 0.5)
-    return np.where(inner, -zi * np.log2(zi) - (1.0 - zi) * np.log2(1.0 - zi), 0.0)
+    c_sq = concurrence * concurrence
+    lam = c_sq / (2.0 * (1.0 + np.sqrt(np.maximum(1.0 - c_sq, 0.0))))
+    inner = lam > 0.0
+    li = np.where(inner, lam, 0.5)
+    return np.where(inner, -li * np.log2(li) - (1.0 - li) * (np.log1p(-li) / LN2), 0.0)
 
 
 def report_scalars(mu, nu, x, y):

@@ -16,14 +16,12 @@ import math
 
 import numpy as np
 
-from .closed_forms import entropy_bits, report_scalars
+from .closed_forms import LN2, entropy_bits, report_scalars
 from .schmidt import eigh_2x2
 from .state import NonorthogonalState
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
-
-LN2 = math.log(2.0)
 
 
 def concurrence_det(state: NonorthogonalState) -> float:
@@ -39,7 +37,7 @@ def concurrence_spin_flip(vector: np.ndarray) -> float:
 
 
 def entanglement_entropy(concurrence: float) -> float:
-    """Entropy in bits from the concurrence: h((1 + sqrt(1 - C^2)) / 2)."""
+    """Entropy in bits from the concurrence: h((1 - sqrt(1 - C^2)) / 2)."""
     if not (0.0 <= concurrence <= 1.0):
         raise ValueError(f"concurrence out of range: {concurrence}")
     return float(entropy_bits(concurrence))

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nonortho import bell
 from nonortho.bell import (MeasurementSetting, _best_pair, _bloch_vectors,
-                           _chsh_value, _grid_stage, _orbit_representatives,
-                           _pair_bounds, _theta_entries, analytic_bell,
-                           bell_expectation, canonical_settings, oracle_bell_max,
-                           spin_observable)
+                           _chsh_value, _grid_constants, _grid_stage,
+                           _orbit_representatives, _pair_bounds, _theta_entries,
+                           analytic_bell, bell_expectation, canonical_settings,
+                           oracle_bell_max, spin_observable)
 from nonortho.errors import DomainError
 from nonortho.sampling import random_states
 from nonortho.schmidt import coefficient_matrix, schmidt_decompose
@@ -219,11 +220,14 @@ def _reference_grid_stage(psi, grid_n):
 
 
 def _assert_grid_exact(psi):
+    """The grid stage, and the oracle refined from it, match the references bit for bit."""
     for grid_n in (8, 9, 24):
         best, angles = _grid_stage(psi, grid_n)
         ref_best, ref_angles = _reference_grid_stage(psi, grid_n)
         assert best == ref_best
         assert np.array_equal(angles, ref_angles)
+        assert (oracle_bell_max(psi.ravel(), grid_n)
+                == _reference_oracle(psi, ref_best, ref_angles))
 
 
 @given(valid_states())
@@ -249,6 +253,38 @@ def _family_states():
 def test_pruned_grid_is_bit_identical_on_families():
     for s in _family_states():
         _assert_grid_exact(coefficient_matrix(embed(s)))
+
+
+def _all_totals(corr_t):
+    """Exact totals of every pair i <= j, -inf below the diagonal: the tightest bounds."""
+    n = len(corr_t)
+    totals = np.full((n, n), -np.inf)
+    for ib in range(n):
+        row, tail = corr_t[ib], corr_t[ib:]
+        totals[ib, ib:] = np.abs(tail + row).max(axis=1) + np.abs(row - tail).max(axis=1)
+    return totals
+
+
+@pytest.mark.parametrize("chunk", [1, bell.PAIR_CHUNK])
+def test_best_pair_is_exact_for_any_valid_bounds(chunk, monkeypatch):
+    # any array at or above every total is a valid bound; these reorder the
+    # candidates so that the smallest maximal pair is evaluated last, alone in
+    # its chunk when chunk is 1, with a bound equal to the maximum
+    monkeypatch.setattr(bell, "PAIR_CHUNK", chunk)
+    for s in _family_states():
+        psi = coefficient_matrix(embed(s))
+        for grid_n in (8, 9):
+            if chunk == 1 and grid_n == 9:
+                continue        # 2080 pairs, one chunk each under the flat bound
+            corr_t = _grid_correlations(psi, grid_n)[2]
+            expected = _reference_scan(corr_t)
+            tight = _all_totals(corr_t)
+            ties = tight == expected[0]
+            raised = tight + ties       # every maximal pair 1 above its total ...
+            raised[expected[1]] -= 1.0  # ... except the first
+            flat = np.where(np.isfinite(tight), expected[0] + 1.0, -np.inf)
+            for bounds in (tight, raised, flat):
+                assert _best_pair(corr_t, bounds) == expected
 
 
 def test_pair_bounds_dominate_every_total():
@@ -297,6 +333,80 @@ def test_pair_bounds_are_tight_on_pure_states():
     best, _ = _best_pair(corr_t, bounds)
     n = len(corr_t)
     assert (bounds >= best).sum() / (n * (n + 1) / 2) < 0.2
+
+
+# --- the oracle against the unpruned grid and the full-recompute refinement ---
+
+def _reference_chsh_value(psi, angles):
+    """The CHSH value with both A-side contractions and both B sides recomputed."""
+    d_a, k_a = bell._contract(psi, angles[0], angles[1])
+    d_ap, k_ap = bell._contract(psi, angles[2], angles[3])
+    c_b, s_b = math.cos(angles[4]), math.sin(angles[4])
+    c_bp, s_bp = math.cos(angles[6]), math.sin(angles[6])
+    w_b = complex(s_b * math.cos(angles[5]), s_b * math.sin(angles[5]))
+    w_bp = complex(s_bp * math.cos(angles[7]), s_bp * math.sin(angles[7]))
+    return (d_a * (c_b + c_bp) + 2.0 * (k_a * (w_b + w_bp)).real
+            + d_ap * (c_b - c_bp) + 2.0 * (k_ap * (w_b - w_bp)).real)
+
+
+def _reference_oracle(psi, best, angles, refine_iters=40):
+    """oracle_bell_max's refinement from grid stage (best, angles), every probe in full."""
+    psi, angles = psi.tolist(), angles.tolist()
+    current = _reference_chsh_value(psi, angles)
+    if current < best:
+        current = best
+    probe = 0.5
+    sin_p, cos_p = math.sin(probe), math.cos(probe)
+    for _ in range(refine_iters):
+        sweep_start = angles
+        for k in range(8):
+            up = angles.copy()
+            up[k] += probe
+            down = angles.copy()
+            down[k] -= probe
+            f_up, f_down = _reference_chsh_value(psi, up), _reference_chsh_value(psi, down)
+            coef_b = (f_up - f_down) / (2.0 * sin_p)
+            coef_a = (0.5 * (f_up + f_down) - current) / (cos_p - 1.0)
+            if coef_a == 0.0 and coef_b == 0.0:
+                continue
+            trial = angles.copy()
+            trial[k] += math.atan2(coef_b, coef_a)
+            value = _reference_chsh_value(psi, trial)
+            if value > current:
+                current, angles = value, trial
+        displacement = [a - s for a, s in zip(angles, sweep_start)]
+        if not any(displacement):
+            break
+        scale = 1.0
+        for _ in range(50):
+            trial = [a + scale * d for a, d in zip(angles, displacement)]
+            value = _reference_chsh_value(psi, trial)
+            if value > current:
+                current, angles = value, trial
+                scale *= 2.0
+            else:
+                break
+    return current
+
+
+def test_boundary_family_spans_several_chunks():
+    # so that the families' bit-identity covers the chunked candidate loop
+    grid = _grid_constants(24)
+    spans = []
+    for s in _family_states():
+        psi = coefficient_matrix(embed(s))
+        corr_t = _grid_correlations(psi, 24)[2]
+        bounds = _pair_bounds(corr_t, grid.bloch, grid.pinv @ corr_t @ grid.pinv.T)
+        spans.append((bounds >= _grid_stage(psi, 24)[0]).sum())
+    assert max(spans) > 4 * bell.PAIR_CHUNK
+
+
+def test_grid_constants_are_cached_and_read_only():
+    grid = _grid_constants(24)
+    assert _grid_constants(24) is grid
+    for array in (grid.chis, grid.phis, grid.obs, grid.bloch, grid.pinv):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 # --- scalar CHSH value against the matrix form ------------------------------

@@ -255,14 +255,21 @@ def test_unwritable_output_path_is_an_error_object(argv, target, tmp_path, capsy
     ["sweep", "--sweep", "mu_sq=0:1:3", "--seed", "3"],
     ["sweep", "--sweep", "mu_sq=0:1:3", "--grid-n", "10"],
     ["sweep", "--sweep", "mu_sq=0:1:3", "--refine-iters", "10"],
+    ["analyze", *SINGLET_FLAGS, "--grid-n", "abc", "--json", "OUT"],
 ])
 def test_flags_a_subcommand_ignores_are_usage_errors(argv, tmp_path, capsys):
     target = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        main([str(target) if a == "OUT" else a for a in argv])
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    code, out = run_cli([str(target) if a == "OUT" else a for a in argv], capsys)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "Usage"
     assert not target.exists()
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: nonortho analyze")
 
 
 def test_closed_stdout_ends_without_a_traceback():

@@ -58,3 +58,29 @@ def test_deviation_against_high_precision_near_maximal_violation(t):
             assert 0 < d_ref < 1e-4
             assert abs(rep.d - d_ref) <= 1e-6 * d_ref, (t, delta, rep.d, d_ref)
             assert abs(rep.bell_analytic - bell_ref) <= 1e-15 * bell_ref, (t, delta)
+
+
+def _entropy_states():
+    for e in range(6, 19):                      # near-product: E ~ q down to 5e-17
+        yield state_from_magnitudes(10.0 ** -e, 0.3, 0.2, 2.0)
+    for t in (0.1, 0.3, 0.5, 0.7):              # |x| = |y|, eta = pi: E -> 1
+        q0 = 1.0 / (2.0 * (1.0 - t * t))
+        for delta in (0.0, 1e-7, 1e-3, -0.03):
+            yield state_from_magnitudes(q0 * (1.0 + delta), t, t, math.pi)
+
+
+def test_entropy_against_high_precision():
+    """E = h(lambda_minus) against 50 digits on the same double state.
+
+    The reference takes C = 2|mu nu| N_A N_B and lambda_minus =
+    (1 - sqrt(1 - C^2))/2 in 50 digits, so it measures the arithmetic of E.
+    """
+    mp = pytest.importorskip("mpmath")
+    for s in _entropy_states():
+        got = analyze_state(s, with_feasibility=False).entropy_bits
+        with mp.workdps(50):
+            mu, nu, x, y = (mp.mpc(v.real, v.imag) for v in (s.mu, s.nu, s.x, s.y))
+            conc = 2 * abs(mu * nu) * mp.sqrt(1 - abs(x) ** 2) * mp.sqrt(1 - abs(y) ** 2)
+            lam = (1 - mp.sqrt(max(0, 1 - conc * conc))) / 2   # the report clamps C <= 1
+            ref = -lam * mp.log(lam, 2) - (1 - lam) * mp.log(1 - lam, 2)
+            assert abs(got - ref) <= max(1e-14 * ref, 1e-300), (s, got, ref)

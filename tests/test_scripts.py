@@ -10,12 +10,16 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def script_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
+    return env
+
+
+def run_script(name, *args):
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=script_env(), capture_output=True, text=True, timeout=300)
 
 
 @pytest.mark.parametrize("name, args", [("kaon_audit.py", []), ("oracle_check.py", ["2"])])
@@ -28,3 +32,12 @@ def test_overlap_sweep_writes_csv(tmp_path):
     result = run_script("overlap_sweep.py", str(tmp_path))
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "on_sweep.csv").exists() and (tmp_path / "oo_sweep.csv").exists()
+
+
+def test_oracle_check_with_closed_stdout_ends_without_a_traceback():
+    proc = subprocess.Popen([sys.executable, str(ROOT / "scripts" / "oracle_check.py"), "2"],
+                            env=script_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()     # before the script has written anything
+    err = proc.stderr.read()
+    assert proc.wait(timeout=300) == 141
+    assert err == b""

@@ -319,8 +319,8 @@ class _Grid(NamedTuple):
     obs: np.ndarray             # their observables, (R, 2, 2)
     bloch: np.ndarray           # their Bloch vectors as rows, (R, 3)
     pinv: np.ndarray            # least-squares fit of T: T^T ~ pinv corr_t pinv^T
-    contract_path: list         # einsum paths of the two correlation contractions
-    corr_path: list
+    contract_path: tuple        # einsum paths of the two correlation contractions
+    corr_path: tuple
 
 
 @functools.cache
@@ -335,8 +335,8 @@ def _grid_constants(grid_n: int) -> _Grid:
     bloch = _bloch_vectors(chis, phis)
     pinv = np.linalg.solve(bloch.T @ bloch, bloch.T)
     psi = np.zeros((2, 2), dtype=complex)
-    contract_path = np.einsum_path('ki,nkl,lj->nij', psi, obs, psi, optimize=True)[0]
-    corr_path = np.einsum_path('nab,mab->mn', obs, obs, optimize=True)[0]
+    contract_path = tuple(np.einsum_path('ki,nkl,lj->nij', psi, obs, psi, optimize=True)[0])
+    corr_path = tuple(np.einsum_path('nab,mab->mn', obs, obs, optimize=True)[0])
     for array in (chis, phis, obs, bloch, pinv):
         array.flags.writeable = False
     return _Grid(chis, phis, obs, bloch, pinv, contract_path, corr_path)

@@ -174,7 +174,7 @@ def test_orbit_representatives_count():
         assert len(_orbit_representatives(grid_n)[0]) == count
 
 
-# --- pruned grid scan against the unpruned reference -----------------------
+# --- pruned grid and one-side refinement against the unpruned references ----
 
 def _grid_correlations(psi, grid_n):
     """Orbit settings and corr_t[s, r] = <Theta_r Theta_s>, as the grid stage has them."""
@@ -217,6 +217,58 @@ def _reference_grid_stage(psi, grid_n):
         else:
             angles += [math.pi - chis[ia], phis[ia] + math.pi]
     return best, np.array(angles + [chis[ib], phis[ib], chis[ibp], phis[ibp]])
+
+
+def _reference_chsh_value(psi, angles):
+    """The CHSH value with both A-side contractions and both B sides recomputed."""
+    d_a, k_a = bell._contract(psi, angles[0], angles[1])
+    d_ap, k_ap = bell._contract(psi, angles[2], angles[3])
+    c_b, s_b = math.cos(angles[4]), math.sin(angles[4])
+    c_bp, s_bp = math.cos(angles[6]), math.sin(angles[6])
+    w_b = complex(s_b * math.cos(angles[5]), s_b * math.sin(angles[5]))
+    w_bp = complex(s_bp * math.cos(angles[7]), s_bp * math.sin(angles[7]))
+    return (d_a * (c_b + c_bp) + 2.0 * (k_a * (w_b + w_bp)).real
+            + d_ap * (c_b - c_bp) + 2.0 * (k_ap * (w_b - w_bp)).real)
+
+
+def _reference_oracle(psi, best, angles, refine_iters=40):
+    """oracle_bell_max's refinement from grid stage (best, angles), every probe in full."""
+    psi, angles = psi.tolist(), angles.tolist()
+    current = _reference_chsh_value(psi, angles)
+    if current < best:
+        current = best
+    probe = 0.5
+    sin_p, cos_p = math.sin(probe), math.cos(probe)
+    for _ in range(refine_iters):
+        sweep_start = angles
+        for k in range(8):
+            up = angles.copy()
+            up[k] += probe
+            down = angles.copy()
+            down[k] -= probe
+            f_up, f_down = _reference_chsh_value(psi, up), _reference_chsh_value(psi, down)
+            coef_b = (f_up - f_down) / (2.0 * sin_p)
+            coef_a = (0.5 * (f_up + f_down) - current) / (cos_p - 1.0)
+            if coef_a == 0.0 and coef_b == 0.0:
+                continue
+            trial = angles.copy()
+            trial[k] += math.atan2(coef_b, coef_a)
+            value = _reference_chsh_value(psi, trial)
+            if value > current:
+                current, angles = value, trial
+        displacement = [a - s for a, s in zip(angles, sweep_start)]
+        if not any(displacement):
+            break
+        scale = 1.0
+        for _ in range(50):
+            trial = [a + scale * d for a, d in zip(angles, displacement)]
+            value = _reference_chsh_value(psi, trial)
+            if value > current:
+                current, angles = value, trial
+                scale *= 2.0
+            else:
+                break
+    return current
 
 
 def _assert_grid_exact(psi):
@@ -335,60 +387,6 @@ def test_pair_bounds_are_tight_on_pure_states():
     assert (bounds >= best).sum() / (n * (n + 1) / 2) < 0.2
 
 
-# --- the oracle against the unpruned grid and the full-recompute refinement ---
-
-def _reference_chsh_value(psi, angles):
-    """The CHSH value with both A-side contractions and both B sides recomputed."""
-    d_a, k_a = bell._contract(psi, angles[0], angles[1])
-    d_ap, k_ap = bell._contract(psi, angles[2], angles[3])
-    c_b, s_b = math.cos(angles[4]), math.sin(angles[4])
-    c_bp, s_bp = math.cos(angles[6]), math.sin(angles[6])
-    w_b = complex(s_b * math.cos(angles[5]), s_b * math.sin(angles[5]))
-    w_bp = complex(s_bp * math.cos(angles[7]), s_bp * math.sin(angles[7]))
-    return (d_a * (c_b + c_bp) + 2.0 * (k_a * (w_b + w_bp)).real
-            + d_ap * (c_b - c_bp) + 2.0 * (k_ap * (w_b - w_bp)).real)
-
-
-def _reference_oracle(psi, best, angles, refine_iters=40):
-    """oracle_bell_max's refinement from grid stage (best, angles), every probe in full."""
-    psi, angles = psi.tolist(), angles.tolist()
-    current = _reference_chsh_value(psi, angles)
-    if current < best:
-        current = best
-    probe = 0.5
-    sin_p, cos_p = math.sin(probe), math.cos(probe)
-    for _ in range(refine_iters):
-        sweep_start = angles
-        for k in range(8):
-            up = angles.copy()
-            up[k] += probe
-            down = angles.copy()
-            down[k] -= probe
-            f_up, f_down = _reference_chsh_value(psi, up), _reference_chsh_value(psi, down)
-            coef_b = (f_up - f_down) / (2.0 * sin_p)
-            coef_a = (0.5 * (f_up + f_down) - current) / (cos_p - 1.0)
-            if coef_a == 0.0 and coef_b == 0.0:
-                continue
-            trial = angles.copy()
-            trial[k] += math.atan2(coef_b, coef_a)
-            value = _reference_chsh_value(psi, trial)
-            if value > current:
-                current, angles = value, trial
-        displacement = [a - s for a, s in zip(angles, sweep_start)]
-        if not any(displacement):
-            break
-        scale = 1.0
-        for _ in range(50):
-            trial = [a + scale * d for a, d in zip(angles, displacement)]
-            value = _reference_chsh_value(psi, trial)
-            if value > current:
-                current, angles = value, trial
-                scale *= 2.0
-            else:
-                break
-    return current
-
-
 def test_boundary_family_spans_several_chunks():
     # so that the families' bit-identity covers the chunked candidate loop
     grid = _grid_constants(24)
@@ -407,6 +405,7 @@ def test_grid_constants_are_cached_and_read_only():
     for array in (grid.chis, grid.phis, grid.obs, grid.bloch, grid.pinv):
         with pytest.raises(ValueError):
             array[0] = 0.0
+    assert isinstance(grid.contract_path, tuple) and isinstance(grid.corr_path, tuple)
 
 
 # --- scalar CHSH value against the matrix form ------------------------------

@@ -3,12 +3,23 @@
 
 Usage: python scripts/oracle_check.py [count] [seed]
 
-Exits 0, or 141 when the reader closes stdout early (``| head``).
+``count`` (default 25) must be a positive integer and ``seed`` a
+nonnegative one.  Besides the time per state, the script prints the minor
+page faults per oracle call (the first call, and the median and mean of
+the later ones) where the ``resource`` module exists.
+
+Exits 0; 2 with one usage line on stderr for a bad count or seed; or 141
+when the reader closes stdout early (``| head``).
 """
 
 import statistics
 import sys
 import time
+
+try:
+    import resource
+except ImportError:     # not on every platform
+    resource = None
 
 from nonortho.bell import analytic_bell, oracle_bell_max
 from nonortho.cli import closed_stdout_status
@@ -17,20 +28,47 @@ from nonortho.sampling import DEFAULT_SEED, random_states
 from nonortho.schmidt import schmidt_decompose
 from nonortho.state import embed
 
+USAGE = "usage: oracle_check.py [count] [seed]  (count >= 1, seed >= 0, integers)"
+
+
+def parse_args(argv: list[str]) -> tuple[int, int] | None:
+    """(count, seed) from the command line, or None if it is not valid."""
+    if len(argv) > 2:
+        return None
+    try:
+        count = int(argv[0]) if len(argv) > 0 else 25
+        seed = int(argv[1]) if len(argv) > 1 else DEFAULT_SEED
+    except ValueError:
+        return None
+    if count < 1 or seed < 0:
+        return None
+    return count, seed
+
+
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
 
 def main(argv: list[str]) -> int:
-    count = int(argv[0]) if len(argv) > 0 else 25
-    seed = int(argv[1]) if len(argv) > 1 else DEFAULT_SEED
+    parsed = parse_args(argv)
+    if parsed is None:
+        print(USAGE, file=sys.stderr)
+        return 2
+    count, seed = parsed
     worst_match = 0.0
     worst_shortfall = 0.0
     seconds = []
+    faults = []
     for i, state in enumerate(random_states(count, seed)):
         analytic = analytic_bell(schmidt_decompose(state))
         canonical = canonical_bell_value(state)
         vector = embed(state)
+        before = minor_faults() if resource else 0
         start = time.perf_counter()
         oracle = oracle_bell_max(vector)
         seconds.append(time.perf_counter() - start)
+        if resource:
+            faults.append(minor_faults() - before)
         worst_match = max(worst_match, abs(oracle - analytic))
         worst_shortfall = max(worst_shortfall, canonical - oracle)
         if i < 5:
@@ -38,6 +76,11 @@ def main(argv: list[str]) -> int:
                   f"diff={oracle - analytic:+.2e}")
     print(f"\n{count} states, oracle time per state: "
           f"median {1e3 * statistics.median(seconds):.1f} ms, worst {1e3 * max(seconds):.1f} ms")
+    if faults:
+        later = faults[1:]
+        rest = (f", later calls median {statistics.median(later):g}, "
+                f"mean {statistics.fmean(later):.2f}" if later else "")
+        print(f"minor page faults per oracle call: first call {faults[0]}{rest}")
     print(f"worst |oracle - analytic| = {worst_match:.3e}")
     print(f"worst shortfall vs canonical settings = {worst_shortfall:.3e}")
     sys.stdout.flush()      # a closed pipe raises here, not in the interpreter's exit

@@ -27,7 +27,9 @@ below the best total found; each total uses the unpruned arithmetic, and of
 the pairs reaching the maximum the smallest (B, B') index pair wins, so the
 result is that of the unpruned scan bit for bit.  The grid's orbits,
 observables, Bloch vectors, fit matrix and einsum paths are built once per
-grid size.  Refinement evaluates the CHSH value in scalar complex
+grid size, and every R x R array of the grid stage (R orbits) lives in a
+workspace that each thread allocates once per grid size, so a call
+allocates no R x R array.  Refinement evaluates the CHSH value in scalar complex
 arithmetic, keeps each setting's share of it between moves so that moving
 one angle recomputes one share, and stops at its first fixed point.
 """
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -225,8 +228,77 @@ def _bloch_vectors(chis: np.ndarray, phis: np.ndarray) -> np.ndarray:
                     axis=1)
 
 
-def _pair_bounds(corr_t: np.ndarray, bloch: np.ndarray,
-                 tensor: np.ndarray) -> np.ndarray:
+PAIR_CHUNK = 128    # B pairs per batched evaluation; bounds the scan's temporaries
+
+
+class _Workspace(NamedTuple):
+    """One thread's grid-stage buffers for R orbits: views of one flat float64 array.
+
+    The array is [scratch | corr_t | gram], where scratch holds
+    max(2 R^2, 3 PAIR_CHUNK R) floats and serves three steps in turn, whose
+    views never live at the same time:
+
+    - ``product``, the complex R x R correlations, until ``corr_t`` has
+      their real part;
+    - ``work`` and ``minus``, R x R each, while ``_pair_bounds`` runs;
+    - ``rows``, ``tails`` and ``both``, PAIR_CHUNK x R each, while
+      ``_best_pair`` runs.
+
+    ``corr_t`` lives for the whole grid stage, and ``gram`` carries the
+    Gram matrix and then the bounds into ``_best_pair``.
+    """
+
+    scratch: np.ndarray
+    product: np.ndarray
+    work: np.ndarray
+    minus: np.ndarray
+    rows: np.ndarray
+    tails: np.ndarray
+    both: np.ndarray
+    corr_t: np.ndarray
+    gram: np.ndarray
+
+
+def _new_workspace(n: int, chunk: int) -> _Workspace:
+    """Buffers for ``n`` orbits and chunks of ``chunk`` pairs."""
+    square = n * n
+    size = max(2 * square, 3 * chunk * n)
+    flat = np.empty(size + 2 * square)
+    scratch = flat[:size]
+    rows, tails, both = scratch[:3 * chunk * n].reshape(3, chunk, n)
+    return _Workspace(
+        scratch=scratch,
+        product=scratch[:2 * square].view(complex).reshape(n, n),
+        work=scratch[:square].reshape(n, n),
+        minus=scratch[square:2 * square].reshape(n, n),
+        rows=rows, tails=tails, both=both,
+        corr_t=flat[size:size + square].reshape(n, n),
+        gram=flat[size + square:].reshape(n, n))
+
+
+_WORKSPACES = threading.local()
+
+
+def _workspace(n: int) -> _Workspace:
+    """This thread's workspace for ``n`` orbits at the current PAIR_CHUNK.
+
+    It is built on a thread's first grid stage of that size and reused by
+    every later one, so the grid stage allocates no R x R array per call.
+    Keying by PAIR_CHUNK as well keeps a workspace sized for one chunk
+    length from serving another.
+    """
+    spaces = getattr(_WORKSPACES, "spaces", None)
+    if spaces is None:
+        spaces = _WORKSPACES.spaces = {}
+    key = (n, PAIR_CHUNK)
+    space = spaces.get(key)
+    if space is None:
+        space = spaces[key] = _new_workspace(n, PAIR_CHUNK)
+    return space
+
+
+def _pair_bounds(corr_t: np.ndarray, bloch: np.ndarray, tensor: np.ndarray,
+                 below: np.ndarray, space: _Workspace) -> np.ndarray:
     """Upper bounds U[i, j] on the grid total of every B pair i <= j.
 
     ``bloch`` holds the settings' Bloch vectors as rows, and ``tensor`` is
@@ -240,18 +312,25 @@ def _pair_bounds(corr_t: np.ndarray, bloch: np.ndarray,
     |T(n_i +- n_j)|^2 = G_ii + G_jj +- 2 G_ij, whose absolute rounding error
     (a few ulp of G_ii + G_jj) the square root would magnify near zero, so
     1e-13 (G_ii + G_jj) is added under each root; 1e-12 covers the rest.
-    Entries below the diagonal are -inf.
+    Entries where the boolean mask ``below`` is set (those below the
+    diagonal) are -inf.
+
+    Every R x R step writes into ``space``: the residual, then the outer
+    sum and the slack, in ``space.work``, the minus half in ``space.minus``,
+    and G, then the plus half and the bounds, in ``space.gram``, which is
+    returned.  ``corr_t`` must not lie in ``space.scratch``; the bounds stay
+    valid until ``space`` is next used.
     """
-    # the R x R arrays are reused in place, as they set the oracle's peak memory
-    work = bloch @ tensor @ bloch.T
+    work, minus, gram = space.work, space.minus, space.gram
+    image = bloch @ tensor                  # row i is T n_i
+    np.matmul(image, bloch.T, out=work)
     work -= corr_t
     eps = float(np.abs(work, out=work).max())
-    image = bloch @ tensor                  # row i is T n_i
-    gram = image @ image.T
+    np.matmul(image, image.T, out=gram)
     sq = np.diag(gram).copy()
     outer = np.add.outer(sq, sq, out=work)
     gram *= 2.0
-    minus = outer - gram
+    np.subtract(outer, gram, out=minus)
     plus = np.add(outer, gram, out=gram)
     slack = np.multiply(outer, 1e-13, out=outer)
     for half in (plus, minus):
@@ -260,14 +339,12 @@ def _pair_bounds(corr_t: np.ndarray, bloch: np.ndarray,
         np.sqrt(half, out=half)
     plus += minus
     plus += 4.0 * eps + 1e-12
-    plus[np.tri(len(plus), k=-1, dtype=bool)] = -np.inf
+    np.copyto(plus, -np.inf, where=below)
     return plus
 
 
-PAIR_CHUNK = 128    # B pairs per batched evaluation; bounds the scan's temporaries
-
-
-def _best_pair(corr_t: np.ndarray, bounds: np.ndarray) -> tuple[float, tuple[int, int]]:
+def _best_pair(corr_t: np.ndarray, bounds: np.ndarray,
+               space: _Workspace) -> tuple[float, tuple[int, int]]:
     """Largest grid total over B pairs i <= j, and the first pair reaching it.
 
     The total of (i, j) is max_r |corr_t[i, r] + corr_t[j, r]| +
@@ -280,6 +357,10 @@ def _best_pair(corr_t: np.ndarray, bounds: np.ndarray) -> tuple[float, tuple[int
     with the unpruned scan's arithmetic, and of those reaching it the
     smallest (i, j) wins, so the result is bit-identical to the row scan
     over every pair: the maximum, at the first pair in (i, j) order.
+
+    A chunk's rows i, rows j and their sum or difference go to
+    ``space.rows``, ``space.tails`` and ``space.both``, which lie in
+    ``space.scratch``; ``corr_t`` and ``bounds`` must lie outside it.
     """
     n = len(corr_t)
     flat = bounds.ravel()
@@ -288,9 +369,6 @@ def _best_pair(corr_t: np.ndarray, bounds: np.ndarray) -> tuple[float, tuple[int
     floor = float(np.abs(other + row).max() + np.abs(row - other).max())
     cands = np.flatnonzero(flat >= floor)
     cands = cands[np.argsort(-flat[cands], kind="stable")]
-    rows = np.empty((min(PAIR_CHUNK, len(cands)), n))
-    tails = np.empty_like(rows)
-    work = np.empty_like(rows)
     best = -np.inf
     arg = 0
     for start in range(0, len(cands), PAIR_CHUNK):
@@ -298,9 +376,10 @@ def _best_pair(corr_t: np.ndarray, bounds: np.ndarray) -> tuple[float, tuple[int
         if flat[chunk[0]] < best:
             break
         m = len(chunk)
-        row, tail, both = rows[:m], tails[:m], work[:m]
-        np.take(corr_t, chunk // n, axis=0, out=row)
-        np.take(corr_t, chunk % n, axis=0, out=tail)
+        row, tail, both = space.rows[:m], space.tails[:m], space.both[:m]
+        # the indices are in range; "clip" skips the copy of ``out`` that "raise" makes
+        np.take(corr_t, chunk // n, axis=0, out=row, mode="clip")
+        np.take(corr_t, chunk % n, axis=0, out=tail, mode="clip")
         totals = np.abs(np.add(tail, row, out=both), out=both).max(axis=1)
         totals += np.abs(np.subtract(row, tail, out=both), out=both).max(axis=1)
         top = float(totals.max())
@@ -319,6 +398,7 @@ class _Grid(NamedTuple):
     obs: np.ndarray             # their observables, (R, 2, 2)
     bloch: np.ndarray           # their Bloch vectors as rows, (R, 3)
     pinv: np.ndarray            # least-squares fit of T: T^T ~ pinv corr_t pinv^T
+    below: np.ndarray           # (R, R) mask of the entries below the diagonal
     contract_path: tuple        # einsum paths of the two correlation contractions
     corr_path: tuple
 
@@ -335,11 +415,12 @@ def _grid_constants(grid_n: int) -> _Grid:
     bloch = _bloch_vectors(chis, phis)
     pinv = np.linalg.solve(bloch.T @ bloch, bloch.T)
     psi = np.zeros((2, 2), dtype=complex)
+    below = np.tri(len(chis), k=-1, dtype=bool)
     contract_path = tuple(np.einsum_path('ki,nkl,lj->nij', psi, obs, psi, optimize=True)[0])
     corr_path = tuple(np.einsum_path('nab,mab->mn', obs, obs, optimize=True)[0])
-    for array in (chis, phis, obs, bloch, pinv):
+    for array in (chis, phis, obs, bloch, pinv, below):
         array.flags.writeable = False
-    return _Grid(chis, phis, obs, bloch, pinv, contract_path, corr_path)
+    return _Grid(chis, phis, obs, bloch, pinv, below, contract_path, corr_path)
 
 
 def _grid_stage(psi: np.ndarray, grid_n: int) -> tuple[float, np.ndarray]:
@@ -359,15 +440,21 @@ def _grid_stage(psi: np.ndarray, grid_n: int) -> tuple[float, np.ndarray]:
     reaching the maximum the first in (i, j) order wins (``_best_pair``), as
     in the unpruned scan.  An A setting picked with a negative sign maps back
     to the antipode angles.
+
+    Every R x R array of the stage lives in this thread's ``_workspace``,
+    in the order ``_Workspace`` lays out; the returned angles are a new
+    array.
     """
     grid = _grid_constants(grid_n)
     chis, phis, obs, pinv = grid.chis, grid.phis, grid.obs, grid.pinv
+    space = _workspace(len(chis))
     contracted = np.einsum('ki,nkl,lj->nij', psi.conj(), obs, psi,
                            optimize=grid.contract_path)
-    corr_t = np.ascontiguousarray(
-        np.einsum('nab,mab->mn', contracted, obs, optimize=grid.corr_path).real)
-    best, (ib, ibp) = _best_pair(
-        corr_t, _pair_bounds(corr_t, grid.bloch, pinv @ corr_t @ pinv.T))
+    np.einsum('nab,mab->mn', contracted, obs, optimize=grid.corr_path, out=space.product)
+    corr_t = space.corr_t
+    np.copyto(corr_t, space.product.real)
+    bounds = _pair_bounds(corr_t, grid.bloch, pinv @ corr_t @ pinv.T, grid.below, space)
+    best, (ib, ibp) = _best_pair(corr_t, bounds, space)
     angles = []
     for combo in (corr_t[ib] + corr_t[ibp], corr_t[ib] - corr_t[ibp]):
         ia = int(np.argmax(np.abs(combo)))

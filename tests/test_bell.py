@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +11,10 @@ from hypothesis import strategies as st
 from nonortho import bell
 from nonortho.bell import (MeasurementSetting, _best_pair, _bloch_vectors,
                            _chsh_value, _grid_constants, _grid_stage,
-                           _orbit_representatives, _pair_bounds, _theta_entries,
-                           analytic_bell, bell_expectation, canonical_settings,
-                           oracle_bell_max, spin_observable)
+                           _new_workspace, _orbit_representatives, _pair_bounds,
+                           _theta_entries, _workspace, analytic_bell,
+                           bell_expectation, canonical_settings, oracle_bell_max,
+                           spin_observable)
 from nonortho.errors import DomainError
 from nonortho.sampling import random_states
 from nonortho.schmidt import coefficient_matrix, schmidt_decompose
@@ -336,7 +340,7 @@ def test_best_pair_is_exact_for_any_valid_bounds(chunk, monkeypatch):
             raised[expected[1]] -= 1.0  # ... except the first
             flat = np.where(np.isfinite(tight), expected[0] + 1.0, -np.inf)
             for bounds in (tight, raised, flat):
-                assert _best_pair(corr_t, bounds) == expected
+                assert _best_pair(corr_t, bounds, _workspace(len(corr_t))) == expected
 
 
 def test_pair_bounds_dominate_every_total():
@@ -344,10 +348,12 @@ def test_pair_bounds_dominate_every_total():
     # square root of the Gram form magnifies its rounding up to that size
     near_product = [make_state(0.6 + 0.3j, nu * (0.5 - 0.8j), x, y, auto_normalize=True)
                     for nu in (1e-16, 1e-12, 1e-10, 1e-8) for x, y in ((0.4, 0.3j), (0, 0))]
+    below = _grid_constants(24).below
     for s in [*random_states(20, 11), *near_product]:
         chis, phis, corr_t = _grid_correlations(coefficient_matrix(embed(s)), 24)
         bloch = _bloch_vectors(chis, phis)
-        bounds = _pair_bounds(corr_t, bloch, _fitted_tensor(corr_t, bloch))
+        bounds = _pair_bounds(corr_t, bloch, _fitted_tensor(corr_t, bloch), below,
+                              _workspace(len(corr_t)))
         for ib in range(len(corr_t)):
             row, tail = corr_t[ib], corr_t[ib:]
             totals = np.abs(tail + row).max(axis=1) + np.abs(row - tail).max(axis=1)
@@ -358,16 +364,19 @@ def test_pair_bounds_dominate_every_total():
 def test_pruning_stays_exact_with_a_wrong_tensor_or_noisy_correlations():
     rng = np.random.default_rng(5)
     states = list(random_states(5, 12)) + [make_state(SQ2, -SQ2, 0, 0)]
+    below = _grid_constants(24).below
     for s in states:
         chis, phis, corr_t = _grid_correlations(coefficient_matrix(embed(s)), 24)
         bloch = _bloch_vectors(chis, phis)
+        space = _workspace(len(corr_t))
         expected = _reference_scan(corr_t)
         tensor = _fitted_tensor(corr_t, bloch)
         for wrong in (0.9 * tensor, np.zeros((3, 3)), tensor + 0.05):
-            assert _best_pair(corr_t, _pair_bounds(corr_t, bloch, wrong)) == expected
+            bounds = _pair_bounds(corr_t, bloch, wrong, below, space)
+            assert _best_pair(corr_t, bounds, space) == expected
         noisy = corr_t + rng.normal(0.0, 1e-3, corr_t.shape)
-        assert (_best_pair(noisy, _pair_bounds(noisy, bloch, _fitted_tensor(noisy, bloch)))
-                == _reference_scan(noisy))
+        bounds = _pair_bounds(noisy, bloch, _fitted_tensor(noisy, bloch), below, space)
+        assert _best_pair(noisy, bounds, space) == _reference_scan(noisy)
 
 
 def test_pair_bounds_are_tight_on_pure_states():
@@ -381,8 +390,9 @@ def test_pair_bounds_are_tight_on_pure_states():
     assert np.abs(bloch - read_off).max() < 1e-15
     tensor = _fitted_tensor(corr_t, bloch)
     assert np.abs(bloch @ tensor @ bloch.T - corr_t).max() < 1e-13
-    bounds = _pair_bounds(corr_t, bloch, tensor)
-    best, _ = _best_pair(corr_t, bounds)
+    space = _workspace(len(corr_t))
+    bounds = _pair_bounds(corr_t, bloch, tensor, _grid_constants(24).below, space)
+    best, _ = _best_pair(corr_t, bounds, space)
     n = len(corr_t)
     assert (bounds >= best).sum() / (n * (n + 1) / 2) < 0.2
 
@@ -390,11 +400,13 @@ def test_pair_bounds_are_tight_on_pure_states():
 def test_boundary_family_spans_several_chunks():
     # so that the families' bit-identity covers the chunked candidate loop
     grid = _grid_constants(24)
+    space = _new_workspace(len(grid.chis), bell.PAIR_CHUNK)   # its bounds outlive a grid stage
     spans = []
     for s in _family_states():
         psi = coefficient_matrix(embed(s))
         corr_t = _grid_correlations(psi, 24)[2]
-        bounds = _pair_bounds(corr_t, grid.bloch, grid.pinv @ corr_t @ grid.pinv.T)
+        bounds = _pair_bounds(corr_t, grid.bloch, grid.pinv @ corr_t @ grid.pinv.T,
+                              grid.below, space)
         spans.append((bounds >= _grid_stage(psi, 24)[0]).sum())
     assert max(spans) > 4 * bell.PAIR_CHUNK
 
@@ -402,10 +414,104 @@ def test_boundary_family_spans_several_chunks():
 def test_grid_constants_are_cached_and_read_only():
     grid = _grid_constants(24)
     assert _grid_constants(24) is grid
-    for array in (grid.chis, grid.phis, grid.obs, grid.bloch, grid.pinv):
+    for array in (grid.chis, grid.phis, grid.obs, grid.bloch, grid.pinv, grid.below):
         with pytest.raises(ValueError):
             array[0] = 0.0
     assert isinstance(grid.contract_path, tuple) and isinstance(grid.corr_path, tuple)
+
+
+# --- the grid stage's per-thread workspace ----------------------------------
+
+def _workspace_states():
+    """A random, a near-maximal boundary and a near-product state."""
+    q = 1.0 / (2.0 * (1.0 - 0.6 ** 2))
+    return [next(iter(random_states(1, 3))), state_from_magnitudes(0.97 * q, 0.6, 0.6, math.pi),
+            state_from_magnitudes(1e-3, 0.4, 0.2, 1.0)]
+
+
+def test_grid_stage_allocates_less_than_one_square_array():
+    # every R x R array lives in the workspace, so after a warm-up call the
+    # traced peak stays below one R x R float64 array
+    n = len(_grid_constants(24).chis)
+    own_trace = not tracemalloc.is_tracing()     # else measure inside the running trace
+    for s in _workspace_states():
+        v = embed(s)
+        oracle_bell_max(v, 24)
+        if own_trace:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            oracle_bell_max(v, 24)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if own_trace:
+                tracemalloc.stop()
+        assert peak < n * n * 8
+
+
+def test_workspace_layout_reuse_and_keys(monkeypatch):
+    n = len(_grid_constants(24).chis)
+    space = _workspace(n)
+    assert _workspace(n) is space
+    flat = space.scratch.base
+    assert all(view.base is flat for view in space)
+    assert flat.size == max(2 * n * n, 3 * bell.PAIR_CHUNK * n) + 2 * n * n
+    # views that live at the same time never overlap
+    assert not np.shares_memory(space.corr_t, space.gram)
+    for name in ("product", "work", "minus", "rows", "tails", "both"):
+        view = getattr(space, name)
+        assert np.shares_memory(view, space.scratch), name
+        assert not np.shares_memory(view, space.corr_t), name
+        assert not np.shares_memory(view, space.gram), name
+    for a, b in [("work", "minus"), ("rows", "tails"), ("rows", "both"), ("tails", "both")]:
+        assert not np.shares_memory(getattr(space, a), getattr(space, b)), (a, b)
+    best, angles = _grid_stage(coefficient_matrix(embed(_workspace_states()[0])), 24)
+    assert not np.shares_memory(angles, flat)
+    # another thread gets its own workspace
+    box = []
+    worker = threading.Thread(target=lambda: box.append(_workspace(n)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and len(box) == 1
+    assert not np.shares_memory(box[0].scratch.base, flat)
+    # a workspace sized for another chunk length is never reused
+    monkeypatch.setattr(bell, "PAIR_CHUNK", 1)
+    single = _workspace(n)
+    assert single is not space and single.rows.shape == (1, n)
+    monkeypatch.undo()
+    assert _workspace(n) is space
+
+
+def test_threads_interleaving_grid_sizes_match_sequential_results():
+    # more threads than cores, each on its own states, with grid sizes
+    # interleaved so that every thread keeps three workspaces in use
+    jobs = [[(embed(s), grid_n) for s in states for grid_n in (8, 24, 9)]
+            for states in (_workspace_states(), random_states(3, 4), random_states(3, 5))]
+    expected = [[oracle_bell_max(v, grid_n) for v, grid_n in thread_jobs]
+                for thread_jobs in jobs]
+    results = [[] for _ in jobs]
+    start = threading.Barrier(len(jobs))
+
+    def run(thread_jobs, out):
+        start.wait(timeout=60)
+        for _ in range(3):
+            out.append([oracle_bell_max(v, grid_n) for v, grid_n in thread_jobs])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run, args=(thread_jobs, out))
+                   for thread_jobs, out in zip(jobs, results)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    for out, want in zip(results, expected):
+        assert out == [want] * 3
 
 
 # --- scalar CHSH value against the matrix form ------------------------------

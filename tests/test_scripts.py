@@ -26,6 +26,17 @@ def run_script(name, *args):
 def test_script_exits_zero(name, args):
     result = run_script(name, *args)
     assert result.returncode == 0, result.stderr
+    if name == "oracle_check.py" and sys.platform.startswith("linux"):
+        assert "minor page faults per oracle call: first call " in result.stdout
+
+
+@pytest.mark.parametrize("count", ["0", "-3", "abc"])
+def test_oracle_check_rejects_a_bad_count(count):
+    result = run_script("oracle_check.py", count)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("usage: oracle_check.py") and result.stderr.count("\n") == 1
+    assert result.stdout == ""
 
 
 def test_overlap_sweep_writes_csv(tmp_path):

@@ -26,7 +26,7 @@ SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
 
 def concurrence_det(state: NonorthogonalState) -> float:
     """C = 2|mu nu| N_A N_B, clamped into [0, 1] against rounding."""
-    return float(report_scalars(state.mu, state.nu, state.x, state.y)[4])
+    return report_scalars(state.mu, state.nu, state.x, state.y)[4]
 
 
 def concurrence_spin_flip(vector: np.ndarray) -> float:
@@ -40,7 +40,7 @@ def entanglement_entropy(concurrence: float) -> float:
     """Entropy in bits from the concurrence: h((1 - sqrt(1 - C^2)) / 2)."""
     if not (0.0 <= concurrence <= 1.0):
         raise ValueError(f"concurrence out of range: {concurrence}")
-    return float(entropy_bits(concurrence))
+    return entropy_bits(concurrence)
 
 
 def entropy_direct(rho: np.ndarray) -> float:

@@ -93,8 +93,8 @@ def analyze_state(state: NonorthogonalState, with_oracle: bool = False,
     verdict, the concurrence scan.
     """
     warnings: list[str] = []
-    lam_plus, lam_minus, bell, d, concurrence, entropy = map(
-        float, report_scalars(state.mu, state.nu, state.x, state.y))
+    lam_plus, lam_minus, bell, d, concurrence, entropy = report_scalars(
+        state.mu, state.nu, state.x, state.y)
     if lam_plus - lam_minus < DEGENERACY_TOL:
         warnings.append("degenerate-schmidt: lambda_plus - lambda_minus < 1e-10, "
                         "local bases are one valid choice among many")

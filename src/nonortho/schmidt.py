@@ -77,8 +77,7 @@ def reduced_density(state: NonorthogonalState, side: str) -> np.ndarray:
 
 def schmidt_eigenvalues(state: NonorthogonalState) -> tuple[float, float]:
     """(lambda_plus, lambda_minus) from the closed form of :func:`closed_forms.report_scalars`."""
-    lam_plus, lam_minus, *_ = report_scalars(state.mu, state.nu, state.x, state.y)
-    return float(lam_plus), float(lam_minus)
+    return report_scalars(state.mu, state.nu, state.x, state.y)[:2]
 
 
 @dataclass(frozen=True)

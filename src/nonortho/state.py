@@ -55,7 +55,8 @@ class NonorthogonalState:
 
 def _norm_sq(mu, nu, x, y):
     """Squared norm of the embedded vector, for numbers or arrays."""
-    return sum(_norm_terms(mu, nu, x, y))
+    a, b, c = _norm_terms(mu, nu, x, y)
+    return a + b + c   # not sum(), which compensates float sums on Python >= 3.12
 
 
 def normalization_residual(mu: complex, nu: complex, x: complex, y: complex) -> float:
@@ -95,8 +96,7 @@ def make_state(mu: complex, nu: complex, x: complex, y: complex,
         mu *= scale
         nu *= scale
     # an amplitude beyond ~1e154 overflows to a non-finite residual, which fails
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = normalization_residual(mu, nu, x, y)
+    residual = normalization_residual(mu, nu, x, y)
     if not residual <= NORM_TOL:
         raise NotNormalized(
             f"norm residual {residual:.3e} exceeds {NORM_TOL:.0e}; "

@@ -219,11 +219,20 @@ def test_kaon_rejects_non_finite_inputs(flag, capsys):
     (["analyze", *state_flags(1 + 0j, 0j, complex(1.5e308, 1.5e308), 0j)], "LinearDependence"),
     (["kaon", "--eps-re=1.5e308", "--eps-im=1.5e308"], "DomainError"),
     (["kaon", "--eps-re=0.1", "--eta=1.5e308"], "DomainError"),
+    (["analyze", *state_flags(complex(1.5e308, 1.5e308), 0j, 0j, 0j)], "NotNormalized"),
 ])
 def test_largest_floats_are_rejected(argv, error, capsys):
     code, out = run_cli(argv, capsys)
     assert code == 2
     assert json.loads(out)["error"]["type"] == error
+
+
+def test_largest_amplitudes_normalize(capsys):
+    """|mu| overflows a float, but --normalize rescales before squaring."""
+    code, out = run_cli(["analyze", *state_flags(complex(1.5e308, 1.5e308), 0j, 0j, 0j),
+                         "--normalize"], capsys)
+    assert code == 0
+    assert json.loads(out)["d"] == 1.0
 
 
 def test_kaon_widths_near_the_largest_float(capsys):

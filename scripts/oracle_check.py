@@ -4,9 +4,12 @@
 Usage: python scripts/oracle_check.py [count] [seed]
 
 ``count`` (default 25) must be a positive integer and ``seed`` a
-nonnegative one.  Besides the time per state, the script prints the minor
-page faults per oracle call (the first call, and the median and mean of
-the later ones) where the ``resource`` module exists.
+nonnegative one.  Besides the time per state, the script prints the median
+times of the oracle's two stages, each timed on its own in a second, warm
+call (the grid stage, ``bell._grid_stage``, and the refinement from its
+result, ``bell._refine``), and the minor page faults per oracle call (the
+first call, and the median and mean of the later ones) where the
+``resource`` module exists.
 
 Exits 0; 2 with one usage line on stderr for a bad count or seed; or 141
 when the reader closes stdout early (``| head``).
@@ -21,11 +24,11 @@ try:
 except ImportError:     # not on every platform
     resource = None
 
-from nonortho.bell import analytic_bell, oracle_bell_max
+from nonortho.bell import _grid_stage, _refine, analytic_bell, oracle_bell_max
 from nonortho.cli import closed_stdout_status
 from nonortho.report import canonical_bell_value
 from nonortho.sampling import DEFAULT_SEED, random_states
-from nonortho.schmidt import schmidt_decompose
+from nonortho.schmidt import coefficient_matrix, schmidt_decompose
 from nonortho.state import embed
 
 USAGE = "usage: oracle_check.py [count] [seed]  (count >= 1, seed >= 0, integers)"
@@ -58,6 +61,7 @@ def main(argv: list[str]) -> int:
     worst_match = 0.0
     worst_shortfall = 0.0
     seconds = []
+    stage_seconds = ([], [])     # grid stage, refinement
     faults = []
     for i, state in enumerate(random_states(count, seed)):
         analytic = analytic_bell(schmidt_decompose(state))
@@ -69,6 +73,13 @@ def main(argv: list[str]) -> int:
         seconds.append(time.perf_counter() - start)
         if resource:
             faults.append(minor_faults() - before)
+        psi = coefficient_matrix(vector)
+        start = time.perf_counter()
+        best, angles = _grid_stage(psi, 24)
+        middle = time.perf_counter()
+        _refine(psi, best, angles, 40)
+        stage_seconds[0].append(middle - start)
+        stage_seconds[1].append(time.perf_counter() - middle)
         worst_match = max(worst_match, abs(oracle - analytic))
         worst_shortfall = max(worst_shortfall, canonical - oracle)
         if i < 5:
@@ -76,6 +87,9 @@ def main(argv: list[str]) -> int:
                   f"diff={oracle - analytic:+.2e}")
     print(f"\n{count} states, oracle time per state: "
           f"median {1e3 * statistics.median(seconds):.1f} ms, worst {1e3 * max(seconds):.1f} ms")
+    grid_ms, refine_ms = (1e3 * statistics.median(s) for s in stage_seconds)
+    print(f"oracle stages per state: grid stage median {grid_ms:.2f} ms, "
+          f"refinement median {refine_ms:.2f} ms")
     if faults:
         later = faults[1:]
         rest = (f", later calls median {statistics.median(later):g}, "

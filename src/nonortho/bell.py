@@ -21,17 +21,25 @@ cos chi), so every grid correlation is the bilinear form n_A^T T n_B of one
 3x3 tensor T, and by Cauchy-Schwarz a (B, B') pair totals at most
 |T(n_B + n_B')| + |T(n_B - n_B')|.  T is fitted to the grid's own
 correlations, and the fit's largest residual eps enters the bound as 4 eps
-of slack, so a poor fit only prunes less.  Pairs are evaluated in batches
-in order of descending bound, until the next batch's largest bound falls
-below the best total found; each total uses the unpruned arithmetic, and of
-the pairs reaching the maximum the smallest (B, B') index pair wins, so the
-result is that of the unpruned scan bit for bit.  The grid's orbits,
-observables, Bloch vectors, fit matrix and einsum paths are built once per
-grid size, and every R x R array of the grid stage (R orbits) lives in a
-workspace that each thread allocates once per grid size, so a call
-allocates no R x R array.  Refinement evaluates the CHSH value in scalar complex
-arithmetic, keeps each setting's share of it between moves so that moving
-one angle recomputes one share, and stops at its first fixed point.
+of slack, so a poor fit only prunes less.  The bounds are formed for the
+R (R + 1)/2 pairs i <= j only (R orbits), packed in row-major order, which
+is (i, j) order.  Pairs are evaluated in batches in order of descending
+bound, until the next batch's largest bound falls below the best total
+found; each total uses the unpruned arithmetic, and of the pairs reaching
+the maximum the smallest (B, B') index pair wins, so the result is that of
+the unpruned scan bit for bit.  The grid's orbits, observables, Bloch
+vectors, fit matrix, pair indices and einsum paths are built once per grid
+size, and every R x R array of the grid stage lives in a workspace that
+each thread allocates once per grid size, so a call allocates no R x R
+array.
+
+Refinement uses the same linearity.  With M_k = psi^dagger sigma_k psi
+formed once per call, each setting's share of the CHSH value is linear in
+its Bloch vector, so with the other three settings fixed the value is
+n . v + const for a real 3-vector v, and each angle's exact maximizer is one
+atan2.  A move is taken only if the raw CHSH combination strictly improves;
+each setting's share is kept between moves, so a move costs one share, and
+refinement stops at its first fixed point.
 """
 
 from __future__ import annotations
@@ -151,36 +159,42 @@ def _theta_entries(chis: np.ndarray, phis: np.ndarray) -> np.ndarray:
     return out
 
 
-def _contract(psi, chi: float, phi: float) -> tuple[float, complex]:
-    """(K00 - K11, K01) of the Hermitian K = psi^dagger Theta(chi, phi) psi."""
+def _pauli_forms(psi) -> tuple[tuple[float, float, float], tuple[complex, complex, complex]]:
+    """(D, K) with D_k = (M_k)00 - (M_k)11 and K_k = (M_k)01, M_k = psi^dagger sigma_k psi.
+
+    k runs over x, y, z.  The entries come from the rows (u0, u1), (v0, v1)
+    of ``psi`` directly: sigma_x swaps the rows, sigma_y swaps them with
+    phases -i and i, and sigma_z negates v.
+    """
     (u0, u1), (v0, v1) = psi
-    c, s = math.cos(chi), math.sin(chi)
-    se = complex(s * math.cos(phi), s * math.sin(phi))
-    sec = se.conjugate()
-    # (a0, a1) and (b0, b1) are the rows of Theta psi
-    a0, a1 = c * u0 + se * v0, c * u1 + se * v1
-    b0, b1 = sec * u0 - c * v0, sec * u1 - c * v1
-    u0c, v0c = u0.conjugate(), v0.conjugate()
-    k00 = u0c * a0 + v0c * b0
-    k11 = u1.conjugate() * a1 + v1.conjugate() * b1
-    return (k00 - k11).real, u0c * a1 + v0c * b1
+    cu0, cu1, cv0, cv1 = u0.conjugate(), u1.conjugate(), v0.conjugate(), v1.conjugate()
+    uv0, uv1 = cu0 * v0, cu1 * v1
+    d = (2.0 * (uv0.real - uv1.real), 2.0 * (uv0.imag - uv1.imag),
+         (cu0 * u0 - cv0 * v0).real - (cu1 * u1 - cv1 * v1).real)
+    k = (cu0 * v1 + cv0 * u1, 1j * (cv0 * u1 - cu0 * v1), cu0 * u1 - cv0 * v1)
+    return d, k
 
 
-def _setting_terms(psi, angles, side: int) -> tuple[float, complex]:
+def _share(forms, side: int, chi: float, phi: float) -> tuple[float, complex]:
     """The part of the CHSH value that setting ``side`` (0..3 for A, A', B, B') sets.
 
-    For A and A' it is (K00 - K11, K01) of ``_contract``; for B and B' it is
-    (Theta00, Theta01), the entries W00 and W01 that ``_combine`` sums.
+    Theta(chi, phi) = n . sigma with n = (sin chi cos phi, -sin chi sin phi,
+    cos chi).  For A and A' the share is (K00 - K11, K01) of
+    K = psi^dagger Theta psi = sum_k n_k M_k, i.e. (n . D, n . K) with
+    ``forms`` = (D, K) of ``_pauli_forms``; for B and B' it is
+    (Theta00, Theta01) = (n_z, n_x - i n_y), the entries W00 and W01 that
+    ``_combine`` sums.
     """
-    chi, phi = angles[2 * side], angles[2 * side + 1]
-    if side < 2:
-        return _contract(psi, chi, phi)
     s = math.sin(chi)
-    return math.cos(chi), complex(s * math.cos(phi), s * math.sin(phi))
+    nx, ny, nz = s * math.cos(phi), -s * math.sin(phi), math.cos(chi)
+    if side >= 2:
+        return nz, complex(nx, -ny)
+    (dx, dy, dz), (kx, ky, kz) = forms
+    return nx * dx + ny * dy + nz * dz, nx * kx + ny * ky + nz * kz
 
 
 def _combine(a, a_prime, b, b_prime) -> float:
-    """The CHSH value from the four settings' ``_setting_terms``."""
+    """The CHSH value from the four settings' ``_share``s."""
     (d_a, k_a), (d_ap, k_ap), (c_b, w_b), (c_bp, w_bp) = a, a_prime, b, b_prime
     return (d_a * (c_b + c_bp) + 2.0 * (k_a * (w_b + w_bp)).real
             + d_ap * (c_b - c_bp) + 2.0 * (k_ap * (w_b - w_bp)).real)
@@ -194,7 +208,53 @@ def _chsh_value(psi, angles) -> float:
     and K, W Hermitian with W11 = -W00 reduce the sum to
     (K00 - K11) W00 + 2 Re(K01 W01); likewise for A' with B - B'.
     """
-    return _combine(*(_setting_terms(psi, angles, side) for side in range(4)))
+    forms = _pauli_forms(psi)
+    return _combine(*(_share(forms, side, angles[2 * side], angles[2 * side + 1])
+                      for side in range(4)))
+
+
+def _linear_form(forms, terms, side: int) -> tuple[float, float, float]:
+    """The real 3-vector v with CHSH value = n . v + (terms free of setting ``side``).
+
+    n is the Bloch vector of setting ``side``, and ``terms`` holds the four
+    settings' shares, of which v uses the other three with ``_combine``'s
+    coefficients: for A, v_k = D_k (c_B + c_B') + 2 Re(K_k (w_B + w_B')),
+    and for B, v = (2 Re S, 2 Im S, d_A + d_A') with S = k_A + k_A'; A' and
+    B' take the differences.
+    """
+    (d_a, k_a), (d_ap, k_ap), (c_b, w_b), (c_bp, w_bp) = terms
+    if side >= 2:
+        if side == 2:
+            s, z = k_a + k_ap, d_a + d_ap
+        else:
+            s, z = k_a - k_ap, d_a - d_ap
+        return 2.0 * s.real, 2.0 * s.imag, z
+    if side == 0:
+        c, w = c_b + c_bp, w_b + w_bp
+    else:
+        c, w = c_b - c_bp, w_b - w_bp
+    (dx, dy, dz), (kx, ky, kz) = forms
+    return (dx * c + 2.0 * (kx * w).real, dy * c + 2.0 * (ky * w).real,
+            dz * c + 2.0 * (kz * w).real)
+
+
+def _coordinate_offset(v, k: int, chi: float, phi: float) -> float:
+    """The move of angle ``k`` (even: chi, odd: phi) to its exact maximizer of n . v.
+
+    n . v = sin chi (cos phi v_x - sin phi v_y) + cos chi v_z is a sinusoid
+    in each angle, maximal at chi* = atan2(cos phi v_x - sin phi v_y, v_z)
+    and, for sin chi > 0, at phi* = atan2(-v_y, v_x) (both arguments negated
+    for sin chi < 0).  At a pole, sin chi = 0, phi moves nothing and the
+    offset is 0.  The offset from the current angle is wrapped to (-pi, pi].
+    """
+    vx, vy, vz = v
+    if k % 2 == 0:
+        return wrap_angle(math.atan2(math.cos(phi) * vx - math.sin(phi) * vy, vz) - chi)
+    s = math.sin(chi)
+    if s == 0.0:
+        return 0.0
+    target = math.atan2(-vy, vx) if s > 0.0 else math.atan2(vy, -vx)
+    return wrap_angle(target - phi)
 
 
 def _orbit_representatives(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -234,46 +294,45 @@ PAIR_CHUNK = 128    # B pairs per batched evaluation; bounds the scan's temporar
 class _Workspace(NamedTuple):
     """One thread's grid-stage buffers for R orbits: views of one flat float64 array.
 
-    The array is [scratch | corr_t | gram], where scratch holds
+    The array is [scratch | corr_t | halves], where scratch holds
     max(2 R^2, 3 PAIR_CHUNK R) floats and serves three steps in turn, whose
     views never live at the same time:
 
     - ``product``, the complex R x R correlations, until ``corr_t`` has
       their real part;
-    - ``work`` and ``minus``, R x R each, while ``_pair_bounds`` runs;
+    - ``work``, R x R, while ``_pair_bounds`` runs;
     - ``rows``, ``tails`` and ``both``, PAIR_CHUNK x R each, while
       ``_best_pair`` runs.
 
-    ``corr_t`` lives for the whole grid stage, and ``gram`` carries the
-    Gram matrix and then the bounds into ``_best_pair``.
+    ``corr_t`` lives for the whole grid stage.  ``halves`` is 2 x P for the
+    P = R (R + 1)/2 pairs i <= j: ``_pair_bounds`` fills it, and its first
+    row carries the bounds into ``_best_pair``.
     """
 
     scratch: np.ndarray
     product: np.ndarray
     work: np.ndarray
-    minus: np.ndarray
     rows: np.ndarray
     tails: np.ndarray
     both: np.ndarray
     corr_t: np.ndarray
-    gram: np.ndarray
+    halves: np.ndarray
 
 
 def _new_workspace(n: int, chunk: int) -> _Workspace:
     """Buffers for ``n`` orbits and chunks of ``chunk`` pairs."""
     square = n * n
     size = max(2 * square, 3 * chunk * n)
-    flat = np.empty(size + 2 * square)
+    flat = np.empty(size + square + n * (n + 1))
     scratch = flat[:size]
     rows, tails, both = scratch[:3 * chunk * n].reshape(3, chunk, n)
     return _Workspace(
         scratch=scratch,
         product=scratch[:2 * square].view(complex).reshape(n, n),
         work=scratch[:square].reshape(n, n),
-        minus=scratch[square:2 * square].reshape(n, n),
         rows=rows, tails=tails, both=both,
         corr_t=flat[size:size + square].reshape(n, n),
-        gram=flat[size + square:].reshape(n, n))
+        halves=flat[size + square:].reshape(2, -1))
 
 
 _WORKSPACES = threading.local()
@@ -298,56 +357,59 @@ def _workspace(n: int) -> _Workspace:
 
 
 def _pair_bounds(corr_t: np.ndarray, bloch: np.ndarray, tensor: np.ndarray,
-                 below: np.ndarray, space: _Workspace) -> np.ndarray:
-    """Upper bounds U[i, j] on the grid total of every B pair i <= j.
+                 pairs: np.ndarray, space: _Workspace) -> np.ndarray:
+    """Upper bounds on the grid total of every B pair i <= j, in the order of ``pairs``.
 
+    ``pairs`` holds the flat indices i R + j of the pairs, row-major.
     ``bloch`` holds the settings' Bloch vectors as rows, and ``tensor`` is
     any 3x3 X meant to give corr_t ~ bloch X bloch^T, i.e. X = T^T.  With
-    eps the largest residual of that form, each correlation lies within eps
-    of n_r . T n_s, so by Cauchy-Schwarz the total of pair (i, j) is at most
+    eps the largest residual of that form over all R^2 entries, each
+    correlation lies within eps of n_r . T n_s, so by Cauchy-Schwarz the
+    total of pair (i, j) is at most
 
         U = |T(n_i + n_j)| + |T(n_i - n_j)| + 4 eps + 1e-12,
 
-    whatever X is.  The norms come from the Gram matrix G of the rows T n_i,
-    |T(n_i +- n_j)|^2 = G_ii + G_jj +- 2 G_ij, whose absolute rounding error
-    (a few ulp of G_ii + G_jj) the square root would magnify near zero, so
-    1e-13 (G_ii + G_jj) is added under each root; 1e-12 covers the rest.
-    Entries where the boolean mask ``below`` is set (those below the
-    diagonal) are -inf.
+    whatever X is.  With a_i = T n_i, the squares
+    |a_i +- a_j|^2 = |a_i|^2 + |a_j|^2 +- 2 a_i . a_j are the entries of the
+    product of the R x 5 factors [a, |a|^2, 1] and [+-2 a, 1, |a|^2].  Their
+    absolute rounding error (a few ulp of |a_i|^2 + |a_j|^2) the square root
+    would magnify near zero, so the second factor scales its 1 and |a|^2
+    columns by 1 + 1e-13, which adds 1e-13 (|a_i|^2 + |a_j|^2) under each
+    root; 1e-12 covers the rest.
 
-    Every R x R step writes into ``space``: the residual, then the outer
-    sum and the slack, in ``space.work``, the minus half in ``space.minus``,
-    and G, then the plus half and the bounds, in ``space.gram``, which is
-    returned.  ``corr_t`` must not lie in ``space.scratch``; the bounds stay
-    valid until ``space`` is next used.
+    Each product is formed in ``space.work`` (which first holds the
+    residual) and gathered into a row of ``space.halves``; the first row is
+    returned, valid until ``space`` is next used.  ``corr_t`` must not lie
+    in ``space.scratch``.
     """
-    work, minus, gram = space.work, space.minus, space.gram
-    image = bloch @ tensor                  # row i is T n_i
+    work, halves = space.work, space.halves
+    image = bloch @ tensor                  # row i is a_i = T n_i
     np.matmul(image, bloch.T, out=work)
     work -= corr_t
     eps = float(np.abs(work, out=work).max())
-    np.matmul(image, image.T, out=gram)
-    sq = np.diag(gram).copy()
-    outer = np.add.outer(sq, sq, out=work)
-    gram *= 2.0
-    np.subtract(outer, gram, out=minus)
-    plus = np.add(outer, gram, out=gram)
-    slack = np.multiply(outer, 1e-13, out=outer)
-    for half in (plus, minus):
-        np.maximum(half, 0.0, out=half)
-        half += slack
-        np.sqrt(half, out=half)
-    plus += minus
-    plus += 4.0 * eps + 1e-12
-    np.copyto(plus, -np.inf, where=below)
-    return plus
+    sq = np.einsum('ij,ij->i', image, image)
+    left = np.column_stack((image, sq, np.ones_like(sq)))
+    right = np.column_stack((2.0 * image, np.full_like(sq, 1.0 + 1e-13), (1.0 + 1e-13) * sq))
+    for half in halves:
+        np.matmul(left, right.T, out=work)
+        # the indices are in range; "wrap" skips the copy of ``out`` that "raise" makes
+        np.take(work.ravel(), pairs, out=half, mode="wrap")
+        right[:, :3] *= -1.0
+    np.maximum(halves, 0.0, out=halves)
+    np.sqrt(halves, out=halves)
+    bounds, minus = halves
+    bounds += minus
+    bounds += 4.0 * eps + 1e-12
+    return bounds
 
 
-def _best_pair(corr_t: np.ndarray, bounds: np.ndarray,
+def _best_pair(corr_t: np.ndarray, bounds: np.ndarray, pairs: np.ndarray,
                space: _Workspace) -> tuple[float, tuple[int, int]]:
     """Largest grid total over B pairs i <= j, and the first pair reaching it.
 
-    The total of (i, j) is max_r |corr_t[i, r] + corr_t[j, r]| +
+    ``bounds`` are upper bounds on the pairs' totals, packed as the flat
+    indices ``pairs`` (row-major, so packed order is (i, j) order).  The
+    total of (i, j) is max_r |corr_t[i, r] + corr_t[j, r]| +
     max_r |corr_t[i, r] - corr_t[j, r]|.  The exact total of the pair with
     the largest bound is a floor on the maximum.  The pairs whose bound
     reaches the floor are sorted by descending bound and their totals taken
@@ -363,23 +425,23 @@ def _best_pair(corr_t: np.ndarray, bounds: np.ndarray,
     ``space.scratch``; ``corr_t`` and ``bounds`` must lie outside it.
     """
     n = len(corr_t)
-    flat = bounds.ravel()
-    i, j = divmod(int(np.argmax(flat)), n)
+    i, j = divmod(int(pairs[np.argmax(bounds)]), n)
     row, other = corr_t[i], corr_t[j]
     floor = float(np.abs(other + row).max() + np.abs(row - other).max())
-    cands = np.flatnonzero(flat >= floor)
-    cands = cands[np.argsort(-flat[cands], kind="stable")]
+    cands = np.flatnonzero(bounds >= floor)
+    cands = cands[np.argsort(-bounds[cands], kind="stable")]
     best = -np.inf
     arg = 0
     for start in range(0, len(cands), PAIR_CHUNK):
         chunk = cands[start:start + PAIR_CHUNK]
-        if flat[chunk[0]] < best:
+        if bounds[chunk[0]] < best:
             break
         m = len(chunk)
         row, tail, both = space.rows[:m], space.tails[:m], space.both[:m]
+        first_rows, second_rows = np.divmod(pairs[chunk], n)
         # the indices are in range; "clip" skips the copy of ``out`` that "raise" makes
-        np.take(corr_t, chunk // n, axis=0, out=row, mode="clip")
-        np.take(corr_t, chunk % n, axis=0, out=tail, mode="clip")
+        np.take(corr_t, first_rows, axis=0, out=row, mode="clip")
+        np.take(corr_t, second_rows, axis=0, out=tail, mode="clip")
         totals = np.abs(np.add(tail, row, out=both), out=both).max(axis=1)
         totals += np.abs(np.subtract(row, tail, out=both), out=both).max(axis=1)
         top = float(totals.max())
@@ -387,20 +449,33 @@ def _best_pair(corr_t: np.ndarray, bounds: np.ndarray,
             first = int(chunk[totals == top].min())
             arg = first if top > best else min(arg, first)
             best = top
-    return best, divmod(arg, n)
+    return best, divmod(int(pairs[arg]), n)
 
 
 class _Grid(NamedTuple):
-    """Read-only constants of the grid stage for one ``grid_n``."""
+    """Constants of the grid stage for one ``grid_n``, read-only but for ``pairs``."""
 
     chis: np.ndarray            # orbit representatives' chi and phi
     phis: np.ndarray
     obs: np.ndarray             # their observables, (R, 2, 2)
     bloch: np.ndarray           # their Bloch vectors as rows, (R, 3)
     pinv: np.ndarray            # least-squares fit of T: T^T ~ pinv corr_t pinv^T
-    below: np.ndarray           # (R, R) mask of the entries below the diagonal
+    pairs: np.ndarray           # flat indices i R + j of the B pairs i <= j, row-major
     contract_path: tuple        # einsum paths of the two correlation contractions
     corr_path: tuple
+
+
+def _upper_pairs(n: int) -> np.ndarray:
+    """Flat indices i n + j of the pairs i <= j, in row-major order.
+
+    They are the running sum of steps 1 within a row and i + 1 from the end
+    of row i - 1 to (i, i), which builds them with no array larger than the
+    result.
+    """
+    pairs = np.ones(n * (n + 1) // 2, dtype=np.intp)
+    pairs[0] = 0
+    pairs[np.cumsum(np.arange(n, 1, -1))] = np.arange(2, n + 1)
+    return np.cumsum(pairs, out=pairs)
 
 
 @functools.cache
@@ -408,19 +483,22 @@ def _grid_constants(grid_n: int) -> _Grid:
     """The grid stage's state-independent arrays, built once per ``grid_n``.
 
     The einsum paths are the ones ``optimize=True`` searches for on every
-    call; the contractions depend only on the operand shapes.
+    call; the contractions depend only on the operand shapes.  Every array
+    but ``pairs`` is read-only: ``np.take`` copies an index array it may not
+    write to (R (R + 1)/2 intp per call), so ``pairs`` stays writeable, and
+    nothing writes to it.
     """
     chis, phis = _orbit_representatives(grid_n)
     obs = _theta_entries(chis, phis)
     bloch = _bloch_vectors(chis, phis)
     pinv = np.linalg.solve(bloch.T @ bloch, bloch.T)
     psi = np.zeros((2, 2), dtype=complex)
-    below = np.tri(len(chis), k=-1, dtype=bool)
+    pairs = _upper_pairs(len(chis))
     contract_path = tuple(np.einsum_path('ki,nkl,lj->nij', psi, obs, psi, optimize=True)[0])
     corr_path = tuple(np.einsum_path('nab,mab->mn', obs, obs, optimize=True)[0])
-    for array in (chis, phis, obs, bloch, pinv, below):
+    for array in (chis, phis, obs, bloch, pinv):
         array.flags.writeable = False
-    return _Grid(chis, phis, obs, bloch, pinv, below, contract_path, corr_path)
+    return _Grid(chis, phis, obs, bloch, pinv, pairs, contract_path, corr_path)
 
 
 def _grid_stage(psi: np.ndarray, grid_n: int) -> tuple[float, np.ndarray]:
@@ -453,8 +531,8 @@ def _grid_stage(psi: np.ndarray, grid_n: int) -> tuple[float, np.ndarray]:
     np.einsum('nab,mab->mn', contracted, obs, optimize=grid.corr_path, out=space.product)
     corr_t = space.corr_t
     np.copyto(corr_t, space.product.real)
-    bounds = _pair_bounds(corr_t, grid.bloch, pinv @ corr_t @ pinv.T, grid.below, space)
-    best, (ib, ibp) = _best_pair(corr_t, bounds, space)
+    bounds = _pair_bounds(corr_t, grid.bloch, pinv @ corr_t @ pinv.T, grid.pairs, space)
+    best, (ib, ibp) = _best_pair(corr_t, bounds, grid.pairs, space)
     angles = []
     for combo in (corr_t[ib] + corr_t[ibp], corr_t[ib] - corr_t[ibp]):
         ia = int(np.argmax(np.abs(combo)))
@@ -471,58 +549,55 @@ def oracle_bell_max(vector: np.ndarray, grid_n: int = 24,
 
     An exhaustive search over the ``grid_n`` x ``grid_n`` (chi, phi) grid
     closed under the antipode map Theta -> -Theta (the grid itself for even
-    ``grid_n``, a superset for odd) seeds a coordinate-wise refinement: the
-    objective is an exact sinusoid in each single angle, so each coordinate
-    is maximized from three samples in closed form; a pattern move along
-    each sweep's displacement (doubled while it improves) accelerates the
-    slow collinear modes.  Every accepted move strictly improves the value,
-    so the result is monotone non-decreasing in ``refine_iters``.  A sweep
-    that accepts no move is a fixed point, where refinement stops: the
-    result equals that of any larger ``refine_iters``.
+    ``grid_n``, a superset for odd) seeds a coordinate-wise refinement.  The
+    value is n . v + const in each setting's Bloch vector n
+    (``_linear_form``), so each angle moves straight to its exact maximizer
+    (``_coordinate_offset``), by an offset wrapped to (-pi, pi]; a pattern
+    move along each sweep's displacement (doubled while it improves)
+    accelerates the slow collinear modes.  Every accepted move strictly
+    improves the raw CHSH value, so the result is monotone non-decreasing in
+    ``refine_iters``.  A sweep that accepts no move is a fixed point, where
+    refinement stops: the result equals that of any larger
+    ``refine_iters``.
     """
     if grid_n < 8:
         raise DomainError(f"grid_n must be >= 8, got {grid_n}")
     psi = coefficient_matrix(vector)
-    best, angles = _grid_stage(psi, grid_n)
-    psi, angles = psi.tolist(), angles.tolist()
+    return _refine(psi, *_grid_stage(psi, grid_n), refine_iters)
+
+
+def _refine(psi: np.ndarray, best: float, angles: np.ndarray, refine_iters: int) -> float:
+    """``oracle_bell_max``'s refinement from the grid stage's ``best`` at ``angles``."""
+    forms, angles = _pauli_forms(psi.tolist()), angles.tolist()
     # each setting's share of the value; a move of one angle recomputes one
-    terms = [_setting_terms(psi, angles, side) for side in range(4)]
+    terms = [_share(forms, side, angles[2 * side], angles[2 * side + 1]) for side in range(4)]
     current = _combine(*terms)
     if current < best:      # different arithmetic; guards rounding asymmetry
         current = best
-    probe = 0.5
-    sin_p, cos_p = math.sin(probe), math.cos(probe)
     for _ in range(refine_iters):
         sweep_start = angles    # angles is rebound below, never changed in place
-        for k in range(8):
-            side = k // 2
-            moved = terms.copy()
-            up = angles.copy()
-            up[k] += probe
-            moved[side] = _setting_terms(psi, up, side)
-            f_up = _combine(*moved)
-            down = angles.copy()
-            down[k] -= probe
-            moved[side] = _setting_terms(psi, down, side)
-            f_down = _combine(*moved)
-            # f(t) = A cos t + B sin t + C along offset t of this angle
-            coef_b = (f_up - f_down) / (2.0 * sin_p)
-            coef_a = (0.5 * (f_up + f_down) - current) / (cos_p - 1.0)
-            if coef_a == 0.0 and coef_b == 0.0:
-                continue
-            trial = angles.copy()
-            trial[k] += math.atan2(coef_b, coef_a)
-            moved[side] = _setting_terms(psi, trial, side)
-            value = _combine(*moved)
-            if value > current:
-                current, angles, terms = value, trial, moved
+        for side in range(4):
+            # the other shares stay fixed while this setting's two angles move
+            v = _linear_form(forms, terms, side)
+            for k in (2 * side, 2 * side + 1):
+                offset = _coordinate_offset(v, k, angles[2 * side], angles[2 * side + 1])
+                if offset == 0.0:
+                    continue    # the trial would be the current point
+                trial = angles.copy()
+                trial[k] += offset
+                moved = terms.copy()
+                moved[side] = _share(forms, side, trial[2 * side], trial[2 * side + 1])
+                value = _combine(*moved)
+                if value > current:
+                    current, angles, terms = value, trial, moved
         displacement = [a - s for a, s in zip(angles, sweep_start)]
         if not any(displacement):
             break       # fixed point: every later sweep would repeat this one
         scale = 1.0
         for _ in range(50):
             trial = [a + scale * d for a, d in zip(angles, displacement)]
-            moved = [_setting_terms(psi, trial, side) for side in range(4)]
+            moved = [_share(forms, side, trial[2 * side], trial[2 * side + 1])
+                     for side in range(4)]
             value = _combine(*moved)
             if value > current:
                 current, angles, terms = value, trial, moved

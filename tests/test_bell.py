@@ -223,10 +223,25 @@ def _reference_grid_stage(psi, grid_n):
     return best, np.array(angles + [chis[ib], phis[ib], chis[ibp], phis[ibp]])
 
 
+def _contract(psi, chi, phi):
+    """(K00 - K11, K01) of K = psi^dagger Theta(chi, phi) psi, from Theta's entries."""
+    (u0, u1), (v0, v1) = psi
+    c, s = math.cos(chi), math.sin(chi)
+    se = complex(s * math.cos(phi), s * math.sin(phi))
+    sec = se.conjugate()
+    # (a0, a1) and (b0, b1) are the rows of Theta psi
+    a0, a1 = c * u0 + se * v0, c * u1 + se * v1
+    b0, b1 = sec * u0 - c * v0, sec * u1 - c * v1
+    u0c, v0c = u0.conjugate(), v0.conjugate()
+    k00 = u0c * a0 + v0c * b0
+    k11 = u1.conjugate() * a1 + v1.conjugate() * b1
+    return (k00 - k11).real, u0c * a1 + v0c * b1
+
+
 def _reference_chsh_value(psi, angles):
-    """The CHSH value with both A-side contractions and both B sides recomputed."""
-    d_a, k_a = bell._contract(psi, angles[0], angles[1])
-    d_ap, k_ap = bell._contract(psi, angles[2], angles[3])
+    """The CHSH value with both A sides contracted through Theta's entries."""
+    d_a, k_a = _contract(psi, angles[0], angles[1])
+    d_ap, k_ap = _contract(psi, angles[2], angles[3])
     c_b, s_b = math.cos(angles[4]), math.sin(angles[4])
     c_bp, s_bp = math.cos(angles[6]), math.sin(angles[6])
     w_b = complex(s_b * math.cos(angles[5]), s_b * math.sin(angles[5]))
@@ -235,12 +250,60 @@ def _reference_chsh_value(psi, angles):
             + d_ap * (c_b - c_bp) + 2.0 * (k_ap * (w_b - w_bp)).real)
 
 
+def _pattern_move(value_at, current, angles, sweep_start):
+    """The doubling pattern move along a sweep's displacement, or None at a fixed point."""
+    displacement = [a - s for a, s in zip(angles, sweep_start)]
+    if not any(displacement):
+        return None
+    scale = 1.0
+    for _ in range(50):
+        trial = [a + scale * d for a, d in zip(angles, displacement)]
+        value = value_at(trial)
+        if value > current:
+            current, angles = value, trial
+            scale *= 2.0
+        else:
+            break
+    return current, angles
+
+
 def _reference_oracle(psi, best, angles, refine_iters=40):
-    """oracle_bell_max's refinement from grid stage (best, angles), every probe in full."""
+    """oracle_bell_max's refinement from grid stage (best, angles), every share recomputed.
+
+    Returns the value and whether a sweep reached the fixed point.
+    """
+    forms, angles = bell._pauli_forms(psi.tolist()), angles.tolist()
+
+    def shares(angles):
+        return [bell._share(forms, side, angles[2 * side], angles[2 * side + 1])
+                for side in range(4)]
+
+    current = max(bell._combine(*shares(angles)), best)
+    for _ in range(refine_iters):
+        sweep_start = angles
+        for k in range(8):
+            side = k // 2
+            v = bell._linear_form(forms, shares(angles), side)
+            trial = angles.copy()
+            trial[k] += bell._coordinate_offset(v, k, angles[2 * side], angles[2 * side + 1])
+            value = bell._combine(*shares(trial))
+            if value > current:
+                current, angles = value, trial
+        moved = _pattern_move(lambda trial: bell._combine(*shares(trial)),
+                              current, angles, sweep_start)
+        if moved is None:
+            return current, True
+        current, angles = moved
+    return current, False
+
+
+def _probe_reference_oracle(psi, best, angles, refine_iters=40):
+    """The refinement that fits each coordinate's sinusoid to probes at +-0.5 rad.
+
+    Returns the value and whether a sweep reached the fixed point.
+    """
     psi, angles = psi.tolist(), angles.tolist()
-    current = _reference_chsh_value(psi, angles)
-    if current < best:
-        current = best
+    current = max(_reference_chsh_value(psi, angles), best)
     probe = 0.5
     sin_p, cos_p = math.sin(probe), math.cos(probe)
     for _ in range(refine_iters):
@@ -260,19 +323,12 @@ def _reference_oracle(psi, best, angles, refine_iters=40):
             value = _reference_chsh_value(psi, trial)
             if value > current:
                 current, angles = value, trial
-        displacement = [a - s for a, s in zip(angles, sweep_start)]
-        if not any(displacement):
-            break
-        scale = 1.0
-        for _ in range(50):
-            trial = [a + scale * d for a, d in zip(angles, displacement)]
-            value = _reference_chsh_value(psi, trial)
-            if value > current:
-                current, angles = value, trial
-                scale *= 2.0
-            else:
-                break
-    return current
+        moved = _pattern_move(lambda trial: _reference_chsh_value(psi, trial),
+                              current, angles, sweep_start)
+        if moved is None:
+            return current, True
+        current, angles = moved
+    return current, False
 
 
 def _assert_grid_exact(psi):
@@ -283,7 +339,7 @@ def _assert_grid_exact(psi):
         assert best == ref_best
         assert np.array_equal(angles, ref_angles)
         assert (oracle_bell_max(psi.ravel(), grid_n)
-                == _reference_oracle(psi, ref_best, ref_angles))
+                == _reference_oracle(psi, ref_best, ref_angles)[0])
 
 
 @given(valid_states())
@@ -312,13 +368,15 @@ def test_pruned_grid_is_bit_identical_on_families():
 
 
 def _all_totals(corr_t):
-    """Exact totals of every pair i <= j, -inf below the diagonal: the tightest bounds."""
-    n = len(corr_t)
-    totals = np.full((n, n), -np.inf)
-    for ib in range(n):
-        row, tail = corr_t[ib], corr_t[ib:]
-        totals[ib, ib:] = np.abs(tail + row).max(axis=1) + np.abs(row - tail).max(axis=1)
-    return totals
+    """Exact totals of every pair i <= j, packed row-major: the tightest bounds."""
+    return np.concatenate([np.abs(corr_t[ib:] + corr_t[ib]).max(axis=1)
+                           + np.abs(corr_t[ib] - corr_t[ib:]).max(axis=1)
+                           for ib in range(len(corr_t))])
+
+
+def _packed_index(n, i, j):
+    """Position of pair (i, j), i <= j, in the row-major packing of n orbits."""
+    return i * n - i * (i - 1) // 2 + (j - i)
 
 
 @pytest.mark.parametrize("chunk", [1, bell.PAIR_CHUNK])
@@ -333,14 +391,15 @@ def test_best_pair_is_exact_for_any_valid_bounds(chunk, monkeypatch):
             if chunk == 1 and grid_n == 9:
                 continue        # 2080 pairs, one chunk each under the flat bound
             corr_t = _grid_correlations(psi, grid_n)[2]
+            n, pairs = len(corr_t), _grid_constants(grid_n).pairs
             expected = _reference_scan(corr_t)
             tight = _all_totals(corr_t)
             ties = tight == expected[0]
             raised = tight + ties       # every maximal pair 1 above its total ...
-            raised[expected[1]] -= 1.0  # ... except the first
-            flat = np.where(np.isfinite(tight), expected[0] + 1.0, -np.inf)
+            raised[_packed_index(n, *expected[1])] -= 1.0   # ... except the first
+            flat = np.full_like(tight, expected[0] + 1.0)
             for bounds in (tight, raised, flat):
-                assert _best_pair(corr_t, bounds, _workspace(len(corr_t))) == expected
+                assert _best_pair(corr_t, bounds, pairs, _workspace(n)) == expected
 
 
 def test_pair_bounds_dominate_every_total():
@@ -348,23 +407,21 @@ def test_pair_bounds_dominate_every_total():
     # square root of the Gram form magnifies its rounding up to that size
     near_product = [make_state(0.6 + 0.3j, nu * (0.5 - 0.8j), x, y, auto_normalize=True)
                     for nu in (1e-16, 1e-12, 1e-10, 1e-8) for x, y in ((0.4, 0.3j), (0, 0))]
-    below = _grid_constants(24).below
+    pairs = _grid_constants(24).pairs
     for s in [*random_states(20, 11), *near_product]:
         chis, phis, corr_t = _grid_correlations(coefficient_matrix(embed(s)), 24)
         bloch = _bloch_vectors(chis, phis)
-        bounds = _pair_bounds(corr_t, bloch, _fitted_tensor(corr_t, bloch), below,
+        bounds = _pair_bounds(corr_t, bloch, _fitted_tensor(corr_t, bloch), pairs,
                               _workspace(len(corr_t)))
-        for ib in range(len(corr_t)):
-            row, tail = corr_t[ib], corr_t[ib:]
-            totals = np.abs(tail + row).max(axis=1) + np.abs(row - tail).max(axis=1)
-            assert (bounds[ib, ib:] >= totals).all()
-            assert (bounds[ib, :ib] == -np.inf).all()
+        totals = _all_totals(corr_t)
+        assert bounds.shape == totals.shape
+        assert (bounds >= totals).all()
 
 
 def test_pruning_stays_exact_with_a_wrong_tensor_or_noisy_correlations():
     rng = np.random.default_rng(5)
     states = list(random_states(5, 12)) + [make_state(SQ2, -SQ2, 0, 0)]
-    below = _grid_constants(24).below
+    pairs = _grid_constants(24).pairs
     for s in states:
         chis, phis, corr_t = _grid_correlations(coefficient_matrix(embed(s)), 24)
         bloch = _bloch_vectors(chis, phis)
@@ -372,11 +429,11 @@ def test_pruning_stays_exact_with_a_wrong_tensor_or_noisy_correlations():
         expected = _reference_scan(corr_t)
         tensor = _fitted_tensor(corr_t, bloch)
         for wrong in (0.9 * tensor, np.zeros((3, 3)), tensor + 0.05):
-            bounds = _pair_bounds(corr_t, bloch, wrong, below, space)
-            assert _best_pair(corr_t, bounds, space) == expected
+            bounds = _pair_bounds(corr_t, bloch, wrong, pairs, space)
+            assert _best_pair(corr_t, bounds, pairs, space) == expected
         noisy = corr_t + rng.normal(0.0, 1e-3, corr_t.shape)
-        bounds = _pair_bounds(noisy, bloch, _fitted_tensor(noisy, bloch), below, space)
-        assert _best_pair(noisy, bounds, space) == _reference_scan(noisy)
+        bounds = _pair_bounds(noisy, bloch, _fitted_tensor(noisy, bloch), pairs, space)
+        assert _best_pair(noisy, bounds, pairs, space) == _reference_scan(noisy)
 
 
 def test_pair_bounds_are_tight_on_pure_states():
@@ -391,10 +448,10 @@ def test_pair_bounds_are_tight_on_pure_states():
     tensor = _fitted_tensor(corr_t, bloch)
     assert np.abs(bloch @ tensor @ bloch.T - corr_t).max() < 1e-13
     space = _workspace(len(corr_t))
-    bounds = _pair_bounds(corr_t, bloch, tensor, _grid_constants(24).below, space)
-    best, _ = _best_pair(corr_t, bounds, space)
-    n = len(corr_t)
-    assert (bounds >= best).sum() / (n * (n + 1) / 2) < 0.2
+    pairs = _grid_constants(24).pairs
+    bounds = _pair_bounds(corr_t, bloch, tensor, pairs, space)
+    best, _ = _best_pair(corr_t, bounds, pairs, space)
+    assert (bounds >= best).sum() / len(pairs) < 0.2
 
 
 def test_boundary_family_spans_several_chunks():
@@ -406,7 +463,7 @@ def test_boundary_family_spans_several_chunks():
         psi = coefficient_matrix(embed(s))
         corr_t = _grid_correlations(psi, 24)[2]
         bounds = _pair_bounds(corr_t, grid.bloch, grid.pinv @ corr_t @ grid.pinv.T,
-                              grid.below, space)
+                              grid.pairs, space)
         spans.append((bounds >= _grid_stage(psi, 24)[0]).sum())
     assert max(spans) > 4 * bell.PAIR_CHUNK
 
@@ -414,10 +471,19 @@ def test_boundary_family_spans_several_chunks():
 def test_grid_constants_are_cached_and_read_only():
     grid = _grid_constants(24)
     assert _grid_constants(24) is grid
-    for array in (grid.chis, grid.phis, grid.obs, grid.bloch, grid.pinv, grid.below):
+    for array in (grid.chis, grid.phis, grid.obs, grid.bloch, grid.pinv):
         with pytest.raises(ValueError):
             array[0] = 0.0
     assert isinstance(grid.contract_path, tuple) and isinstance(grid.corr_path, tuple)
+    # the pairs i <= j in row-major order, i.e. ascending flat index; they
+    # stay writeable so that np.take uses them without a copy, and a grid
+    # stage leaves them as built
+    n = len(grid.chis)
+    rows, cols = np.triu_indices(n)
+    _grid_stage(coefficient_matrix(embed(_workspace_states()[1])), 24)
+    assert grid.pairs.dtype == np.intp and grid.pairs.flags.writeable
+    assert np.array_equal(grid.pairs, rows * n + cols)
+    assert _packed_index(n, 7, 9) == int(np.flatnonzero(grid.pairs == 7 * n + 9)[0])
 
 
 # --- the grid stage's per-thread workspace ----------------------------------
@@ -456,15 +522,17 @@ def test_workspace_layout_reuse_and_keys(monkeypatch):
     assert _workspace(n) is space
     flat = space.scratch.base
     assert all(view.base is flat for view in space)
-    assert flat.size == max(2 * n * n, 3 * bell.PAIR_CHUNK * n) + 2 * n * n
+    pairs = n * (n + 1) // 2
+    assert flat.size == max(2 * n * n, 3 * bell.PAIR_CHUNK * n) + n * n + 2 * pairs
+    assert space.halves.shape == (2, pairs)
     # views that live at the same time never overlap
-    assert not np.shares_memory(space.corr_t, space.gram)
-    for name in ("product", "work", "minus", "rows", "tails", "both"):
+    assert not np.shares_memory(space.corr_t, space.halves)
+    for name in ("product", "work", "rows", "tails", "both"):
         view = getattr(space, name)
         assert np.shares_memory(view, space.scratch), name
         assert not np.shares_memory(view, space.corr_t), name
-        assert not np.shares_memory(view, space.gram), name
-    for a, b in [("work", "minus"), ("rows", "tails"), ("rows", "both"), ("tails", "both")]:
+        assert not np.shares_memory(view, space.halves), name
+    for a, b in [("rows", "tails"), ("rows", "both"), ("tails", "both")]:
         assert not np.shares_memory(getattr(space, a), getattr(space, b)), (a, b)
     best, angles = _grid_stage(coefficient_matrix(embed(_workspace_states()[0])), 24)
     assert not np.shares_memory(angles, flat)
@@ -535,3 +603,77 @@ def test_scalar_chsh_value_matches_einsum_form(s, seed):
         reference = _einsum_chsh_value(psi, angles)
         assert abs(_chsh_value(psi, angles) - reference) <= 1e-15
         assert abs(_chsh_value(psi.tolist(), angles.tolist()) - reference) <= 1e-15
+
+
+# --- exact coordinate moves --------------------------------------------------
+
+@given(valid_states(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_linear_form_shares_match_the_contraction(s, seed):
+    psi = coefficient_matrix(embed(s)).tolist()
+    forms = bell._pauli_forms(psi)
+    rng = np.random.default_rng(seed)
+    for angles in rng.uniform(-2 * math.pi, 2 * math.pi, (20, 8)).tolist():
+        for side in range(4):
+            chi, phi = angles[2 * side], angles[2 * side + 1]
+            if side < 2:
+                expected = _contract(psi, chi, phi)
+            else:
+                expected = math.cos(chi), math.sin(chi) * complex(math.cos(phi), math.sin(phi))
+            got = bell._share(forms, side, chi, phi)
+            assert abs(got[0] - expected[0]) <= 1e-15
+            assert abs(got[1] - expected[1]) <= 1e-15
+
+
+# chi at the poles (sin chi = 0 exactly at 0), and with sin chi < 0
+_SPECIAL_CHIS = (0.0, math.pi, -0.9, -2.5, 4.0)
+
+
+@given(valid_states(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_coordinate_moves_reach_the_offset_grid_maximum(s, seed):
+    psi = coefficient_matrix(embed(s)).tolist()
+    forms = bell._pauli_forms(psi)
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(-2 * math.pi, 2 * math.pi, (len(_SPECIAL_CHIS) + 3, 8))
+    rows[:len(_SPECIAL_CHIS), 0::2] = np.array(_SPECIAL_CHIS)[:, None]
+    offsets = (2 * math.pi / 64) * np.arange(64)
+    for angles in rows.tolist():
+        terms = [bell._share(forms, side, angles[2 * side], angles[2 * side + 1])
+                 for side in range(4)]
+        for k in range(8):
+            side = k // 2
+            chi, phi = angles[2 * side], angles[2 * side + 1]
+            v = bell._linear_form(forms, terms, side)
+            offset = bell._coordinate_offset(v, k, chi, phi)
+
+            def value(t):
+                moved = angles.copy()
+                moved[k] += t
+                return _reference_chsh_value(psi, moved)
+
+            sampled = [value(t) for t in offsets]
+            if k % 2 and math.sin(chi) == 0.0:
+                assert offset == 0.0        # at a pole phi moves nothing
+                assert max(sampled) == min(sampled)
+            else:
+                assert -math.pi < offset <= math.pi
+                assert value(offset) >= max(sampled) - 1e-14
+
+
+def test_exact_moves_match_the_probe_refinement_at_its_fixed_points():
+    # where both refinements reach their fixed point within 40 sweeps they
+    # agree (largest difference seen: 7.4e-14); the trajectories match only
+    # in exact arithmetic, and on a near-maximal state one loop can still be
+    # crawling along the flat direction when the other has stopped
+    compared = 0
+    for s in [*_family_states(), *random_states(40, 7)]:
+        psi = coefficient_matrix(embed(s))
+        for grid_n in (8, 9, 24):
+            start = _grid_stage(psi, grid_n)
+            probe, probe_fixed = _probe_reference_oracle(psi, *start)
+            exact, exact_fixed = _reference_oracle(psi, *start)
+            if probe_fixed and exact_fixed:
+                compared += 1
+                assert abs(exact - probe) <= 1e-13
+    assert compared >= 200

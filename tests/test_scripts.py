@@ -1,6 +1,7 @@
 """The experiment scripts run to completion against the current package."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,8 +27,11 @@ def run_script(name, *args):
 def test_script_exits_zero(name, args):
     result = run_script(name, *args)
     assert result.returncode == 0, result.stderr
-    if name == "oracle_check.py" and sys.platform.startswith("linux"):
-        assert "minor page faults per oracle call: first call " in result.stdout
+    if name == "oracle_check.py":
+        assert re.search(r"^oracle stages per state: grid stage median \d+\.\d\d ms, "
+                         r"refinement median \d+\.\d\d ms$", result.stdout, re.MULTILINE)
+        if sys.platform.startswith("linux"):
+            assert "minor page faults per oracle call: first call " in result.stdout
 
 
 @pytest.mark.parametrize("count", ["0", "-3", "abc"])

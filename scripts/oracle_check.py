@@ -9,12 +9,15 @@ times of the oracle's two stages, each timed on its own in a second, warm
 call (the grid stage, ``bell._grid_stage``, and the refinement from its
 result, ``bell._refine``), and the minor page faults per oracle call (the
 first call, and the median and mean of the later ones) where the
-``resource`` module exists.
+``resource`` module exists.  A last line times the near-maximal boundary
+family |x| = |y| = t, eta = pi, |mu|^2 = s/(2 (1 - t^2)), for t in
+{0.3, 0.6, 0.9} and s in {1, 0.97}, the slowest states of the grid stage.
 
 Exits 0; 2 with one usage line on stderr for a bad count or seed; or 141
 when the reader closes stdout early (``| head``).
 """
 
+import math
 import statistics
 import sys
 import time
@@ -29,9 +32,11 @@ from nonortho.cli import closed_stdout_status
 from nonortho.report import canonical_bell_value
 from nonortho.sampling import DEFAULT_SEED, random_states
 from nonortho.schmidt import coefficient_matrix, schmidt_decompose
-from nonortho.state import embed
+from nonortho.state import embed, state_from_magnitudes
 
 USAGE = "usage: oracle_check.py [count] [seed]  (count >= 1, seed >= 0, integers)"
+BOUNDARY = [state_from_magnitudes(s / (2.0 * (1.0 - t * t)), t, t, math.pi)
+            for t in (0.3, 0.6, 0.9) for s in (1.0, 0.97)]
 
 
 def parse_args(argv: list[str]) -> tuple[int, int] | None:
@@ -97,6 +102,17 @@ def main(argv: list[str]) -> int:
         print(f"minor page faults per oracle call: first call {faults[0]}{rest}")
     print(f"worst |oracle - analytic| = {worst_match:.3e}")
     print(f"worst shortfall vs canonical settings = {worst_shortfall:.3e}")
+    boundary_seconds, boundary_match = [], 0.0
+    for state in BOUNDARY:
+        vector = embed(state)
+        start = time.perf_counter()
+        oracle = oracle_bell_max(vector)
+        boundary_seconds.append(time.perf_counter() - start)
+        boundary_match = max(boundary_match, abs(oracle - analytic_bell(schmidt_decompose(state))))
+    print(f"boundary family, {len(BOUNDARY)} states, oracle time per state: "
+          f"median {1e3 * statistics.median(boundary_seconds):.1f} ms, "
+          f"worst {1e3 * max(boundary_seconds):.1f} ms, "
+          f"worst |oracle - analytic| = {boundary_match:.3e}")
     sys.stdout.flush()      # a closed pipe raises here, not in the interpreter's exit
     return 0
 

@@ -11,35 +11,22 @@ phase sums phi_A + phi_B = phi_A' + phi_B' = phi_plus - phi_minus) give the
 CHSH value 2*sqrt(1 + |2 c+ c-|^2).
 
 ``oracle_bell_max`` is the independent check: it maximizes the raw CHSH
-combination over all four settings by exhaustive grid search plus local
-refinement, sharing no algebra with the closed form.  The grid search is
-folded by exact symmetries: by Theta(pi - chi, phi + pi) = -Theta(chi, phi)
-it visits one setting per {Theta, -Theta} pair, and each unordered (B, B')
-pair once.  It is also pruned without changing its result: Theta(chi, phi)
-is n . sigma with the Bloch vector n = (sin chi cos phi, -sin chi sin phi,
-cos chi), so every grid correlation is the bilinear form n_A^T T n_B of one
-3x3 tensor T, and by Cauchy-Schwarz a (B, B') pair totals at most
-|T(n_B + n_B')| + |T(n_B - n_B')|.  T is fitted to the grid's own
-correlations, and the fit's largest residual eps enters the bound as 4 eps
-of slack, so a poor fit only prunes less.  The bounds are formed for the
-R (R + 1)/2 pairs i <= j only (R orbits), packed in row-major order, which
-is (i, j) order.  Pairs are evaluated in batches in order of descending
-bound, until the next batch's largest bound falls below the best total
-found; each total uses the unpruned arithmetic, and of the pairs reaching
-the maximum the smallest (B, B') index pair wins, so the result is that of
-the unpruned scan bit for bit.  The grid's orbits, observables, Bloch
-vectors, fit matrix, pair indices and einsum paths are built once per grid
-size, and every R x R array of the grid stage lives in a workspace that
-each thread allocates once per grid size, so a call allocates no R x R
-array.
+combination over all four settings by a grid search plus local refinement,
+sharing no algebra with the closed form.  Theta(chi, phi) = n . sigma with
+the Bloch vector n = (sin chi cos phi, -sin chi sin phi, cos chi), so each
+grid correlation is n_A . T n_B for one fitted 3x3 tensor T, within the
+fit's largest residual eps.  The search visits one setting per
+{Theta, -Theta} pair and each unordered (B, B') pair once, and bounds each
+pair's total at two levels: |T(n_B + n_B')| + |T(n_B - n_B')| + 4 eps for
+every pair (Cauchy-Schwarz, as if A could point anywhere), then, for the
+pairs left after one chunk, those lengths times how far the grid's A
+settings reach along T(n_B +- n_B'), read from a table folded by the grid's
+symmetries.  Bounds only order the pairs and stop the scan; every pair whose
+bound reaches the maximum is evaluated exactly, and the first such pair in
+(i, j) order wins, so the result is that of the unpruned scan bit for bit.
 
-Refinement uses the same linearity.  With M_k = psi^dagger sigma_k psi
-formed once per call, each setting's share of the CHSH value is linear in
-its Bloch vector, so with the other three settings fixed the value is
-n . v + const for a real 3-vector v, and each angle's exact maximizer is one
-atan2.  A move is taken only if the raw CHSH combination strictly improves;
-each setting's share is kept between moves, so a move costs one share, and
-refinement stops at its first fixed point.
+Refinement moves one angle at a time to its exact maximizer (one atan2): with
+three settings fixed, the value is n . v + const in the fourth's Bloch vector.
 """
 
 from __future__ import annotations
@@ -48,7 +35,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -162,9 +149,8 @@ def _theta_entries(chis: np.ndarray, phis: np.ndarray) -> np.ndarray:
 def _pauli_forms(psi) -> tuple[tuple[float, float, float], tuple[complex, complex, complex]]:
     """(D, K) with D_k = (M_k)00 - (M_k)11 and K_k = (M_k)01, M_k = psi^dagger sigma_k psi.
 
-    k runs over x, y, z.  The entries come from the rows (u0, u1), (v0, v1)
-    of ``psi`` directly: sigma_x swaps the rows, sigma_y swaps them with
-    phases -i and i, and sigma_z negates v.
+    From the rows (u0, u1), (v0, v1) of ``psi``: sigma_x swaps the rows,
+    sigma_y swaps them with phases -i and i, and sigma_z negates v.
     """
     (u0, u1), (v0, v1) = psi
     cu0, cu1, cv0, cv1 = u0.conjugate(), u1.conjugate(), v0.conjugate(), v1.conjugate()
@@ -178,12 +164,9 @@ def _pauli_forms(psi) -> tuple[tuple[float, float, float], tuple[complex, comple
 def _share(forms, side: int, chi: float, phi: float) -> tuple[float, complex]:
     """The part of the CHSH value that setting ``side`` (0..3 for A, A', B, B') sets.
 
-    Theta(chi, phi) = n . sigma with n = (sin chi cos phi, -sin chi sin phi,
-    cos chi).  For A and A' the share is (K00 - K11, K01) of
-    K = psi^dagger Theta psi = sum_k n_k M_k, i.e. (n . D, n . K) with
-    ``forms`` = (D, K) of ``_pauli_forms``; for B and B' it is
-    (Theta00, Theta01) = (n_z, n_x - i n_y), the entries W00 and W01 that
-    ``_combine`` sums.
+    For A and A' it is (K00 - K11, K01) of K = psi^dagger Theta psi =
+    sum_k n_k M_k, i.e. (n . D, n . K) with ``forms`` = (D, K); for B and B'
+    it is (Theta00, Theta01) = (n_z, n_x - i n_y), which ``_combine`` sums.
     """
     s = math.sin(chi)
     nx, ny, nz = s * math.cos(phi), -s * math.sin(phi), math.cos(chi)
@@ -203,10 +186,9 @@ def _combine(a, a_prime, b, b_prime) -> float:
 def _chsh_value(psi, angles) -> float:
     """CHSH value of the 2x2 coefficient matrix ``psi`` (rows) at the 8 ``angles``.
 
-    ``angles`` is (chi, phi) of A, A', B, B' in turn.  With K = psi^dagger
-    Theta_A psi and W = Theta_B + Theta_B', <A (B + B')> = Re sum K_ab W_ab,
-    and K, W Hermitian with W11 = -W00 reduce the sum to
-    (K00 - K11) W00 + 2 Re(K01 W01); likewise for A' with B - B'.
+    ``angles`` is (chi, phi) of A, A', B, B'.  With K = psi^dagger Theta_A psi
+    and W = Theta_B + Theta_B' (Hermitian, W11 = -W00), <A (B + B')> =
+    Re sum K_ab W_ab = (K00 - K11) W00 + 2 Re(K01 W01); likewise A', B - B'.
     """
     forms = _pauli_forms(psi)
     return _combine(*(_share(forms, side, angles[2 * side], angles[2 * side + 1])
@@ -216,11 +198,10 @@ def _chsh_value(psi, angles) -> float:
 def _linear_form(forms, terms, side: int) -> tuple[float, float, float]:
     """The real 3-vector v with CHSH value = n . v + (terms free of setting ``side``).
 
-    n is the Bloch vector of setting ``side``, and ``terms`` holds the four
-    settings' shares, of which v uses the other three with ``_combine``'s
-    coefficients: for A, v_k = D_k (c_B + c_B') + 2 Re(K_k (w_B + w_B')),
-    and for B, v = (2 Re S, 2 Im S, d_A + d_A') with S = k_A + k_A'; A' and
-    B' take the differences.
+    n is the setting's Bloch vector; v takes the other three ``terms`` with
+    ``_combine``'s coefficients: for A, v_k = D_k (c_B + c_B') +
+    2 Re(K_k (w_B + w_B')), for B, v = (2 Re S, 2 Im S, d_A + d_A') with
+    S = k_A + k_A'; A' and B' take the differences.
     """
     (d_a, k_a), (d_ap, k_ap), (c_b, w_b), (c_bp, w_bp) = terms
     if side >= 2:
@@ -241,11 +222,10 @@ def _linear_form(forms, terms, side: int) -> tuple[float, float, float]:
 def _coordinate_offset(v, k: int, chi: float, phi: float) -> float:
     """The move of angle ``k`` (even: chi, odd: phi) to its exact maximizer of n . v.
 
-    n . v = sin chi (cos phi v_x - sin phi v_y) + cos chi v_z is a sinusoid
-    in each angle, maximal at chi* = atan2(cos phi v_x - sin phi v_y, v_z)
-    and, for sin chi > 0, at phi* = atan2(-v_y, v_x) (both arguments negated
-    for sin chi < 0).  At a pole, sin chi = 0, phi moves nothing and the
-    offset is 0.  The offset from the current angle is wrapped to (-pi, pi].
+    n . v = sin chi (cos phi v_x - sin phi v_y) + cos chi v_z is maximal at
+    chi* = atan2(cos phi v_x - sin phi v_y, v_z) and, for sin chi > 0, at
+    phi* = atan2(-v_y, v_x) (both arguments negated for sin chi < 0); at a
+    pole phi moves nothing.  The offset is wrapped to (-pi, pi].
     """
     vx, vy, vz = v
     if k % 2 == 0:
@@ -262,11 +242,9 @@ def _orbit_representatives(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
 
     The search set is the grid chi_k = k pi/(n-1), phi_j = -pi + 2 pi j/n
     closed under the antipode map (chi, phi) -> (pi - chi, phi + pi), which
-    sends Theta to -Theta.  With phi counted in half-steps h = 2j the map
-    reads (k, h) -> (n-1-k, h+n mod 2n): for even n it stays on the grid, so
-    the set is the grid itself; for odd n it adds the odd-h points.  Each
-    orbit is labelled by its member with the smaller (k, h), and the two pole
-    rows, where sin(chi) = 0 makes phi irrelevant, collapse to one orbit.
+    sends Theta to -Theta; in half-steps h = 2j it reads (k, h) ->
+    (n-1-k, h+n mod 2n), so odd n adds the odd-h points.  Each orbit is
+    labelled by its smaller (k, h), and the two pole rows form one orbit.
     """
     n = grid_n
     k, h = (g.ravel() for g in np.meshgrid(np.arange(n), np.arange(0, 2 * n, 2),
@@ -289,24 +267,16 @@ def _bloch_vectors(chis: np.ndarray, phis: np.ndarray) -> np.ndarray:
 
 
 PAIR_CHUNK = 128    # B pairs per batched evaluation; bounds the scan's temporaries
+REACH_STEP = 0.01   # rad; the reach table's cell width in chi and in phi
+REACH_BLOCK = 1024  # pairs per block of reach bounds; bounds their temporaries
 
 
 class _Workspace(NamedTuple):
     """One thread's grid-stage buffers for R orbits: views of one flat float64 array.
 
-    The array is [scratch | corr_t | halves], where scratch holds
-    max(2 R^2, 3 PAIR_CHUNK R) floats and serves three steps in turn, whose
-    views never live at the same time:
-
-    - ``product``, the complex R x R correlations, until ``corr_t`` has
-      their real part;
-    - ``work``, R x R, while ``_pair_bounds`` runs;
-    - ``rows``, ``tails`` and ``both``, PAIR_CHUNK x R each, while
-      ``_best_pair`` runs.
-
-    ``corr_t`` lives for the whole grid stage.  ``halves`` is 2 x P for the
-    P = R (R + 1)/2 pairs i <= j: ``_pair_bounds`` fills it, and its first
-    row carries the bounds into ``_best_pair``.
+    The array is [scratch | corr_t | halves].  Scratch holds in turn the
+    complex correlations, ``_pair_bounds``' ``work`` and a chunk's rows;
+    ``halves`` is 2 x P for the P = R (R + 1)/2 pairs i <= j.
     """
 
     scratch: np.ndarray
@@ -339,48 +309,25 @@ _WORKSPACES = threading.local()
 
 
 def _workspace(n: int) -> _Workspace:
-    """This thread's workspace for ``n`` orbits at the current PAIR_CHUNK.
-
-    It is built on a thread's first grid stage of that size and reused by
-    every later one, so the grid stage allocates no R x R array per call.
-    Keying by PAIR_CHUNK as well keeps a workspace sized for one chunk
-    length from serving another.
-    """
-    spaces = getattr(_WORKSPACES, "spaces", None)
-    if spaces is None:
-        spaces = _WORKSPACES.spaces = {}
+    """This thread's workspace for ``n`` orbits, kept per (n, PAIR_CHUNK)."""
+    spaces = _WORKSPACES.__dict__.setdefault("spaces", {})     # this thread's own dict
     key = (n, PAIR_CHUNK)
-    space = spaces.get(key)
-    if space is None:
-        space = spaces[key] = _new_workspace(n, PAIR_CHUNK)
-    return space
+    if key not in spaces:
+        spaces[key] = _new_workspace(n, PAIR_CHUNK)
+    return spaces[key]
 
 
-def _pair_bounds(corr_t: np.ndarray, bloch: np.ndarray, tensor: np.ndarray,
-                 pairs: np.ndarray, space: _Workspace) -> np.ndarray:
-    """Upper bounds on the grid total of every B pair i <= j, in the order of ``pairs``.
+def _pair_bounds(corr_t: np.ndarray, bloch: np.ndarray, tensor: np.ndarray, pairs: np.ndarray,
+                 space: _Workspace) -> tuple[np.ndarray, np.ndarray, float]:
+    """Upper bounds U on the totals of the B pairs i <= j, the images a_i = T n_i, and eps.
 
-    ``pairs`` holds the flat indices i R + j of the pairs, row-major.
-    ``bloch`` holds the settings' Bloch vectors as rows, and ``tensor`` is
-    any 3x3 X meant to give corr_t ~ bloch X bloch^T, i.e. X = T^T.  With
-    eps the largest residual of that form over all R^2 entries, each
-    correlation lies within eps of n_r . T n_s, so by Cauchy-Schwarz the
-    total of pair (i, j) is at most
-
-        U = |T(n_i + n_j)| + |T(n_i - n_j)| + 4 eps + 1e-12,
-
-    whatever X is.  With a_i = T n_i, the squares
-    |a_i +- a_j|^2 = |a_i|^2 + |a_j|^2 +- 2 a_i . a_j are the entries of the
-    product of the R x 5 factors [a, |a|^2, 1] and [+-2 a, 1, |a|^2].  Their
-    absolute rounding error (a few ulp of |a_i|^2 + |a_j|^2) the square root
-    would magnify near zero, so the second factor scales its 1 and |a|^2
-    columns by 1 + 1e-13, which adds 1e-13 (|a_i|^2 + |a_j|^2) under each
-    root; 1e-12 covers the rest.
-
-    Each product is formed in ``space.work`` (which first holds the
-    residual) and gathered into a row of ``space.halves``; the first row is
-    returned, valid until ``space`` is next used.  ``corr_t`` must not lie
-    in ``space.scratch``.
+    ``pairs`` holds the pairs' flat indices i R + j, row-major; ``tensor`` is
+    any 3x3 X meant to give corr_t ~ bloch X bloch^T (X = T^T), and eps is
+    that form's largest residual, so by Cauchy-Schwarz, whatever X is,
+    U = |a_i + a_j| + |a_i - a_j| + 4 eps + 1e-12.  The squares are entries
+    of [a, |a|^2, 1] [+-2 a, 1 + 1e-13, (1 + 1e-13) |a|^2]^T (1e-13 covers
+    their rounding under the root), formed in ``space.work`` and gathered
+    into ``space.halves``; ``corr_t`` must not lie in ``space.scratch``.
     """
     work, halves = space.work, space.halves
     image = bloch @ tensor                  # row i is a_i = T n_i
@@ -400,56 +347,130 @@ def _pair_bounds(corr_t: np.ndarray, bloch: np.ndarray, tensor: np.ndarray,
     bounds, minus = halves
     bounds += minus
     bounds += 4.0 * eps + 1e-12
+    return bounds, image, eps
+
+
+def _reach_table(bloch: np.ndarray, grid_n: int) -> tuple[np.ndarray, float, float]:
+    """Upper bounds on g(u) = max_r |n_r . u| per (chi', phi') cell, and cells per radian.
+
+    With u = (sin chi cos phi, sin chi sin phi, cos chi), {+-n_r} is the
+    product of the chis k pi/(n-1) and the phis -pi + m p, p = 2 pi/n for
+    even n and pi/n for odd (``_orbit_representatives``), so g is even and
+    unchanged by z -> -z and by a turn by p about z: the table covers
+    chi' = min(chi, pi - chi) and phi' = (phi + pi) mod p.  As ds^2 <=
+    dchi^2 + dphi^2, a cell lies within rho = hypot(dchi, dphi)/2 of its
+    center c, so by the triangle inequality g <= cos(max(arccos g(c) - rho,
+    0)) on it; 1e-7 covers arccos' error near 1 and a cell edge's rounding,
+    1e-12 is relative slack.
+    """
+    period = (2.0 if grid_n % 2 == 0 else 1.0) * math.pi / grid_n
+    rows, cols = math.ceil(0.5 * math.pi / REACH_STEP), math.ceil(period / REACH_STEP)
+    d_chi, d_phi = 0.5 * math.pi / rows, period / cols
+    chi, phi = (g.ravel() for g in np.meshgrid((np.arange(rows) + 0.5) * d_chi,
+                                               (np.arange(cols) + 0.5) * d_phi - math.pi,
+                                               indexing="ij"))
+    centers = _bloch_vectors(chi, -phi)     # -phi: Bloch vectors flip the sign of y
+    reach, step = np.empty(len(centers)), -(-2 ** 13 // len(bloch))
+    products = np.empty((step, len(bloch)))     # one 64 KiB buffer, reused by every block
+    for start in range(0, len(centers), step):
+        part = centers[start:start + step]
+        block = np.matmul(part, bloch.T, out=products[:len(part)])
+        np.abs(block, out=block).max(axis=1, out=reach[start:start + step])
+    rho = 0.5 * math.hypot(d_chi, d_phi) + 1e-7
+    table = np.cos(np.maximum(np.arccos(np.minimum(reach, 1.0)) - rho, 0.0)) + 1e-12
+    return table.reshape(rows, cols), 1.0 / d_chi, 1.0 / d_phi
+
+
+def _reach_lengths(reach: tuple, v: np.ndarray) -> np.ndarray:
+    """|v| G(v/|v|) for the vectors v stacked along the first axis: >= max_r |n_r . v|."""
+    x, y, z = v
+    h = x * x + y * y
+    norm = np.sqrt(z * z + h)
+    chi = np.arctan2(np.sqrt(h, out=h), np.abs(z))     # chi' = min(chi, pi - chi)
+    table, chi_scale, phi_scale = reach
+    rows, cols = table.shape
+    cell = np.minimum((chi * chi_scale).astype(np.intp), rows - 1)
+    cell *= cols
+    cell += ((np.arctan2(y, x) + math.pi) * phi_scale).astype(np.intp) % cols
+    norm *= table.take(cell)
+    return norm
+
+
+def _reach_bounds(reach: tuple, image: np.ndarray, eps: float, flat: np.ndarray) -> np.ndarray:
+    """Upper bounds on the totals of the B pairs with flat indices ``flat``.
+
+    Row i of corr_t lies within eps of a_i . n_r, so with a+- = a_i +- a_j,
+    max_r |corr_t[i, r] +- corr_t[j, r]| <= |a+-| G(a+-/|a+-|) + 2 eps: the
+    grid's A settings reach G of the length that ``_pair_bounds`` grants.
+    """
+    image_t, bounds = image.T.copy(), np.empty(len(flat))
+    for start in range(0, len(flat), REACH_BLOCK):
+        block = slice(start, start + REACH_BLOCK)
+        a, b = (image_t.take(rows, axis=1) for rows in np.divmod(flat[block], len(image)))
+        plus, minus = _reach_lengths(reach, np.stack((a + b, np.subtract(a, b, out=b)), axis=1))
+        np.add(plus, minus, out=bounds[block])
+    bounds += 4.0 * eps + 1e-12
     return bounds
 
 
-def _best_pair(corr_t: np.ndarray, bounds: np.ndarray, pairs: np.ndarray,
-               space: _Workspace) -> tuple[float, tuple[int, int]]:
-    """Largest grid total over B pairs i <= j, and the first pair reaching it.
+def _pair_totals(corr_t: np.ndarray, flat: np.ndarray, space: _Workspace) -> np.ndarray:
+    """Exact totals of at most PAIR_CHUNK B pairs with flat indices ``flat``, in ``space``."""
+    m = len(flat)
+    row, tail, both = space.rows[:m], space.tails[:m], space.both[:m]
+    first_rows, second_rows = np.divmod(flat, len(corr_t))
+    # the indices are in range; "clip" skips the copy of ``out`` that "raise" makes
+    np.take(corr_t, first_rows, axis=0, out=row, mode="clip")
+    np.take(corr_t, second_rows, axis=0, out=tail, mode="clip")
+    totals = np.abs(np.add(tail, row, out=both), out=both).max(axis=1)
+    totals += np.abs(np.subtract(row, tail, out=both), out=both).max(axis=1)
+    return totals
 
-    ``bounds`` are upper bounds on the pairs' totals, packed as the flat
-    indices ``pairs`` (row-major, so packed order is (i, j) order).  The
-    total of (i, j) is max_r |corr_t[i, r] + corr_t[j, r]| +
-    max_r |corr_t[i, r] - corr_t[j, r]|.  The exact total of the pair with
-    the largest bound is a floor on the maximum.  The pairs whose bound
-    reaches the floor are sorted by descending bound and their totals taken
-    PAIR_CHUNK at a time, until the next chunk's largest bound falls below
-    the best total: every pair left has a total below it, so none reaches
-    the maximum.  Every pair whose bound reaches the maximum is evaluated
-    with the unpruned scan's arithmetic, and of those reaching it the
-    smallest (i, j) wins, so the result is bit-identical to the row scan
-    over every pair: the maximum, at the first pair in (i, j) order.
 
-    A chunk's rows i, rows j and their sum or difference go to
-    ``space.rows``, ``space.tails`` and ``space.both``, which lie in
-    ``space.scratch``; ``corr_t`` and ``bounds`` must lie outside it.
+def _scan(corr_t, pairs, space, cands, limits, best, arg) -> tuple[float, int]:
+    """``best`` and its smallest packed index ``arg`` after evaluating ``cands``.
+
+    PAIR_CHUNK at a time, until a chunk's first limit (they descend) is below ``best``.
     """
-    n = len(corr_t)
-    i, j = divmod(int(pairs[np.argmax(bounds)]), n)
-    row, other = corr_t[i], corr_t[j]
-    floor = float(np.abs(other + row).max() + np.abs(row - other).max())
-    cands = np.flatnonzero(bounds >= floor)
-    cands = cands[np.argsort(-bounds[cands], kind="stable")]
-    best = -np.inf
-    arg = 0
     for start in range(0, len(cands), PAIR_CHUNK):
-        chunk = cands[start:start + PAIR_CHUNK]
-        if bounds[chunk[0]] < best:
+        if limits[start] < best:
             break
-        m = len(chunk)
-        row, tail, both = space.rows[:m], space.tails[:m], space.both[:m]
-        first_rows, second_rows = np.divmod(pairs[chunk], n)
-        # the indices are in range; "clip" skips the copy of ``out`` that "raise" makes
-        np.take(corr_t, first_rows, axis=0, out=row, mode="clip")
-        np.take(corr_t, second_rows, axis=0, out=tail, mode="clip")
-        totals = np.abs(np.add(tail, row, out=both), out=both).max(axis=1)
-        totals += np.abs(np.subtract(row, tail, out=both), out=both).max(axis=1)
+        chunk = cands[start:start + PAIR_CHUNK]
+        totals = _pair_totals(corr_t, pairs[chunk], space)
         top = float(totals.max())
         if top >= best:
             first = int(chunk[totals == top].min())
             arg = first if top > best else min(arg, first)
             best = top
-    return best, divmod(int(pairs[arg]), n)
+    return best, arg
+
+
+def _best_pair(corr_t: np.ndarray, bounds: np.ndarray, pairs: np.ndarray, space: _Workspace,
+               refine: Callable[[np.ndarray], np.ndarray]) -> tuple[float, tuple[int, int]]:
+    """Largest grid total over B pairs i <= j, and the first pair in (i, j) order reaching it.
+
+    ``bounds`` bound the totals of the pairs packed as ``pairs`` (row-major:
+    packed order is (i, j) order), and ``refine`` maps packed indices to
+    further bounds.  Of the pairs reaching the floor (the total of the pair
+    with the largest bound), the PAIR_CHUNK with the largest bounds are
+    evaluated first; the rest still reaching that best keep min(bound,
+    refine) and are evaluated in its order until it falls below the best.
+    No pair skipped can reach the maximum, so the result is the row scan's
+    bit for bit.  ``corr_t`` and ``bounds`` must lie outside ``space.scratch``.
+    """
+    floor = float(_pair_totals(corr_t, pairs[[np.argmax(bounds)]], space)[0])
+    cands = np.flatnonzero(bounds >= floor)
+    if len(cands) > PAIR_CHUNK:
+        cands = cands[np.argpartition(-bounds[cands], PAIR_CHUNK - 1)]
+    top = cands[:PAIR_CHUNK]
+    best, arg = _scan(corr_t, pairs, space, top, bounds[top], -np.inf, 0)
+    rest = cands[PAIR_CHUNK:]
+    rest = rest[bounds[rest] >= best]
+    if len(rest):
+        limits = np.minimum(bounds[rest], refine(rest))
+        keep = np.flatnonzero(limits >= best)
+        keep = keep[np.argsort(-limits[keep])]
+        best, arg = _scan(corr_t, pairs, space, rest[keep], limits[keep], best, arg)
+    return best, divmod(int(pairs[arg]), len(corr_t))
 
 
 class _Grid(NamedTuple):
@@ -461,17 +482,13 @@ class _Grid(NamedTuple):
     bloch: np.ndarray           # their Bloch vectors as rows, (R, 3)
     pinv: np.ndarray            # least-squares fit of T: T^T ~ pinv corr_t pinv^T
     pairs: np.ndarray           # flat indices i R + j of the B pairs i <= j, row-major
+    reach: tuple                # how far the A settings reach, by ``_reach_table``
     contract_path: tuple        # einsum paths of the two correlation contractions
     corr_path: tuple
 
 
 def _upper_pairs(n: int) -> np.ndarray:
-    """Flat indices i n + j of the pairs i <= j, in row-major order.
-
-    They are the running sum of steps 1 within a row and i + 1 from the end
-    of row i - 1 to (i, i), which builds them with no array larger than the
-    result.
-    """
+    """Flat indices i n + j of the pairs i <= j, row-major, as a running sum of steps."""
     pairs = np.ones(n * (n + 1) // 2, dtype=np.intp)
     pairs[0] = 0
     pairs[np.cumsum(np.arange(n, 1, -1))] = np.arange(2, n + 1)
@@ -480,59 +497,47 @@ def _upper_pairs(n: int) -> np.ndarray:
 
 @functools.cache
 def _grid_constants(grid_n: int) -> _Grid:
-    """The grid stage's state-independent arrays, built once per ``grid_n``.
+    """The grid stage's constant arrays, built on its first call per ``grid_n``.
 
-    The einsum paths are the ones ``optimize=True`` searches for on every
-    call; the contractions depend only on the operand shapes.  Every array
-    but ``pairs`` is read-only: ``np.take`` copies an index array it may not
-    write to (R (R + 1)/2 intp per call), so ``pairs`` stays writeable, and
-    nothing writes to it.
+    ``pairs`` stays writeable (``np.take`` copies an index array it may not
+    write to), and nothing writes to it.
     """
     chis, phis = _orbit_representatives(grid_n)
     obs = _theta_entries(chis, phis)
     bloch = _bloch_vectors(chis, phis)
     pinv = np.linalg.solve(bloch.T @ bloch, bloch.T)
+    reach = _reach_table(bloch, grid_n)
     psi = np.zeros((2, 2), dtype=complex)
-    pairs = _upper_pairs(len(chis))
     contract_path = tuple(np.einsum_path('ki,nkl,lj->nij', psi, obs, psi, optimize=True)[0])
     corr_path = tuple(np.einsum_path('nab,mab->mn', obs, obs, optimize=True)[0])
-    for array in (chis, phis, obs, bloch, pinv):
+    for array in (chis, phis, obs, bloch, pinv, reach[0]):
         array.flags.writeable = False
-    return _Grid(chis, phis, obs, bloch, pinv, pairs, contract_path, corr_path)
+    return _Grid(chis, phis, obs, bloch, pinv, _upper_pairs(len(chis)), reach,
+                 contract_path, corr_path)
 
 
 def _grid_stage(psi: np.ndarray, grid_n: int) -> tuple[float, np.ndarray]:
     """Best CHSH value over the antipode-closed settings grid and its angle vector.
 
-    With r running over orbit representatives, corr[r, s] = <Theta_r Theta_s>
-    and the full set is {+Theta_r} and {-Theta_r}, so for B settings
-    (+-Theta_i, +-Theta_j) the best A and A' give
-
-        max_r |corr[r, i] + corr[r, j]| + max_r |corr[r, i] - corr[r, j]|,
-
-    which no sign choice on B and no swap of i and j changes: only i <= j
-    is considered.  T is fitted to corr by least squares, and with eps its
-    largest residual no pair totals more than
-    |T(n_i + n_j)| + |T(n_i - n_j)| + 4 eps (``_pair_bounds``).  Only pairs
-    whose bound reaches the best total are evaluated, and of the pairs
-    reaching the maximum the first in (i, j) order wins (``_best_pair``), as
-    in the unpruned scan.  An A setting picked with a negative sign maps back
-    to the antipode angles.
-
-    Every R x R array of the stage lives in this thread's ``_workspace``,
-    in the order ``_Workspace`` lays out; the returned angles are a new
-    array.
+    With r over orbit representatives and corr[r, s] = <Theta_r Theta_s>, B
+    settings (+-Theta_i, +-Theta_j) with the best A and A' total
+    max_r |corr[r, i] + corr[r, j]| + max_r |corr[r, i] - corr[r, j]|,
+    whatever the signs and the order of i, j, so only i <= j is scanned
+    (``_best_pair``).  An A setting picked with a negative sign maps back to
+    the antipode angles.  Every R x R array lives in this thread's
+    ``_workspace``; the returned angles are a new array.
     """
     grid = _grid_constants(grid_n)
-    chis, phis, obs, pinv = grid.chis, grid.phis, grid.obs, grid.pinv
+    chis, phis, obs, pinv, pairs = grid.chis, grid.phis, grid.obs, grid.pinv, grid.pairs
     space = _workspace(len(chis))
     contracted = np.einsum('ki,nkl,lj->nij', psi.conj(), obs, psi,
                            optimize=grid.contract_path)
     np.einsum('nab,mab->mn', contracted, obs, optimize=grid.corr_path, out=space.product)
     corr_t = space.corr_t
     np.copyto(corr_t, space.product.real)
-    bounds = _pair_bounds(corr_t, grid.bloch, pinv @ corr_t @ pinv.T, grid.pairs, space)
-    best, (ib, ibp) = _best_pair(corr_t, bounds, grid.pairs, space)
+    bounds, image, eps = _pair_bounds(corr_t, grid.bloch, pinv @ corr_t @ pinv.T, pairs, space)
+    best, (ib, ibp) = _best_pair(corr_t, bounds, pairs, space, lambda cands: _reach_bounds(
+        grid.reach, image, eps, pairs[cands]))
     angles = []
     for combo in (corr_t[ib] + corr_t[ibp], corr_t[ib] - corr_t[ibp]):
         ia = int(np.argmax(np.abs(combo)))
@@ -547,18 +552,12 @@ def oracle_bell_max(vector: np.ndarray, grid_n: int = 24,
                     refine_iters: int = 40) -> float:
     """Brute-force CHSH maximum over all four settings.
 
-    An exhaustive search over the ``grid_n`` x ``grid_n`` (chi, phi) grid
-    closed under the antipode map Theta -> -Theta (the grid itself for even
-    ``grid_n``, a superset for odd) seeds a coordinate-wise refinement.  The
-    value is n . v + const in each setting's Bloch vector n
-    (``_linear_form``), so each angle moves straight to its exact maximizer
-    (``_coordinate_offset``), by an offset wrapped to (-pi, pi]; a pattern
-    move along each sweep's displacement (doubled while it improves)
-    accelerates the slow collinear modes.  Every accepted move strictly
-    improves the raw CHSH value, so the result is monotone non-decreasing in
-    ``refine_iters``.  A sweep that accepts no move is a fixed point, where
-    refinement stops: the result equals that of any larger
-    ``refine_iters``.
+    The best point of the ``grid_n`` x ``grid_n`` (chi, phi) grid, closed
+    under Theta -> -Theta, seeds a coordinate-wise refinement: each angle
+    moves to its exact maximizer, and a pattern move along each sweep's
+    displacement, doubled while it improves, speeds the collinear modes.
+    Only strict improvements are taken, so the result is non-decreasing in
+    ``refine_iters``, and a sweep that moves nothing ends the refinement.
     """
     if grid_n < 8:
         raise DomainError(f"grid_n must be >= 8, got {grid_n}")

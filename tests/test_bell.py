@@ -12,7 +12,8 @@ from nonortho import bell
 from nonortho.bell import (MeasurementSetting, _best_pair, _bloch_vectors,
                            _chsh_value, _grid_constants, _grid_stage,
                            _new_workspace, _orbit_representatives, _pair_bounds,
-                           _theta_entries, _workspace, analytic_bell,
+                           _reach_bounds, _reach_lengths, _theta_entries,
+                           _workspace, analytic_bell,
                            bell_expectation, canonical_settings, oracle_bell_max,
                            spin_observable)
 from nonortho.errors import DomainError
@@ -379,27 +380,40 @@ def _packed_index(n, i, j):
     return i * n - i * (i - 1) // 2 + (j - i)
 
 
+def _reach_refinement(grid, corr_t, space, tensor=None):
+    """The grid stage's second bound level for ``corr_t``, from ``tensor`` or the fit."""
+    if tensor is None:
+        tensor = grid.pinv @ corr_t @ grid.pinv.T
+    _, image, eps = _pair_bounds(corr_t, grid.bloch, tensor, grid.pairs, space)
+    return lambda cands: _reach_bounds(grid.reach, image, eps, grid.pairs[cands])
+
+
 @pytest.mark.parametrize("chunk", [1, bell.PAIR_CHUNK])
 def test_best_pair_is_exact_for_any_valid_bounds(chunk, monkeypatch):
-    # any array at or above every total is a valid bound; these reorder the
-    # candidates so that the smallest maximal pair is evaluated last, alone in
-    # its chunk when chunk is 1, with a bound equal to the maximum
+    # any array at or above every total is a valid bound at either level;
+    # these reorder the candidates so that the smallest maximal pair is
+    # evaluated last, alone in its chunk when chunk is 1, with a bound equal
+    # to the maximum, and the refined path gets the same orders or the grid's
+    # own reach bounds
     monkeypatch.setattr(bell, "PAIR_CHUNK", chunk)
     for s in _family_states():
         psi = coefficient_matrix(embed(s))
         for grid_n in (8, 9):
             if chunk == 1 and grid_n == 9:
                 continue        # 2080 pairs, one chunk each under the flat bound
+            grid = _grid_constants(grid_n)
             corr_t = _grid_correlations(psi, grid_n)[2]
-            n, pairs = len(corr_t), _grid_constants(grid_n).pairs
+            n, pairs, space = len(corr_t), grid.pairs, _workspace(len(corr_t))
             expected = _reference_scan(corr_t)
             tight = _all_totals(corr_t)
             ties = tight == expected[0]
             raised = tight + ties       # every maximal pair 1 above its total ...
             raised[_packed_index(n, *expected[1])] -= 1.0   # ... except the first
             flat = np.full_like(tight, expected[0] + 1.0)
+            reach = _reach_refinement(grid, corr_t, space)
             for bounds in (tight, raised, flat):
-                assert _best_pair(corr_t, bounds, pairs, _workspace(n)) == expected
+                for refine in (bounds.__getitem__, raised.__getitem__, reach):
+                    assert _best_pair(corr_t, bounds, pairs, space, refine) == expected
 
 
 def test_pair_bounds_dominate_every_total():
@@ -407,21 +421,27 @@ def test_pair_bounds_dominate_every_total():
     # square root of the Gram form magnifies its rounding up to that size
     near_product = [make_state(0.6 + 0.3j, nu * (0.5 - 0.8j), x, y, auto_normalize=True)
                     for nu in (1e-16, 1e-12, 1e-10, 1e-8) for x, y in ((0.4, 0.3j), (0, 0))]
-    pairs = _grid_constants(24).pairs
-    for s in [*random_states(20, 11), *near_product]:
+    grid = _grid_constants(24)
+    pairs = grid.pairs
+    q = 1.0 / (2.0 * (1.0 - 0.6 ** 2))
+    boundary = [state_from_magnitudes(s * q, 0.6, 0.6, math.pi) for s in (1.0, 0.97)]
+    for s in [*random_states(20, 11), *near_product, *boundary]:
         chis, phis, corr_t = _grid_correlations(coefficient_matrix(embed(s)), 24)
         bloch = _bloch_vectors(chis, phis)
-        bounds = _pair_bounds(corr_t, bloch, _fitted_tensor(corr_t, bloch), pairs,
-                              _workspace(len(corr_t)))
+        bounds, image, eps = _pair_bounds(corr_t, bloch, _fitted_tensor(corr_t, bloch), pairs,
+                                          _workspace(len(corr_t)))
         totals = _all_totals(corr_t)
         assert bounds.shape == totals.shape
         assert (bounds >= totals).all()
+        # the second level, over every pair rather than the survivors only
+        assert (_reach_bounds(grid.reach, image, eps, pairs) >= totals).all()
 
 
 def test_pruning_stays_exact_with_a_wrong_tensor_or_noisy_correlations():
     rng = np.random.default_rng(5)
     states = list(random_states(5, 12)) + [make_state(SQ2, -SQ2, 0, 0)]
-    pairs = _grid_constants(24).pairs
+    grid = _grid_constants(24)
+    pairs = grid.pairs
     for s in states:
         chis, phis, corr_t = _grid_correlations(coefficient_matrix(embed(s)), 24)
         bloch = _bloch_vectors(chis, phis)
@@ -429,11 +449,14 @@ def test_pruning_stays_exact_with_a_wrong_tensor_or_noisy_correlations():
         expected = _reference_scan(corr_t)
         tensor = _fitted_tensor(corr_t, bloch)
         for wrong in (0.9 * tensor, np.zeros((3, 3)), tensor + 0.05):
-            bounds = _pair_bounds(corr_t, bloch, wrong, pairs, space)
-            assert _best_pair(corr_t, bounds, pairs, space) == expected
+            # both bound levels come from the wrong tensor and its residual
+            refine = _reach_refinement(grid, corr_t, space, wrong)
+            bounds = _pair_bounds(corr_t, bloch, wrong, pairs, space)[0]
+            assert _best_pair(corr_t, bounds, pairs, space, refine) == expected
         noisy = corr_t + rng.normal(0.0, 1e-3, corr_t.shape)
-        bounds = _pair_bounds(noisy, bloch, _fitted_tensor(noisy, bloch), pairs, space)
-        assert _best_pair(noisy, bounds, pairs, space) == _reference_scan(noisy)
+        refine = _reach_refinement(grid, noisy, space, _fitted_tensor(noisy, bloch))
+        bounds = _pair_bounds(noisy, bloch, _fitted_tensor(noisy, bloch), pairs, space)[0]
+        assert _best_pair(noisy, bounds, pairs, space, refine) == _reference_scan(noisy)
 
 
 def test_pair_bounds_are_tight_on_pure_states():
@@ -449,8 +472,8 @@ def test_pair_bounds_are_tight_on_pure_states():
     assert np.abs(bloch @ tensor @ bloch.T - corr_t).max() < 1e-13
     space = _workspace(len(corr_t))
     pairs = _grid_constants(24).pairs
-    bounds = _pair_bounds(corr_t, bloch, tensor, pairs, space)
-    best, _ = _best_pair(corr_t, bounds, pairs, space)
+    bounds = _pair_bounds(corr_t, bloch, tensor, pairs, space)[0]
+    best, _ = _best_pair(corr_t, bounds, pairs, space, bounds.__getitem__)
     assert (bounds >= best).sum() / len(pairs) < 0.2
 
 
@@ -463,15 +486,79 @@ def test_boundary_family_spans_several_chunks():
         psi = coefficient_matrix(embed(s))
         corr_t = _grid_correlations(psi, 24)[2]
         bounds = _pair_bounds(corr_t, grid.bloch, grid.pinv @ corr_t @ grid.pinv.T,
-                              grid.pairs, space)
+                              grid.pairs, space)[0]
         spans.append((bounds >= _grid_stage(psi, 24)[0]).sum())
     assert max(spans) > 4 * bell.PAIR_CHUNK
+
+
+def _chunks_evaluated(monkeypatch, run):
+    """Chunks ``run()`` evaluates exactly, not counting the one-pair floor."""
+    sizes = []
+    evaluate = bell._pair_totals
+
+    def counting(corr_t, flat, space):
+        sizes.append(len(flat))
+        return evaluate(corr_t, flat, space)
+
+    monkeypatch.setattr(bell, "_pair_totals", counting)
+    run()
+    monkeypatch.undo()
+    return len(sizes) - 1
+
+
+def test_reach_bounds_cut_boundary_states_to_four_chunks(monkeypatch):
+    # with the coarse bound alone (refine returning it) some boundary state
+    # evaluates more than four chunks; with the reach bounds none does, and
+    # the refined path runs on at least one of them
+    grid = _grid_constants(24)
+    space = _new_workspace(len(grid.chis), bell.PAIR_CHUNK)   # its bounds outlive a grid stage
+    coarse, refined = [], []
+    for overlap in (0.0, 0.3, 0.6, 0.9, 0.95):
+        for scale in (1.0, 0.97):
+            q = scale / (2.0 * (1.0 - overlap ** 2))
+            psi = coefficient_matrix(embed(state_from_magnitudes(q, overlap, overlap, math.pi)))
+            corr_t = _grid_correlations(psi, 24)[2]
+            bounds = _pair_bounds(corr_t, grid.bloch, grid.pinv @ corr_t @ grid.pinv.T,
+                                  grid.pairs, space)[0]
+            coarse.append(_chunks_evaluated(monkeypatch, lambda: _best_pair(
+                corr_t, bounds, grid.pairs, space, bounds.__getitem__)))
+            refined.append(_chunks_evaluated(monkeypatch, lambda: _grid_stage(psi, 24)))
+    assert max(coarse) > 4
+    assert max(refined) <= 4 and max(refined) > 1
+
+
+@pytest.mark.parametrize("grid_n", [8, 9, 12, 16, 24])
+def test_reach_table_bounds_what_the_grid_reaches(grid_n):
+    # at every direction u the tabulated reach is at least max_r |n_r . u|:
+    # random directions, the fold seams (the equator chi = pi/2, and
+    # phi' = 0 and the period, met from both sides), the poles and every +-n_r
+    grid = _grid_constants(grid_n)
+    rng = np.random.default_rng(grid_n)
+    period = (2.0 if grid_n % 2 == 0 else 1.0) * math.pi / grid_n
+    seam = -math.pi + period * np.arange(round(2.0 * math.pi / period) + 1)
+    seam = np.concatenate([np.nextafter(seam, -np.inf), seam, np.nextafter(seam, np.inf)])
+    chis = np.concatenate([rng.uniform(0.0, math.pi, 40), [0.5 * math.pi]])
+    seam_chi, seam_phi = (g.ravel() for g in np.meshgrid(chis, seam, indexing="ij"))
+    equator_phi = rng.uniform(-math.pi, math.pi, 2000)
+    random = rng.normal(size=(100_000, 3))
+
+    def standard(chi, phi):     # the table's u = (sin chi cos phi, sin chi sin phi, cos chi)
+        return _bloch_vectors(chi, -phi)
+
+    units = np.concatenate([
+        random / np.linalg.norm(random, axis=1, keepdims=True),
+        standard(seam_chi, seam_phi),
+        standard(np.full_like(equator_phi, 0.5 * math.pi), equator_phi),
+        [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], grid.bloch, -grid.bloch])
+    for block in np.array_split(units, 60):
+        reach = np.abs(block @ grid.bloch.T).max(axis=1)
+        assert (_reach_lengths(grid.reach, block.T) >= reach).all()
 
 
 def test_grid_constants_are_cached_and_read_only():
     grid = _grid_constants(24)
     assert _grid_constants(24) is grid
-    for array in (grid.chis, grid.phis, grid.obs, grid.bloch, grid.pinv):
+    for array in (grid.chis, grid.phis, grid.obs, grid.bloch, grid.pinv, grid.reach[0]):
         with pytest.raises(ValueError):
             array[0] = 0.0
     assert isinstance(grid.contract_path, tuple) and isinstance(grid.corr_path, tuple)

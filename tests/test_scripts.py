@@ -30,6 +30,10 @@ def test_script_exits_zero(name, args):
     if name == "oracle_check.py":
         assert re.search(r"^oracle stages per state: grid stage median \d+\.\d\d ms, "
                          r"refinement median \d+\.\d\d ms$", result.stdout, re.MULTILINE)
+        assert re.search(r"^boundary family, 6 states, oracle time per state: "
+                         r"median \d+\.\d ms, worst \d+\.\d ms, "
+                         r"worst \|oracle - analytic\| = \d\.\d{3}e[-+]\d\d$",
+                         result.stdout, re.MULTILINE)
         if sys.platform.startswith("linux"):
             assert "minor page faults per oracle call: first call " in result.stdout
 

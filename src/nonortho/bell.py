@@ -14,8 +14,9 @@ CHSH value 2*sqrt(1 + |2 c+ c-|^2).
 combination over all four settings by a grid search plus local refinement,
 sharing no algebra with the closed form.  Theta(chi, phi) = n . sigma with
 the Bloch vector n = (sin chi cos phi, -sin chi sin phi, cos chi), so each
-grid correlation is n_A . T n_B for one fitted 3x3 tensor T, within the
-fit's largest residual eps.  The search visits one setting per
+grid correlation is n_A . T n_B for the 3x3 Pauli correlation tensor T of
+psi: the grid's table is one exact rank-3 product of T, and eps bounds its
+rounding.  The search visits one setting per
 {Theta, -Theta} pair and each unordered (B, B') pair once, and bounds each
 pair's total at two levels: |T(n_B + n_B')| + |T(n_B - n_B')| + 4 eps for
 every pair (Cauchy-Schwarz, as if A could point anywhere), then, for the
@@ -134,17 +135,6 @@ def analytic_bell(form: SchmidtForm) -> float:
 
 
 # --- independent maximizer -------------------------------------------------
-
-def _theta_entries(chis: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """(n, 2, 2) stack of observables in the computational basis."""
-    out = np.empty((len(chis), 2, 2), dtype=complex)
-    c, s, e = np.cos(chis), np.sin(chis), np.exp(1j * phis)
-    out[:, 0, 0] = c
-    out[:, 1, 1] = -c
-    out[:, 0, 1] = s * e
-    out[:, 1, 0] = s * np.conj(e)
-    return out
-
 
 def _pauli_forms(psi) -> tuple[tuple[float, float, float], tuple[complex, complex, complex]]:
     """(D, K) with D_k = (M_k)00 - (M_k)11 and K_k = (M_k)01, M_k = psi^dagger sigma_k psi.
@@ -274,13 +264,12 @@ REACH_BLOCK = 1024  # pairs per block of reach bounds; bounds their temporaries
 class _Workspace(NamedTuple):
     """One thread's grid-stage buffers for R orbits: views of one flat float64 array.
 
-    The array is [scratch | corr_t | halves].  Scratch holds in turn the
-    complex correlations, ``_pair_bounds``' ``work`` and a chunk's rows;
-    ``halves`` is 2 x P for the P = R (R + 1)/2 pairs i <= j.
+    The array is [scratch | corr_t | halves].  Scratch holds in turn
+    ``_pair_bounds``' ``work`` and a chunk's rows; ``halves`` is 2 x P for
+    the P = R (R + 1)/2 pairs i <= j.
     """
 
     scratch: np.ndarray
-    product: np.ndarray
     work: np.ndarray
     rows: np.ndarray
     tails: np.ndarray
@@ -292,13 +281,12 @@ class _Workspace(NamedTuple):
 def _new_workspace(n: int, chunk: int) -> _Workspace:
     """Buffers for ``n`` orbits and chunks of ``chunk`` pairs."""
     square = n * n
-    size = max(2 * square, 3 * chunk * n)
+    size = max(square, 3 * chunk * n)
     flat = np.empty(size + square + n * (n + 1))
     scratch = flat[:size]
     rows, tails, both = scratch[:3 * chunk * n].reshape(3, chunk, n)
     return _Workspace(
         scratch=scratch,
-        product=scratch[:2 * square].view(complex).reshape(n, n),
         work=scratch[:square].reshape(n, n),
         rows=rows, tails=tails, both=both,
         corr_t=flat[size:size + square].reshape(n, n),
@@ -317,23 +305,36 @@ def _workspace(n: int) -> _Workspace:
     return spaces[key]
 
 
-def _pair_bounds(corr_t: np.ndarray, bloch: np.ndarray, tensor: np.ndarray, pairs: np.ndarray,
-                 space: _Workspace) -> tuple[np.ndarray, np.ndarray, float]:
-    """Upper bounds U on the totals of the B pairs i <= j, the images a_i = T n_i, and eps.
+def _rank3_correlations(psi: np.ndarray, bloch: np.ndarray,
+                        out: np.ndarray) -> tuple[np.ndarray, float]:
+    """corr_t = (bloch T^T) bloch^T into ``out``, the rows a_i = T n_i, and eps.
 
-    ``pairs`` holds the pairs' flat indices i R + j, row-major; ``tensor`` is
-    any 3x3 X meant to give corr_t ~ bloch X bloch^T (X = T^T), and eps is
-    that form's largest residual, so by Cauchy-Schwarz, whatever X is,
-    U = |a_i + a_j| + |a_i - a_j| + 4 eps + 1e-12.  The squares are entries
-    of [a, |a|^2, 1] [+-2 a, 1 + 1e-13, (1 + 1e-13) |a|^2]^T (1e-13 covers
-    their rounding under the root), formed in ``space.work`` and gathered
-    into ``space.halves``; ``corr_t`` must not lie in ``space.scratch``.
+    T is the Pauli correlation tensor of ``psi``, <Theta_A Theta_B> = n_A . T
+    n_B; by ``_combine`` B's coefficients are (2 Re k_A, 2 Im k_A, d_A) with
+    (d_A, k_A) = (n_A . D, n_A . K), so T^T has rows (2 Re K, 2 Im K, D),
+    as the B side of ``_linear_form``.  eps bounds the product's rounding:
+    a 3-term dot product rounds by at most gamma_3 sum_k |a_ik n_rk| <=
+    gamma_3 |a_i|_1 as |n_rk| <= 1, and gamma_3 = 3u/(1 - 3u) < 2^-51 with
+    room for the rounding of |a_i|_1.
+    """
+    d, k = _pauli_forms(psi.tolist())
+    image = bloch @ np.array([[2.0 * z.real for z in k], [2.0 * z.imag for z in k], d])
+    np.matmul(image, bloch.T, out=out)
+    return image, 2.0 ** -51 * float(np.abs(image).sum(axis=1).max())
+
+
+def _pair_bounds(image: np.ndarray, eps: float, pairs: np.ndarray,
+                 space: _Workspace) -> np.ndarray:
+    """Upper bounds U on the totals of the B pairs i <= j, in ``space.halves``.
+
+    ``pairs`` holds the pairs' flat indices i R + j, row-major; row i of
+    ``image`` is a 3-vector a_i with |corr_t[i, r] - a_i . n_r| <= eps for
+    every r, so by Cauchy-Schwarz U = |a_i + a_j| + |a_i - a_j| + 4 eps +
+    1e-12.  The squares are entries of [a, |a|^2, 1] [+-2 a, 1 + 1e-13,
+    (1 + 1e-13) |a|^2]^T (1e-13 covers their rounding under the root),
+    formed in ``space.work`` and gathered into ``space.halves``.
     """
     work, halves = space.work, space.halves
-    image = bloch @ tensor                  # row i is a_i = T n_i
-    np.matmul(image, bloch.T, out=work)
-    work -= corr_t
-    eps = float(np.abs(work, out=work).max())
     sq = np.einsum('ij,ij->i', image, image)
     left = np.column_stack((image, sq, np.ones_like(sq)))
     right = np.column_stack((2.0 * image, np.full_like(sq, 1.0 + 1e-13), (1.0 + 1e-13) * sq))
@@ -347,7 +348,7 @@ def _pair_bounds(corr_t: np.ndarray, bloch: np.ndarray, tensor: np.ndarray, pair
     bounds, minus = halves
     bounds += minus
     bounds += 4.0 * eps + 1e-12
-    return bounds, image, eps
+    return bounds
 
 
 def _reach_table(bloch: np.ndarray, grid_n: int) -> tuple[np.ndarray, float, float]:
@@ -478,13 +479,9 @@ class _Grid(NamedTuple):
 
     chis: np.ndarray            # orbit representatives' chi and phi
     phis: np.ndarray
-    obs: np.ndarray             # their observables, (R, 2, 2)
     bloch: np.ndarray           # their Bloch vectors as rows, (R, 3)
-    pinv: np.ndarray            # least-squares fit of T: T^T ~ pinv corr_t pinv^T
     pairs: np.ndarray           # flat indices i R + j of the B pairs i <= j, row-major
     reach: tuple                # how far the A settings reach, by ``_reach_table``
-    contract_path: tuple        # einsum paths of the two correlation contractions
-    corr_path: tuple
 
 
 def _upper_pairs(n: int) -> np.ndarray:
@@ -503,17 +500,11 @@ def _grid_constants(grid_n: int) -> _Grid:
     write to), and nothing writes to it.
     """
     chis, phis = _orbit_representatives(grid_n)
-    obs = _theta_entries(chis, phis)
     bloch = _bloch_vectors(chis, phis)
-    pinv = np.linalg.solve(bloch.T @ bloch, bloch.T)
     reach = _reach_table(bloch, grid_n)
-    psi = np.zeros((2, 2), dtype=complex)
-    contract_path = tuple(np.einsum_path('ki,nkl,lj->nij', psi, obs, psi, optimize=True)[0])
-    corr_path = tuple(np.einsum_path('nab,mab->mn', obs, obs, optimize=True)[0])
-    for array in (chis, phis, obs, bloch, pinv, reach[0]):
+    for array in (chis, phis, bloch, reach[0]):
         array.flags.writeable = False
-    return _Grid(chis, phis, obs, bloch, pinv, _upper_pairs(len(chis)), reach,
-                 contract_path, corr_path)
+    return _Grid(chis, phis, bloch, _upper_pairs(len(chis)), reach)
 
 
 def _grid_stage(psi: np.ndarray, grid_n: int) -> tuple[float, np.ndarray]:
@@ -524,18 +515,16 @@ def _grid_stage(psi: np.ndarray, grid_n: int) -> tuple[float, np.ndarray]:
     max_r |corr[r, i] + corr[r, j]| + max_r |corr[r, i] - corr[r, j]|,
     whatever the signs and the order of i, j, so only i <= j is scanned
     (``_best_pair``).  An A setting picked with a negative sign maps back to
-    the antipode angles.  Every R x R array lives in this thread's
-    ``_workspace``; the returned angles are a new array.
+    the antipode angles.  corr_t is ``_rank3_correlations``' exact rank-3
+    product of the Pauli correlation tensor.  Every R x R array lives in
+    this thread's ``_workspace``; the returned angles are a new array.
     """
     grid = _grid_constants(grid_n)
-    chis, phis, obs, pinv, pairs = grid.chis, grid.phis, grid.obs, grid.pinv, grid.pairs
+    chis, phis, bloch, pairs = grid.chis, grid.phis, grid.bloch, grid.pairs
     space = _workspace(len(chis))
-    contracted = np.einsum('ki,nkl,lj->nij', psi.conj(), obs, psi,
-                           optimize=grid.contract_path)
-    np.einsum('nab,mab->mn', contracted, obs, optimize=grid.corr_path, out=space.product)
     corr_t = space.corr_t
-    np.copyto(corr_t, space.product.real)
-    bounds, image, eps = _pair_bounds(corr_t, grid.bloch, pinv @ corr_t @ pinv.T, pairs, space)
+    image, eps = _rank3_correlations(psi, bloch, corr_t)
+    bounds = _pair_bounds(image, eps, pairs, space)
     best, (ib, ibp) = _best_pair(corr_t, bounds, pairs, space, lambda cands: _reach_bounds(
         grid.reach, image, eps, pairs[cands]))
     angles = []

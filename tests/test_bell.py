@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from nonortho import bell
 from nonortho.bell import (MeasurementSetting, _best_pair, _bloch_vectors,
                            _chsh_value, _grid_constants, _grid_stage,
                            _new_workspace, _orbit_representatives, _pair_bounds,
-                           _reach_bounds, _reach_lengths, _theta_entries,
+                           _rank3_correlations, _reach_bounds, _reach_lengths,
                            _workspace, analytic_bell,
                            bell_expectation, canonical_settings, oracle_bell_max,
                            spin_observable)
@@ -139,6 +140,17 @@ def test_oracle_rejects_tiny_grid():
         oracle_bell_max(embed(make_state(SQ2, -SQ2, 0, 0)), grid_n=4)
 
 
+def _theta_entries(chis, phis):
+    """(n, 2, 2) stack of observables in the computational basis."""
+    out = np.empty((len(chis), 2, 2), dtype=complex)
+    c, s, e = np.cos(chis), np.sin(chis), np.exp(1j * phis)
+    out[:, 0, 0] = c
+    out[:, 1, 1] = -c
+    out[:, 0, 1] = s * e
+    out[:, 1, 0] = s * np.conj(e)
+    return out
+
+
 def _full_grid_best(psi, grid_n):
     """Reference O(N^3) scan over every (a, a', b, b') of the plain grid."""
     chis = np.linspace(0.0, math.pi, grid_n)
@@ -182,18 +194,30 @@ def test_orbit_representatives_count():
 # --- pruned grid and one-side refinement against the unpruned references ----
 
 def _grid_correlations(psi, grid_n):
-    """Orbit settings and corr_t[s, r] = <Theta_r Theta_s>, as the grid stage has them."""
+    """Orbit settings, corr_t[s, r] = <Theta_r Theta_s>, rows a_s and eps: the grid stage's."""
     chis, phis = _orbit_representatives(grid_n)
+    corr_t = np.empty((len(chis), len(chis)))
+    image, eps = _rank3_correlations(psi, _bloch_vectors(chis, phis), corr_t)
+    return chis, phis, corr_t, image, eps
+
+
+def _contracted_correlations(psi, chis, phis):
+    """corr_t[s, r] = <Theta_r Theta_s> by contracting the observables' entries with psi."""
     obs = _theta_entries(chis, phis)
     contracted = np.einsum('ki,nkl,lj->nij', psi.conj(), obs, psi, optimize=True)
-    corr_t = np.ascontiguousarray(
-        np.einsum('nab,mab->mn', contracted, obs, optimize=True).real)
-    return chis, phis, corr_t
+    return np.einsum('nab,mab->mn', contracted, obs, optimize=True).real
 
 
 def _fitted_tensor(corr_t, bloch):
+    """The least-squares X with corr_t ~ bloch X bloch^T."""
     pinv = np.linalg.pinv(bloch)
     return pinv @ corr_t @ pinv.T
+
+
+def _residual(corr_t, bloch, tensor):
+    """The rows a_i of bloch X and the largest |corr_t - bloch X bloch^T|, a valid eps."""
+    image = bloch @ tensor
+    return image, float(np.abs(image @ bloch.T - corr_t).max())
 
 
 def _reference_scan(corr_t):
@@ -212,7 +236,7 @@ def _reference_scan(corr_t):
 
 def _reference_grid_stage(psi, grid_n):
     """The grid stage with the unpruned scan, angles mapped back as in bell.py."""
-    chis, phis, corr_t = _grid_correlations(psi, grid_n)
+    chis, phis, corr_t = _grid_correlations(psi, grid_n)[:3]
     best, (ib, ibp) = _reference_scan(corr_t)
     angles = []
     for combo in (corr_t[ib] + corr_t[ibp], corr_t[ib] - corr_t[ibp]):
@@ -368,6 +392,39 @@ def test_pruned_grid_is_bit_identical_on_families():
         _assert_grid_exact(coefficient_matrix(embed(s)))
 
 
+def _assert_rank3_matches_the_contraction(psi):
+    for grid_n in (8, 9, 24):
+        chis, phis, corr_t = _grid_correlations(psi, grid_n)[:3]
+        assert np.abs(corr_t - _contracted_correlations(psi, chis, phis)).max() <= 1e-15
+
+
+@given(valid_states())
+@settings(max_examples=60, deadline=None)
+def test_rank3_correlations_match_the_contraction(s):
+    # the tensor's rows against the observables contracted entry by entry
+    _assert_rank3_matches_the_contraction(coefficient_matrix(embed(s)))
+
+
+def test_rank3_correlations_match_the_contraction_on_families():
+    for s in _family_states():
+        _assert_rank3_matches_the_contraction(coefficient_matrix(embed(s)))
+
+
+def test_rank3_rounding_stays_within_eps():
+    # against the exact rational dot products of the rows a_i with the n_r
+    for s in [*random_states(3, 13), make_state(SQ2, -SQ2, 0, 0),
+              state_from_magnitudes(1e-3, 0.4, 0.2, 1.0)]:
+        psi = coefficient_matrix(embed(s))
+        for grid_n in (8, 9):
+            chis, phis, corr_t, image, eps = _grid_correlations(psi, grid_n)
+            bloch = _bloch_vectors(chis, phis)
+            rows = [[Fraction(x) for x in row] for row in image.tolist()]
+            ns = [[Fraction(x) for x in n] for n in bloch.tolist()]
+            worst = max(abs(Fraction(corr_t[i, r]) - sum(a * b for a, b in zip(row, n)))
+                        for i, row in enumerate(rows) for r, n in enumerate(ns))
+            assert 0 < worst <= eps
+
+
 def _all_totals(corr_t):
     """Exact totals of every pair i <= j, packed row-major: the tightest bounds."""
     return np.concatenate([np.abs(corr_t[ib:] + corr_t[ib]).max(axis=1)
@@ -380,11 +437,8 @@ def _packed_index(n, i, j):
     return i * n - i * (i - 1) // 2 + (j - i)
 
 
-def _reach_refinement(grid, corr_t, space, tensor=None):
-    """The grid stage's second bound level for ``corr_t``, from ``tensor`` or the fit."""
-    if tensor is None:
-        tensor = grid.pinv @ corr_t @ grid.pinv.T
-    _, image, eps = _pair_bounds(corr_t, grid.bloch, tensor, grid.pairs, space)
+def _reach_refinement(grid, image, eps):
+    """The grid stage's second bound level from the rows a_i and eps."""
     return lambda cands: _reach_bounds(grid.reach, image, eps, grid.pairs[cands])
 
 
@@ -402,7 +456,7 @@ def test_best_pair_is_exact_for_any_valid_bounds(chunk, monkeypatch):
             if chunk == 1 and grid_n == 9:
                 continue        # 2080 pairs, one chunk each under the flat bound
             grid = _grid_constants(grid_n)
-            corr_t = _grid_correlations(psi, grid_n)[2]
+            _, _, corr_t, image, eps = _grid_correlations(psi, grid_n)
             n, pairs, space = len(corr_t), grid.pairs, _workspace(len(corr_t))
             expected = _reference_scan(corr_t)
             tight = _all_totals(corr_t)
@@ -410,7 +464,7 @@ def test_best_pair_is_exact_for_any_valid_bounds(chunk, monkeypatch):
             raised = tight + ties       # every maximal pair 1 above its total ...
             raised[_packed_index(n, *expected[1])] -= 1.0   # ... except the first
             flat = np.full_like(tight, expected[0] + 1.0)
-            reach = _reach_refinement(grid, corr_t, space)
+            reach = _reach_refinement(grid, image, eps)
             for bounds in (tight, raised, flat):
                 for refine in (bounds.__getitem__, raised.__getitem__, reach):
                     assert _best_pair(corr_t, bounds, pairs, space, refine) == expected
@@ -426,10 +480,8 @@ def test_pair_bounds_dominate_every_total():
     q = 1.0 / (2.0 * (1.0 - 0.6 ** 2))
     boundary = [state_from_magnitudes(s * q, 0.6, 0.6, math.pi) for s in (1.0, 0.97)]
     for s in [*random_states(20, 11), *near_product, *boundary]:
-        chis, phis, corr_t = _grid_correlations(coefficient_matrix(embed(s)), 24)
-        bloch = _bloch_vectors(chis, phis)
-        bounds, image, eps = _pair_bounds(corr_t, bloch, _fitted_tensor(corr_t, bloch), pairs,
-                                          _workspace(len(corr_t)))
+        _, _, corr_t, image, eps = _grid_correlations(coefficient_matrix(embed(s)), 24)
+        bounds = _pair_bounds(image, eps, pairs, _workspace(len(corr_t)))
         totals = _all_totals(corr_t)
         assert bounds.shape == totals.shape
         assert (bounds >= totals).all()
@@ -438,41 +490,44 @@ def test_pair_bounds_dominate_every_total():
 
 
 def test_pruning_stays_exact_with_a_wrong_tensor_or_noisy_correlations():
+    # with the rows of a wrong tensor, or a noisy table, eps is the form's
+    # largest residual, which is what the bounds' proof asks of it
     rng = np.random.default_rng(5)
     states = list(random_states(5, 12)) + [make_state(SQ2, -SQ2, 0, 0)]
     grid = _grid_constants(24)
-    pairs = grid.pairs
+    bloch, pairs = grid.bloch, grid.pairs
     for s in states:
-        chis, phis, corr_t = _grid_correlations(coefficient_matrix(embed(s)), 24)
-        bloch = _bloch_vectors(chis, phis)
+        corr_t = _grid_correlations(coefficient_matrix(embed(s)), 24)[2]
         space = _workspace(len(corr_t))
         expected = _reference_scan(corr_t)
         tensor = _fitted_tensor(corr_t, bloch)
         for wrong in (0.9 * tensor, np.zeros((3, 3)), tensor + 0.05):
             # both bound levels come from the wrong tensor and its residual
-            refine = _reach_refinement(grid, corr_t, space, wrong)
-            bounds = _pair_bounds(corr_t, bloch, wrong, pairs, space)[0]
+            image, eps = _residual(corr_t, bloch, wrong)
+            bounds = _pair_bounds(image, eps, pairs, space)
+            refine = _reach_refinement(grid, image, eps)
             assert _best_pair(corr_t, bounds, pairs, space, refine) == expected
         noisy = corr_t + rng.normal(0.0, 1e-3, corr_t.shape)
-        refine = _reach_refinement(grid, noisy, space, _fitted_tensor(noisy, bloch))
-        bounds = _pair_bounds(noisy, bloch, _fitted_tensor(noisy, bloch), pairs, space)[0]
+        image, eps = _residual(noisy, bloch, _fitted_tensor(noisy, bloch))
+        bounds = _pair_bounds(image, eps, pairs, space)
+        refine = _reach_refinement(grid, image, eps)
         assert _best_pair(noisy, bounds, pairs, space, refine) == _reference_scan(noisy)
 
 
 def test_pair_bounds_are_tight_on_pure_states():
-    # corr is exactly rank 3 in the Bloch vectors, so the fit leaves only
-    # rounding, and on the maximally entangled state most pairs are pruned
-    chis, phis, corr_t = _grid_correlations(
+    # the table is exactly the tensor's rank-3 product, the rows a_i its
+    # left factor, and on the maximally entangled state most pairs are pruned
+    chis, phis, corr_t, image, eps = _grid_correlations(
         coefficient_matrix(embed(make_state(SQ2, -SQ2, 0, 0))), 24)
     bloch = _bloch_vectors(chis, phis)
     obs = _theta_entries(chis, phis)        # Theta = n . sigma, read off its entries
     read_off = np.stack([obs[:, 0, 1].real, -obs[:, 0, 1].imag, obs[:, 0, 0].real], axis=1)
     assert np.abs(bloch - read_off).max() < 1e-15
-    tensor = _fitted_tensor(corr_t, bloch)
-    assert np.abs(bloch @ tensor @ bloch.T - corr_t).max() < 1e-13
+    assert np.array_equal(image @ bloch.T, corr_t)
+    assert 0 < eps < 1e-15
     space = _workspace(len(corr_t))
     pairs = _grid_constants(24).pairs
-    bounds = _pair_bounds(corr_t, bloch, tensor, pairs, space)[0]
+    bounds = _pair_bounds(image, eps, pairs, space)
     best, _ = _best_pair(corr_t, bounds, pairs, space, bounds.__getitem__)
     assert (bounds >= best).sum() / len(pairs) < 0.2
 
@@ -484,9 +539,8 @@ def test_boundary_family_spans_several_chunks():
     spans = []
     for s in _family_states():
         psi = coefficient_matrix(embed(s))
-        corr_t = _grid_correlations(psi, 24)[2]
-        bounds = _pair_bounds(corr_t, grid.bloch, grid.pinv @ corr_t @ grid.pinv.T,
-                              grid.pairs, space)[0]
+        _, _, corr_t, image, eps = _grid_correlations(psi, 24)
+        bounds = _pair_bounds(image, eps, grid.pairs, space)
         spans.append((bounds >= _grid_stage(psi, 24)[0]).sum())
     assert max(spans) > 4 * bell.PAIR_CHUNK
 
@@ -517,9 +571,8 @@ def test_reach_bounds_cut_boundary_states_to_four_chunks(monkeypatch):
         for scale in (1.0, 0.97):
             q = scale / (2.0 * (1.0 - overlap ** 2))
             psi = coefficient_matrix(embed(state_from_magnitudes(q, overlap, overlap, math.pi)))
-            corr_t = _grid_correlations(psi, 24)[2]
-            bounds = _pair_bounds(corr_t, grid.bloch, grid.pinv @ corr_t @ grid.pinv.T,
-                                  grid.pairs, space)[0]
+            _, _, corr_t, image, eps = _grid_correlations(psi, 24)
+            bounds = _pair_bounds(image, eps, grid.pairs, space)
             coarse.append(_chunks_evaluated(monkeypatch, lambda: _best_pair(
                 corr_t, bounds, grid.pairs, space, bounds.__getitem__)))
             refined.append(_chunks_evaluated(monkeypatch, lambda: _grid_stage(psi, 24)))
@@ -558,10 +611,9 @@ def test_reach_table_bounds_what_the_grid_reaches(grid_n):
 def test_grid_constants_are_cached_and_read_only():
     grid = _grid_constants(24)
     assert _grid_constants(24) is grid
-    for array in (grid.chis, grid.phis, grid.obs, grid.bloch, grid.pinv, grid.reach[0]):
+    for array in (grid.chis, grid.phis, grid.bloch, grid.reach[0]):
         with pytest.raises(ValueError):
             array[0] = 0.0
-    assert isinstance(grid.contract_path, tuple) and isinstance(grid.corr_path, tuple)
     # the pairs i <= j in row-major order, i.e. ascending flat index; they
     # stay writeable so that np.take uses them without a copy, and a grid
     # stage leaves them as built
@@ -610,11 +662,11 @@ def test_workspace_layout_reuse_and_keys(monkeypatch):
     flat = space.scratch.base
     assert all(view.base is flat for view in space)
     pairs = n * (n + 1) // 2
-    assert flat.size == max(2 * n * n, 3 * bell.PAIR_CHUNK * n) + n * n + 2 * pairs
+    assert flat.size == max(n * n, 3 * bell.PAIR_CHUNK * n) + n * n + 2 * pairs
     assert space.halves.shape == (2, pairs)
     # views that live at the same time never overlap
     assert not np.shares_memory(space.corr_t, space.halves)
-    for name in ("product", "work", "rows", "tails", "both"):
+    for name in ("work", "rows", "tails", "both"):
         view = getattr(space, name)
         assert np.shares_memory(view, space.scratch), name
         assert not np.shares_memory(view, space.corr_t), name

@@ -285,13 +285,14 @@ def test_closed_stdout_ends_without_a_traceback():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    proc = subprocess.Popen([sys.executable, "-m", "nonortho", "sweep",
-                             "--sweep", "mu_sq=0:1:20000"], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline().startswith(b"mu_sq,")
-    proc.stdout.close()   # ~2 MB remain unwritten, far beyond a pipe's buffer
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 141
+    # under ``with`` both pipes close, whatever the asserts do
+    with subprocess.Popen([sys.executable, "-m", "nonortho", "sweep",
+                           "--sweep", "mu_sq=0:1:20000"], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"mu_sq,")
+        proc.stdout.close()   # ~2 MB remain unwritten, far beyond a pipe's buffer
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
     assert err == b""
 
 

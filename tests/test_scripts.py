@@ -54,9 +54,11 @@ def test_overlap_sweep_writes_csv(tmp_path):
 
 
 def test_oracle_check_with_closed_stdout_ends_without_a_traceback():
-    proc = subprocess.Popen([sys.executable, str(ROOT / "scripts" / "oracle_check.py"), "2"],
-                            env=script_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    proc.stdout.close()     # before the script has written anything
-    err = proc.stderr.read()
-    assert proc.wait(timeout=300) == 141
+    # under ``with`` both pipes close, whatever the asserts do
+    with subprocess.Popen([sys.executable, str(ROOT / "scripts" / "oracle_check.py"), "2"],
+                          env=script_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()     # before the script has written anything
+        err = proc.stderr.read()
+        assert proc.wait(timeout=300) == 141
     assert err == b""

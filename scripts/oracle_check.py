@@ -11,7 +11,9 @@ result, ``bell._refine``), and the minor page faults per oracle call (the
 first call, and the median and mean of the later ones) where the
 ``resource`` module exists.  A last line times the near-maximal boundary
 family |x| = |y| = t, eta = pi, |mu|^2 = s/(2 (1 - t^2)), for t in
-{0.3, 0.6, 0.9} and s in {1, 0.97}, the slowest states of the grid stage.
+{0.3, 0.6, 0.9} and s in {1, 0.97}.  The grid stage costs the same on
+every state; the refinement's sweeps run longest along this family's
+flat direction, so its worst state is the slowest warm call.
 
 Exits 0; 2 with one usage line on stderr for a bad count or seed; or 141
 when the reader closes stdout early (``| head``).
@@ -80,9 +82,9 @@ def main(argv: list[str]) -> int:
             faults.append(minor_faults() - before)
         psi = coefficient_matrix(vector)
         start = time.perf_counter()
-        best, angles = _grid_stage(psi, 24)
+        angles = _grid_stage(psi, 24)[1]
         middle = time.perf_counter()
-        _refine(psi, best, angles, 40)
+        _refine(psi, angles, 40)
         stage_seconds[0].append(middle - start)
         stage_seconds[1].append(time.perf_counter() - middle)
         worst_match = max(worst_match, abs(oracle - analytic))

@@ -13,18 +13,13 @@ CHSH value 2*sqrt(1 + |2 c+ c-|^2).
 ``oracle_bell_max`` is the independent check: it maximizes the raw CHSH
 combination over all four settings by a grid search plus local refinement,
 sharing no algebra with the closed form.  Theta(chi, phi) = n . sigma with
-the Bloch vector n = (sin chi cos phi, -sin chi sin phi, cos chi), so each
-grid correlation is n_A . T n_B for the 3x3 Pauli correlation tensor T of
-psi: the grid's table is one exact rank-3 product of T, and eps bounds its
-rounding.  The search visits one setting per
-{Theta, -Theta} pair and each unordered (B, B') pair once, and bounds each
-pair's total at two levels: |T(n_B + n_B')| + |T(n_B - n_B')| + 4 eps for
-every pair (Cauchy-Schwarz, as if A could point anywhere), then, for the
-pairs left after one chunk, those lengths times how far the grid's A
-settings reach along T(n_B +- n_B'), read from a table folded by the grid's
-symmetries.  Bounds only order the pairs and stop the scan; every pair whose
-bound reaches the maximum is evaluated exactly, and the first such pair in
-(i, j) order wins, so the result is that of the unpruned scan bit for bit.
+the Bloch vector n = (sin chi cos phi, -sin chi sin phi, cos chi), so a
+correlation is n_A . T n_B for the 3x3 Pauli correlation tensor T of psi.
+With B and B' fixed the value is n_A . T(n_B + n_B') + n_A' . T(n_B - n_B'),
+so by Cauchy-Schwarz the best A and A' point along T(n_B +- n_B') and the
+value is |T(n_B + n_B')| + |T(n_B - n_B')|.  The grid stage takes the B pair
+of the settings grid that maximizes it, one setting per {Theta, -Theta} pair
+and each unordered pair once, and sets A and A' exactly.
 
 Refinement moves one angle at a time to its exact maximizer (one atan2): with
 three settings fixed, the value is n . v + const in the fourth's Bloch vector.
@@ -36,7 +31,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -256,222 +251,68 @@ def _bloch_vectors(chis: np.ndarray, phis: np.ndarray) -> np.ndarray:
                     axis=1)
 
 
-PAIR_CHUNK = 128    # B pairs per batched evaluation; bounds the scan's temporaries
-REACH_STEP = 0.01   # rad; the reach table's cell width in chi and in phi
-REACH_BLOCK = 1024  # pairs per block of reach bounds; bounds their temporaries
-
-
 class _Workspace(NamedTuple):
     """One thread's grid-stage buffers for R orbits: views of one flat float64 array.
 
-    The array is [scratch | corr_t | halves].  Scratch holds in turn
-    ``_pair_bounds``' ``work`` and a chunk's rows; ``halves`` is 2 x P for
-    the P = R (R + 1)/2 pairs i <= j.
+    ``work`` (R x R) holds one of ``_pair_bounds``' products at a time, and
+    ``halves`` is 2 x P for the P = R (R + 1)/2 pairs i <= j.
     """
 
-    scratch: np.ndarray
     work: np.ndarray
-    rows: np.ndarray
-    tails: np.ndarray
-    both: np.ndarray
-    corr_t: np.ndarray
     halves: np.ndarray
-
-
-def _new_workspace(n: int, chunk: int) -> _Workspace:
-    """Buffers for ``n`` orbits and chunks of ``chunk`` pairs."""
-    square = n * n
-    size = max(square, 3 * chunk * n)
-    flat = np.empty(size + square + n * (n + 1))
-    scratch = flat[:size]
-    rows, tails, both = scratch[:3 * chunk * n].reshape(3, chunk, n)
-    return _Workspace(
-        scratch=scratch,
-        work=scratch[:square].reshape(n, n),
-        rows=rows, tails=tails, both=both,
-        corr_t=flat[size:size + square].reshape(n, n),
-        halves=flat[size + square:].reshape(2, -1))
 
 
 _WORKSPACES = threading.local()
 
 
 def _workspace(n: int) -> _Workspace:
-    """This thread's workspace for ``n`` orbits, kept per (n, PAIR_CHUNK)."""
+    """This thread's workspace for ``n`` orbits, kept per ``n``."""
     spaces = _WORKSPACES.__dict__.setdefault("spaces", {})     # this thread's own dict
-    key = (n, PAIR_CHUNK)
-    if key not in spaces:
-        spaces[key] = _new_workspace(n, PAIR_CHUNK)
-    return spaces[key]
+    if n not in spaces:
+        flat = np.empty(n * n + n * (n + 1))
+        spaces[n] = _Workspace(work=flat[:n * n].reshape(n, n), halves=flat[n * n:].reshape(2, -1))
+    return spaces[n]
 
 
-def _rank3_correlations(psi: np.ndarray, bloch: np.ndarray,
-                        out: np.ndarray) -> tuple[np.ndarray, float]:
-    """corr_t = (bloch T^T) bloch^T into ``out``, the rows a_i = T n_i, and eps.
+def _tensor_image(forms, bloch: np.ndarray) -> np.ndarray:
+    """The rows a_i = T n_i for the Bloch vectors n_i, the rows of ``bloch``.
 
-    T is the Pauli correlation tensor of ``psi``, <Theta_A Theta_B> = n_A . T
+    T is the Pauli correlation tensor of psi, <Theta_A Theta_B> = n_A . T
     n_B; by ``_combine`` B's coefficients are (2 Re k_A, 2 Im k_A, d_A) with
-    (d_A, k_A) = (n_A . D, n_A . K), so T^T has rows (2 Re K, 2 Im K, D),
-    as the B side of ``_linear_form``.  eps bounds the product's rounding:
-    a 3-term dot product rounds by at most gamma_3 sum_k |a_ik n_rk| <=
-    gamma_3 |a_i|_1 as |n_rk| <= 1, and gamma_3 = 3u/(1 - 3u) < 2^-51 with
-    room for the rounding of |a_i|_1.
+    (d_A, k_A) = (n_A . D, n_A . K) and ``forms`` = (D, K), so T^T has rows
+    (2 Re K, 2 Im K, D), as the B side of ``_linear_form``.
     """
-    d, k = _pauli_forms(psi.tolist())
-    image = bloch @ np.array([[2.0 * z.real for z in k], [2.0 * z.imag for z in k], d])
-    np.matmul(image, bloch.T, out=out)
-    return image, 2.0 ** -51 * float(np.abs(image).sum(axis=1).max())
+    d, k = forms
+    return bloch @ np.array([[2.0 * z.real for z in k], [2.0 * z.imag for z in k], d])
 
 
-def _pair_bounds(image: np.ndarray, eps: float, pairs: np.ndarray,
-                 space: _Workspace) -> np.ndarray:
-    """Upper bounds U on the totals of the B pairs i <= j, in ``space.halves``.
+def _pair_bounds(image: np.ndarray, pairs: np.ndarray, space: _Workspace) -> np.ndarray:
+    """|a_i + a_j| + |a_i - a_j| for the B pairs i <= j up to rounding, in ``space.halves``.
 
-    ``pairs`` holds the pairs' flat indices i R + j, row-major; row i of
-    ``image`` is a 3-vector a_i with |corr_t[i, r] - a_i . n_r| <= eps for
-    every r, so by Cauchy-Schwarz U = |a_i + a_j| + |a_i - a_j| + 4 eps +
-    1e-12.  The squares are entries of [a, |a|^2, 1] [+-2 a, 1 + 1e-13,
-    (1 + 1e-13) |a|^2]^T (1e-13 covers their rounding under the root),
-    formed in ``space.work`` and gathered into ``space.halves``.
+    ``pairs`` holds the pairs' flat indices i R + j, row-major, and row i of
+    ``image`` is a_i.  With B, B' = Theta_i, Theta_j the CHSH value is
+    n_A . (a_i + a_j) + n_A' . (a_i - a_j), so by Cauchy-Schwarz this bounds
+    it over every A and A' and is reached along a_i +- a_j.  The squares are
+    entries of [a, |a|^2, 1] [+-2 a, 1, |a|^2]^T, formed in ``space.work``,
+    gathered into ``space.halves`` and clipped at 0.  Each rounds by at most
+    gamma_5 (|a_i| + |a_j|)^2 + gamma_3 (|a_i|^2 + |a_j|^2) < 2^-47 m^2, m =
+    max_i |a_i|, which moves a root near 0 by up to 2^-23.5 m, so a value
+    is within 2^-22 m of its pair's.
     """
     work, halves = space.work, space.halves
     sq = np.einsum('ij,ij->i', image, image)
     left = np.column_stack((image, sq, np.ones_like(sq)))
-    right = np.column_stack((2.0 * image, np.full_like(sq, 1.0 + 1e-13), (1.0 + 1e-13) * sq))
+    right = np.vstack((2.0 * image.T, np.ones_like(sq), sq))
     for half in halves:
-        np.matmul(left, right.T, out=work)
+        np.matmul(left, right, out=work)
         # the indices are in range; "wrap" skips the copy of ``out`` that "raise" makes
         np.take(work.ravel(), pairs, out=half, mode="wrap")
-        right[:, :3] *= -1.0
+        right[:3] *= -1.0
     np.maximum(halves, 0.0, out=halves)
     np.sqrt(halves, out=halves)
     bounds, minus = halves
     bounds += minus
-    bounds += 4.0 * eps + 1e-12
     return bounds
-
-
-def _reach_table(bloch: np.ndarray, grid_n: int) -> tuple[np.ndarray, float, float]:
-    """Upper bounds on g(u) = max_r |n_r . u| per (chi', phi') cell, and cells per radian.
-
-    With u = (sin chi cos phi, sin chi sin phi, cos chi), {+-n_r} is the
-    product of the chis k pi/(n-1) and the phis -pi + m p, p = 2 pi/n for
-    even n and pi/n for odd (``_orbit_representatives``), so g is even and
-    unchanged by z -> -z and by a turn by p about z: the table covers
-    chi' = min(chi, pi - chi) and phi' = (phi + pi) mod p.  As ds^2 <=
-    dchi^2 + dphi^2, a cell lies within rho = hypot(dchi, dphi)/2 of its
-    center c, so by the triangle inequality g <= cos(max(arccos g(c) - rho,
-    0)) on it; 1e-7 covers arccos' error near 1 and a cell edge's rounding,
-    1e-12 is relative slack.
-    """
-    period = (2.0 if grid_n % 2 == 0 else 1.0) * math.pi / grid_n
-    rows, cols = math.ceil(0.5 * math.pi / REACH_STEP), math.ceil(period / REACH_STEP)
-    d_chi, d_phi = 0.5 * math.pi / rows, period / cols
-    chi, phi = (g.ravel() for g in np.meshgrid((np.arange(rows) + 0.5) * d_chi,
-                                               (np.arange(cols) + 0.5) * d_phi - math.pi,
-                                               indexing="ij"))
-    centers = _bloch_vectors(chi, -phi)     # -phi: Bloch vectors flip the sign of y
-    reach, step = np.empty(len(centers)), -(-2 ** 13 // len(bloch))
-    products = np.empty((step, len(bloch)))     # one 64 KiB buffer, reused by every block
-    for start in range(0, len(centers), step):
-        part = centers[start:start + step]
-        block = np.matmul(part, bloch.T, out=products[:len(part)])
-        np.abs(block, out=block).max(axis=1, out=reach[start:start + step])
-    rho = 0.5 * math.hypot(d_chi, d_phi) + 1e-7
-    table = np.cos(np.maximum(np.arccos(np.minimum(reach, 1.0)) - rho, 0.0)) + 1e-12
-    return table.reshape(rows, cols), 1.0 / d_chi, 1.0 / d_phi
-
-
-def _reach_lengths(reach: tuple, v: np.ndarray) -> np.ndarray:
-    """|v| G(v/|v|) for the vectors v stacked along the first axis: >= max_r |n_r . v|."""
-    x, y, z = v
-    h = x * x + y * y
-    norm = np.sqrt(z * z + h)
-    chi = np.arctan2(np.sqrt(h, out=h), np.abs(z))     # chi' = min(chi, pi - chi)
-    table, chi_scale, phi_scale = reach
-    rows, cols = table.shape
-    cell = np.minimum((chi * chi_scale).astype(np.intp), rows - 1)
-    cell *= cols
-    cell += ((np.arctan2(y, x) + math.pi) * phi_scale).astype(np.intp) % cols
-    norm *= table.take(cell)
-    return norm
-
-
-def _reach_bounds(reach: tuple, image: np.ndarray, eps: float, flat: np.ndarray) -> np.ndarray:
-    """Upper bounds on the totals of the B pairs with flat indices ``flat``.
-
-    Row i of corr_t lies within eps of a_i . n_r, so with a+- = a_i +- a_j,
-    max_r |corr_t[i, r] +- corr_t[j, r]| <= |a+-| G(a+-/|a+-|) + 2 eps: the
-    grid's A settings reach G of the length that ``_pair_bounds`` grants.
-    """
-    image_t, bounds = image.T.copy(), np.empty(len(flat))
-    for start in range(0, len(flat), REACH_BLOCK):
-        block = slice(start, start + REACH_BLOCK)
-        a, b = (image_t.take(rows, axis=1) for rows in np.divmod(flat[block], len(image)))
-        plus, minus = _reach_lengths(reach, np.stack((a + b, np.subtract(a, b, out=b)), axis=1))
-        np.add(plus, minus, out=bounds[block])
-    bounds += 4.0 * eps + 1e-12
-    return bounds
-
-
-def _pair_totals(corr_t: np.ndarray, flat: np.ndarray, space: _Workspace) -> np.ndarray:
-    """Exact totals of at most PAIR_CHUNK B pairs with flat indices ``flat``, in ``space``."""
-    m = len(flat)
-    row, tail, both = space.rows[:m], space.tails[:m], space.both[:m]
-    first_rows, second_rows = np.divmod(flat, len(corr_t))
-    # the indices are in range; "clip" skips the copy of ``out`` that "raise" makes
-    np.take(corr_t, first_rows, axis=0, out=row, mode="clip")
-    np.take(corr_t, second_rows, axis=0, out=tail, mode="clip")
-    totals = np.abs(np.add(tail, row, out=both), out=both).max(axis=1)
-    totals += np.abs(np.subtract(row, tail, out=both), out=both).max(axis=1)
-    return totals
-
-
-def _scan(corr_t, pairs, space, cands, limits, best, arg) -> tuple[float, int]:
-    """``best`` and its smallest packed index ``arg`` after evaluating ``cands``.
-
-    PAIR_CHUNK at a time, until a chunk's first limit (they descend) is below ``best``.
-    """
-    for start in range(0, len(cands), PAIR_CHUNK):
-        if limits[start] < best:
-            break
-        chunk = cands[start:start + PAIR_CHUNK]
-        totals = _pair_totals(corr_t, pairs[chunk], space)
-        top = float(totals.max())
-        if top >= best:
-            first = int(chunk[totals == top].min())
-            arg = first if top > best else min(arg, first)
-            best = top
-    return best, arg
-
-
-def _best_pair(corr_t: np.ndarray, bounds: np.ndarray, pairs: np.ndarray, space: _Workspace,
-               refine: Callable[[np.ndarray], np.ndarray]) -> tuple[float, tuple[int, int]]:
-    """Largest grid total over B pairs i <= j, and the first pair in (i, j) order reaching it.
-
-    ``bounds`` bound the totals of the pairs packed as ``pairs`` (row-major:
-    packed order is (i, j) order), and ``refine`` maps packed indices to
-    further bounds.  Of the pairs reaching the floor (the total of the pair
-    with the largest bound), the PAIR_CHUNK with the largest bounds are
-    evaluated first; the rest still reaching that best keep min(bound,
-    refine) and are evaluated in its order until it falls below the best.
-    No pair skipped can reach the maximum, so the result is the row scan's
-    bit for bit.  ``corr_t`` and ``bounds`` must lie outside ``space.scratch``.
-    """
-    floor = float(_pair_totals(corr_t, pairs[[np.argmax(bounds)]], space)[0])
-    cands = np.flatnonzero(bounds >= floor)
-    if len(cands) > PAIR_CHUNK:
-        cands = cands[np.argpartition(-bounds[cands], PAIR_CHUNK - 1)]
-    top = cands[:PAIR_CHUNK]
-    best, arg = _scan(corr_t, pairs, space, top, bounds[top], -np.inf, 0)
-    rest = cands[PAIR_CHUNK:]
-    rest = rest[bounds[rest] >= best]
-    if len(rest):
-        limits = np.minimum(bounds[rest], refine(rest))
-        keep = np.flatnonzero(limits >= best)
-        keep = keep[np.argsort(-limits[keep])]
-        best, arg = _scan(corr_t, pairs, space, rest[keep], limits[keep], best, arg)
-    return best, divmod(int(pairs[arg]), len(corr_t))
 
 
 class _Grid(NamedTuple):
@@ -481,7 +322,6 @@ class _Grid(NamedTuple):
     phis: np.ndarray
     bloch: np.ndarray           # their Bloch vectors as rows, (R, 3)
     pairs: np.ndarray           # flat indices i R + j of the B pairs i <= j, row-major
-    reach: tuple                # how far the A settings reach, by ``_reach_table``
 
 
 def _upper_pairs(n: int) -> np.ndarray:
@@ -501,67 +341,68 @@ def _grid_constants(grid_n: int) -> _Grid:
     """
     chis, phis = _orbit_representatives(grid_n)
     bloch = _bloch_vectors(chis, phis)
-    reach = _reach_table(bloch, grid_n)
-    for array in (chis, phis, bloch, reach[0]):
+    for array in (chis, phis, bloch):
         array.flags.writeable = False
-    return _Grid(chis, phis, bloch, _upper_pairs(len(chis)), reach)
+    return _Grid(chis, phis, bloch, _upper_pairs(len(chis)))
 
 
 def _grid_stage(psi: np.ndarray, grid_n: int) -> tuple[float, np.ndarray]:
-    """Best CHSH value over the antipode-closed settings grid and its angle vector.
+    """Best CHSH value over the settings grid's B pairs, with A and A' free, and its angles.
 
-    With r over orbit representatives and corr[r, s] = <Theta_r Theta_s>, B
-    settings (+-Theta_i, +-Theta_j) with the best A and A' total
-    max_r |corr[r, i] + corr[r, j]| + max_r |corr[r, i] - corr[r, j]|,
-    whatever the signs and the order of i, j, so only i <= j is scanned
-    (``_best_pair``).  An A setting picked with a negative sign maps back to
-    the antipode angles.  corr_t is ``_rank3_correlations``' exact rank-3
-    product of the Pauli correlation tensor.  Every R x R array lives in
-    this thread's ``_workspace``; the returned angles are a new array.
+    A B pair (+-Theta_i, +-Theta_j) reaches ``_pair_bounds``' value
+    whatever the signs and the order of i, j, so only i <= j is searched.
+    The largest value is at least 2 max_i |a_i| (the pairs i = j), so every
+    pair within 1e-6 of it, relative, may be the best given the values'
+    rounding; these are compared again on the lengths of a_i +- a_j
+    themselves, and the first largest pair in (i, j) order wins.  A and A'
+    point along n = a_i +- a_j = (sin chi cos phi, -sin chi sin phi, cos chi),
+    so chi = atan2(|(x, y)|, z) and phi = atan2(-y, x) (both 0 where n = 0).
+    The value returned is ``_chsh_value`` at the angles, the arithmetic of
+    ``_refine``.  The R x R products live in this thread's ``_workspace``;
+    the returned angles are a new array.
     """
     grid = _grid_constants(grid_n)
-    chis, phis, bloch, pairs = grid.chis, grid.phis, grid.bloch, grid.pairs
-    space = _workspace(len(chis))
-    corr_t = space.corr_t
-    image, eps = _rank3_correlations(psi, bloch, corr_t)
-    bounds = _pair_bounds(image, eps, pairs, space)
-    best, (ib, ibp) = _best_pair(corr_t, bounds, pairs, space, lambda cands: _reach_bounds(
-        grid.reach, image, eps, pairs[cands]))
+    psi = psi.tolist()
+    image = _tensor_image(_pauli_forms(psi), grid.bloch)
+    bounds = _pair_bounds(image, grid.pairs, _workspace(len(image)))
+    first, second = np.divmod(grid.pairs[bounds >= (1.0 - 1e-6) * bounds.max()], len(image))
+    plus, minus = image[first] + image[second], image[first] - image[second]
+    totals = (np.sqrt(np.einsum('ij,ij->i', plus, plus))
+              + np.sqrt(np.einsum('ij,ij->i', minus, minus)))
+    best = int(np.argmax(totals))
+    ib, ibp = int(first[best]), int(second[best])
     angles = []
-    for combo in (corr_t[ib] + corr_t[ibp], corr_t[ib] - corr_t[ibp]):
-        ia = int(np.argmax(np.abs(combo)))
-        if combo[ia] >= 0.0:
-            angles += [chis[ia], phis[ia]]
-        else:
-            angles += [math.pi - chis[ia], phis[ia] + math.pi]
-    return best, np.array(angles + [chis[ib], phis[ib], chis[ibp], phis[ibp]])
+    for x, y, z in plus[best].tolist(), minus[best].tolist():
+        angles += [math.atan2(math.hypot(x, y), z), math.atan2(-y, x)]
+    angles += [float(grid.chis[ib]), float(grid.phis[ib]),
+               float(grid.chis[ibp]), float(grid.phis[ibp])]
+    return _chsh_value(psi, angles), np.array(angles)
 
 
 def oracle_bell_max(vector: np.ndarray, grid_n: int = 24,
                     refine_iters: int = 40) -> float:
     """Brute-force CHSH maximum over all four settings.
 
-    The best point of the ``grid_n`` x ``grid_n`` (chi, phi) grid, closed
-    under Theta -> -Theta, seeds a coordinate-wise refinement: each angle
-    moves to its exact maximizer, and a pattern move along each sweep's
-    displacement, doubled while it improves, speeds the collinear modes.
-    Only strict improvements are taken, so the result is non-decreasing in
-    ``refine_iters``, and a sweep that moves nothing ends the refinement.
+    The best B pair of the ``grid_n`` x ``grid_n`` (chi, phi) grid, closed
+    under Theta -> -Theta, with A and A' at their exact maximizers, seeds a
+    coordinate-wise refinement: each angle moves to its exact maximizer,
+    and a pattern move along each sweep's displacement, doubled while it
+    improves, speeds the collinear modes.  Only strict improvements are
+    taken, so the result is non-decreasing in ``refine_iters``, and a sweep
+    that moves nothing ends the refinement.
     """
     if grid_n < 8:
         raise DomainError(f"grid_n must be >= 8, got {grid_n}")
     psi = coefficient_matrix(vector)
-    return _refine(psi, *_grid_stage(psi, grid_n), refine_iters)
+    return _refine(psi, _grid_stage(psi, grid_n)[1], refine_iters)
 
 
-def _refine(psi: np.ndarray, best: float, angles: np.ndarray, refine_iters: int) -> float:
-    """``oracle_bell_max``'s refinement from the grid stage's ``best`` at ``angles``."""
+def _refine(psi: np.ndarray, angles: np.ndarray, refine_iters: int) -> float:
+    """``oracle_bell_max``'s refinement from the grid stage's ``angles``."""
     forms, angles = _pauli_forms(psi.tolist()), angles.tolist()
     # each setting's share of the value; a move of one angle recomputes one
     terms = [_share(forms, side, angles[2 * side], angles[2 * side + 1]) for side in range(4)]
     current = _combine(*terms)
-    if current < best:      # different arithmetic; guards rounding asymmetry
-        current = best
     for _ in range(refine_iters):
         sweep_start = angles    # angles is rebound below, never changed in place
         for side in range(4):

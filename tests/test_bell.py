@@ -2,7 +2,6 @@ import math
 import sys
 import threading
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,13 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonortho import bell
-from nonortho.bell import (MeasurementSetting, _best_pair, _bloch_vectors,
-                           _chsh_value, _grid_constants, _grid_stage,
-                           _new_workspace, _orbit_representatives, _pair_bounds,
-                           _rank3_correlations, _reach_bounds, _reach_lengths,
-                           _workspace, analytic_bell,
-                           bell_expectation, canonical_settings, oracle_bell_max,
-                           spin_observable)
+from nonortho.bell import (MeasurementSetting, _bloch_vectors, _chsh_value,
+                           _grid_constants, _grid_stage, _orbit_representatives,
+                           _pair_bounds, _refine, _tensor_image, _workspace,
+                           analytic_bell, bell_expectation, canonical_settings,
+                           oracle_bell_max, spin_observable)
 from nonortho.errors import DomainError
 from nonortho.sampling import random_states
 from nonortho.schmidt import coefficient_matrix, schmidt_decompose
@@ -167,16 +164,13 @@ def _full_grid_best(psi, grid_n):
 @given(valid_states())
 @settings(max_examples=40, deadline=None)
 def test_folded_grid_matches_full_scan(s):
+    # A and A' range over every setting, a superset of the grid's
     psi = coefficient_matrix(embed(s))
     for grid_n in (8, 9):
         folded, angles = _grid_stage(psi, grid_n)
-        full = _full_grid_best(psi, grid_n)
-        if grid_n % 2 == 0:     # the antipode-closed grid is the grid itself
-            assert abs(folded - full) <= 1e-14
-        else:                   # a superset of the grid
-            assert folded >= full - 1e-14
-        # the mapped-back angles attain the folded best
-        assert abs(_chsh_value(psi, angles) - folded) <= 1e-14
+        assert folded >= _full_grid_best(psi, grid_n) - 1e-14
+        # the angles attain the stage's value
+        assert abs(_chsh_value(psi, angles) - folded) <= 1e-15
 
 
 def test_oracle_early_stop_is_exact():
@@ -191,14 +185,14 @@ def test_orbit_representatives_count():
         assert len(_orbit_representatives(grid_n)[0]) == count
 
 
-# --- pruned grid and one-side refinement against the unpruned references ----
+# --- grid stage and refinement against the references -----------------------
 
 def _grid_correlations(psi, grid_n):
-    """Orbit settings, corr_t[s, r] = <Theta_r Theta_s>, rows a_s and eps: the grid stage's."""
+    """Orbit settings, corr_t[s, r] = <Theta_r Theta_s> and the rows a_s: the grid stage's."""
     chis, phis = _orbit_representatives(grid_n)
-    corr_t = np.empty((len(chis), len(chis)))
-    image, eps = _rank3_correlations(psi, _bloch_vectors(chis, phis), corr_t)
-    return chis, phis, corr_t, image, eps
+    bloch = _bloch_vectors(chis, phis)
+    image = _tensor_image(bell._pauli_forms(psi.tolist()), bloch)
+    return chis, phis, image @ bloch.T, image
 
 
 def _contracted_correlations(psi, chis, phis):
@@ -208,44 +202,16 @@ def _contracted_correlations(psi, chis, phis):
     return np.einsum('nab,mab->mn', contracted, obs, optimize=True).real
 
 
-def _fitted_tensor(corr_t, bloch):
-    """The least-squares X with corr_t ~ bloch X bloch^T."""
-    pinv = np.linalg.pinv(bloch)
-    return pinv @ corr_t @ pinv.T
+_PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
-def _residual(corr_t, bloch, tensor):
-    """The rows a_i of bloch X and the largest |corr_t - bloch X bloch^T|, a valid eps."""
-    image = bloch @ tensor
-    return image, float(np.abs(image @ bloch.T - corr_t).max())
-
-
-def _reference_scan(corr_t):
-    """The unpruned row scan over every B pair i <= j."""
-    best = -np.inf
-    arg = (0, 0)
-    for ib in range(len(corr_t)):
-        row, tail = corr_t[ib], corr_t[ib:]
-        totals = np.abs(tail + row).max(axis=1) + np.abs(row - tail).max(axis=1)
-        offset = int(np.argmax(totals))
-        if totals[offset] > best:
-            best = float(totals[offset])
-            arg = (ib, ib + offset)
-    return best, arg
-
-
-def _reference_grid_stage(psi, grid_n):
-    """The grid stage with the unpruned scan, angles mapped back as in bell.py."""
-    chis, phis, corr_t = _grid_correlations(psi, grid_n)[:3]
-    best, (ib, ibp) = _reference_scan(corr_t)
-    angles = []
-    for combo in (corr_t[ib] + corr_t[ibp], corr_t[ib] - corr_t[ibp]):
-        ia = int(np.argmax(np.abs(combo)))
-        if combo[ia] >= 0.0:
-            angles += [chis[ia], phis[ia]]
-        else:
-            angles += [math.pi - chis[ia], phis[ia] + math.pi]
-    return best, np.array(angles + [chis[ib], phis[ib], chis[ibp], phis[ibp]])
+def _brute_force_best(psi, bloch):
+    """max |a_i + a_j| + |a_i - a_j| over all R x R pairs, a_i = T n_i, T_mk = <sigma_m sigma_k>."""
+    tensor = np.einsum('ab,mac,kbd,cd->mk', psi.conj(), _PAULIS, _PAULIS, psi).real
+    image = bloch @ tensor.T
+    plus = np.linalg.norm(image[:, None] + image[None], axis=2)
+    minus = np.linalg.norm(image[:, None] - image[None], axis=2)
+    return float((plus + minus).max())
 
 
 def _contract(psi, chi, phi):
@@ -292,8 +258,8 @@ def _pattern_move(value_at, current, angles, sweep_start):
     return current, angles
 
 
-def _reference_oracle(psi, best, angles, refine_iters=40):
-    """oracle_bell_max's refinement from grid stage (best, angles), every share recomputed.
+def _reference_oracle(psi, angles, refine_iters=40):
+    """oracle_bell_max's refinement from the grid stage's angles, every share recomputed.
 
     Returns the value and whether a sweep reached the fixed point.
     """
@@ -303,7 +269,7 @@ def _reference_oracle(psi, best, angles, refine_iters=40):
         return [bell._share(forms, side, angles[2 * side], angles[2 * side + 1])
                 for side in range(4)]
 
-    current = max(bell._combine(*shares(angles)), best)
+    current = bell._combine(*shares(angles))
     for _ in range(refine_iters):
         sweep_start = angles
         for k in range(8):
@@ -356,21 +322,21 @@ def _probe_reference_oracle(psi, best, angles, refine_iters=40):
     return current, False
 
 
-def _assert_grid_exact(psi):
-    """The grid stage, and the oracle refined from it, match the references bit for bit."""
+def _assert_grid_stage_matches_the_references(psi):
+    """The grid stage against the brute force, and the oracle against the reference refinement."""
     for grid_n in (8, 9, 24):
         best, angles = _grid_stage(psi, grid_n)
-        ref_best, ref_angles = _reference_grid_stage(psi, grid_n)
-        assert best == ref_best
-        assert np.array_equal(angles, ref_angles)
+        assert abs(best - _brute_force_best(psi, _grid_constants(grid_n).bloch)) <= 1e-14
+        assert np.isfinite(angles).all()
+        assert abs(_chsh_value(psi, angles) - best) <= 1e-15
         assert (oracle_bell_max(psi.ravel(), grid_n)
-                == _reference_oracle(psi, ref_best, ref_angles)[0])
+                == _reference_oracle(psi, angles)[0])
 
 
 @given(valid_states())
 @settings(max_examples=30, deadline=None)
-def test_pruned_grid_is_bit_identical_on_random_states(s):
-    _assert_grid_exact(coefficient_matrix(embed(s)))
+def test_grid_stage_matches_the_brute_force_on_random_states(s):
+    _assert_grid_stage_matches_the_references(coefficient_matrix(embed(s)))
 
 
 def _family_states():
@@ -387,9 +353,38 @@ def _family_states():
         yield state_from_magnitudes(0.97 * q, overlap, overlap, math.pi)
 
 
-def test_pruned_grid_is_bit_identical_on_families():
+def test_grid_stage_matches_the_brute_force_on_families():
+    # the near-product states have pairs with |a_i -+ a_j| ~ 1e-8, where the
+    # pair values' rounding reaches ~1e-8 and the exact comparison decides
     for s in _family_states():
-        _assert_grid_exact(coefficient_matrix(embed(s)))
+        _assert_grid_stage_matches_the_references(coefficient_matrix(embed(s)))
+    for nu in (1e-6, 1e-5):
+        s = make_state(0.6 + 0.3j, nu * (0.5 - 0.8j), 0.4, 0.3j, auto_normalize=True)
+        _assert_grid_stage_matches_the_references(coefficient_matrix(embed(s)))
+
+
+def test_grid_angles_are_finite_on_product_states():
+    # finite angles that attain the value, at most the classical 2; on |00>
+    # the best pair is the pole twice, so A' points along a_i - a_j = 0
+    for vector in ([1.0, 0, 0, 0], [0.6, 0, 0.8j, 0], embed(make_state(1, 0, 0.5, 0.3))):
+        psi = coefficient_matrix(vector)
+        for grid_n in (8, 9, 24):
+            best, angles = _grid_stage(psi, grid_n)
+            assert np.isfinite(angles).all()
+            assert abs(_chsh_value(psi, angles) - best) <= 1e-15
+            assert best <= 2.0 + 1e-15
+    best, angles = _grid_stage(coefficient_matrix([1.0, 0, 0, 0]), 24)
+    assert best == 2.0 and angles[4] == angles[6] == 0.0
+
+
+def test_refine_starts_from_the_grid_value_exactly():
+    # the grid value and the refinement's first value come from the same
+    # shares, so zero sweeps return it bit for bit
+    for s in [*_family_states(), *random_states(20, 17)]:
+        psi = coefficient_matrix(embed(s))
+        for grid_n in (8, 9, 24):
+            best, angles = _grid_stage(psi, grid_n)
+            assert _refine(psi, angles, 0) == best
 
 
 def _assert_rank3_matches_the_contraction(psi):
@@ -410,23 +405,8 @@ def test_rank3_correlations_match_the_contraction_on_families():
         _assert_rank3_matches_the_contraction(coefficient_matrix(embed(s)))
 
 
-def test_rank3_rounding_stays_within_eps():
-    # against the exact rational dot products of the rows a_i with the n_r
-    for s in [*random_states(3, 13), make_state(SQ2, -SQ2, 0, 0),
-              state_from_magnitudes(1e-3, 0.4, 0.2, 1.0)]:
-        psi = coefficient_matrix(embed(s))
-        for grid_n in (8, 9):
-            chis, phis, corr_t, image, eps = _grid_correlations(psi, grid_n)
-            bloch = _bloch_vectors(chis, phis)
-            rows = [[Fraction(x) for x in row] for row in image.tolist()]
-            ns = [[Fraction(x) for x in n] for n in bloch.tolist()]
-            worst = max(abs(Fraction(corr_t[i, r]) - sum(a * b for a, b in zip(row, n)))
-                        for i, row in enumerate(rows) for r, n in enumerate(ns))
-            assert 0 < worst <= eps
-
-
 def _all_totals(corr_t):
-    """Exact totals of every pair i <= j, packed row-major: the tightest bounds."""
+    """Totals of every pair i <= j over the grid's A settings, packed row-major."""
     return np.concatenate([np.abs(corr_t[ib:] + corr_t[ib]).max(axis=1)
                            + np.abs(corr_t[ib] - corr_t[ib:]).max(axis=1)
                            for ib in range(len(corr_t))])
@@ -437,181 +417,80 @@ def _packed_index(n, i, j):
     return i * n - i * (i - 1) // 2 + (j - i)
 
 
-def _reach_refinement(grid, image, eps):
-    """The grid stage's second bound level from the rows a_i and eps."""
-    return lambda cands: _reach_bounds(grid.reach, image, eps, grid.pairs[cands])
-
-
-@pytest.mark.parametrize("chunk", [1, bell.PAIR_CHUNK])
-def test_best_pair_is_exact_for_any_valid_bounds(chunk, monkeypatch):
-    # any array at or above every total is a valid bound at either level;
-    # these reorder the candidates so that the smallest maximal pair is
-    # evaluated last, alone in its chunk when chunk is 1, with a bound equal
-    # to the maximum, and the refined path gets the same orders or the grid's
-    # own reach bounds
-    monkeypatch.setattr(bell, "PAIR_CHUNK", chunk)
-    for s in _family_states():
-        psi = coefficient_matrix(embed(s))
-        for grid_n in (8, 9):
-            if chunk == 1 and grid_n == 9:
-                continue        # 2080 pairs, one chunk each under the flat bound
-            grid = _grid_constants(grid_n)
-            _, _, corr_t, image, eps = _grid_correlations(psi, grid_n)
-            n, pairs, space = len(corr_t), grid.pairs, _workspace(len(corr_t))
-            expected = _reference_scan(corr_t)
-            tight = _all_totals(corr_t)
-            ties = tight == expected[0]
-            raised = tight + ties       # every maximal pair 1 above its total ...
-            raised[_packed_index(n, *expected[1])] -= 1.0   # ... except the first
-            flat = np.full_like(tight, expected[0] + 1.0)
-            reach = _reach_refinement(grid, image, eps)
-            for bounds in (tight, raised, flat):
-                for refine in (bounds.__getitem__, raised.__getitem__, reach):
-                    assert _best_pair(corr_t, bounds, pairs, space, refine) == expected
-
-
 def test_pair_bounds_dominate_every_total():
-    # near-product states have pairs with |T(n_i - n_j)| ~ 1e-8, where the
-    # square root of the Gram form magnifies its rounding up to that size
+    # with A and A' free every pair reaches at least what the grid's A
+    # settings reach, and the Gram form stays within the 2^-22 max|a_i| its
+    # docstring grants; near-product states have pairs with
+    # |T(n_i - n_j)| ~ 1e-8, where the square root magnifies its rounding
     near_product = [make_state(0.6 + 0.3j, nu * (0.5 - 0.8j), x, y, auto_normalize=True)
                     for nu in (1e-16, 1e-12, 1e-10, 1e-8) for x, y in ((0.4, 0.3j), (0, 0))]
-    grid = _grid_constants(24)
-    pairs = grid.pairs
+    pairs = _grid_constants(24).pairs
     q = 1.0 / (2.0 * (1.0 - 0.6 ** 2))
     boundary = [state_from_magnitudes(s * q, 0.6, 0.6, math.pi) for s in (1.0, 0.97)]
+    rounded = 0.0
     for s in [*random_states(20, 11), *near_product, *boundary]:
-        _, _, corr_t, image, eps = _grid_correlations(coefficient_matrix(embed(s)), 24)
-        bounds = _pair_bounds(image, eps, pairs, _workspace(len(corr_t)))
-        totals = _all_totals(corr_t)
-        assert bounds.shape == totals.shape
-        assert (bounds >= totals).all()
-        # the second level, over every pair rather than the survivors only
-        assert (_reach_bounds(grid.reach, image, eps, pairs) >= totals).all()
-
-
-def test_pruning_stays_exact_with_a_wrong_tensor_or_noisy_correlations():
-    # with the rows of a wrong tensor, or a noisy table, eps is the form's
-    # largest residual, which is what the bounds' proof asks of it
-    rng = np.random.default_rng(5)
-    states = list(random_states(5, 12)) + [make_state(SQ2, -SQ2, 0, 0)]
-    grid = _grid_constants(24)
-    bloch, pairs = grid.bloch, grid.pairs
-    for s in states:
-        corr_t = _grid_correlations(coefficient_matrix(embed(s)), 24)[2]
-        space = _workspace(len(corr_t))
-        expected = _reference_scan(corr_t)
-        tensor = _fitted_tensor(corr_t, bloch)
-        for wrong in (0.9 * tensor, np.zeros((3, 3)), tensor + 0.05):
-            # both bound levels come from the wrong tensor and its residual
-            image, eps = _residual(corr_t, bloch, wrong)
-            bounds = _pair_bounds(image, eps, pairs, space)
-            refine = _reach_refinement(grid, image, eps)
-            assert _best_pair(corr_t, bounds, pairs, space, refine) == expected
-        noisy = corr_t + rng.normal(0.0, 1e-3, corr_t.shape)
-        image, eps = _residual(noisy, bloch, _fitted_tensor(noisy, bloch))
-        bounds = _pair_bounds(image, eps, pairs, space)
-        refine = _reach_refinement(grid, image, eps)
-        assert _best_pair(noisy, bounds, pairs, space, refine) == _reference_scan(noisy)
+        _, _, corr_t, image = _grid_correlations(coefficient_matrix(embed(s)), 24)
+        bounds = _pair_bounds(image, pairs, _workspace(len(corr_t)))
+        first, second = np.divmod(pairs, len(image))
+        exact = (np.linalg.norm(image[first] + image[second], axis=1)
+                 + np.linalg.norm(image[first] - image[second], axis=1))
+        assert bounds.shape == exact.shape
+        assert (exact >= _all_totals(corr_t) - 1e-14).all()
+        worst = float(np.abs(bounds - exact).max())
+        assert worst <= 2.0 ** -22 * np.linalg.norm(image, axis=1).max()
+        rounded = max(rounded, worst)
+    assert rounded > 1e-12      # the rounding the grid stage's exact comparison covers
 
 
 def test_pair_bounds_are_tight_on_pure_states():
-    # the table is exactly the tensor's rank-3 product, the rows a_i its
-    # left factor, and on the maximally entangled state most pairs are pruned
-    chis, phis, corr_t, image, eps = _grid_correlations(
-        coefficient_matrix(embed(make_state(SQ2, -SQ2, 0, 0))), 24)
-    bloch = _bloch_vectors(chis, phis)
-    obs = _theta_entries(chis, phis)        # Theta = n . sigma, read off its entries
-    read_off = np.stack([obs[:, 0, 1].real, -obs[:, 0, 1].imag, obs[:, 0, 0].real], axis=1)
-    assert np.abs(bloch - read_off).max() < 1e-15
-    assert np.array_equal(image @ bloch.T, corr_t)
-    assert 0 < eps < 1e-15
-    space = _workspace(len(corr_t))
-    pairs = _grid_constants(24).pairs
-    bounds = _pair_bounds(image, eps, pairs, space)
-    best, _ = _best_pair(corr_t, bounds, pairs, space, bounds.__getitem__)
-    assert (bounds >= best).sum() / len(pairs) < 0.2
+    # Theta = n . sigma, read off its entries; on the maximally entangled
+    # state T is orthogonal, so |a_i| = 1 and a pair reaches 2 sqrt 2 when
+    # n_i . n_j = 0, as the pole and the equator do at grid_n 9 (not at 24,
+    # whose chis miss pi/2); the stage's settings attain the largest bound
+    psi = coefficient_matrix(embed(make_state(SQ2, -SQ2, 0, 0)))
+    for grid_n in (9, 24):
+        chis, phis, corr_t, image = _grid_correlations(psi, grid_n)
+        bloch = _bloch_vectors(chis, phis)
+        obs = _theta_entries(chis, phis)
+        read_off = np.stack([obs[:, 0, 1].real, -obs[:, 0, 1].imag, obs[:, 0, 0].real], axis=1)
+        assert np.abs(bloch - read_off).max() < 1e-15
+        assert np.abs(np.linalg.norm(image, axis=1) - 1.0).max() < 1e-15
+        bounds = _pair_bounds(image, _grid_constants(grid_n).pairs, _workspace(len(corr_t)))
+        assert bounds.max() <= 2.0 * math.sqrt(2.0) + 1e-15
+        assert abs(_grid_stage(psi, grid_n)[0] - bounds.max()) < 1e-15
+    assert abs(_grid_stage(psi, 9)[0] - 2.0 * math.sqrt(2.0)) < 1e-15
 
 
-def test_boundary_family_spans_several_chunks():
-    # so that the families' bit-identity covers the chunked candidate loop
-    grid = _grid_constants(24)
-    space = _new_workspace(len(grid.chis), bell.PAIR_CHUNK)   # its bounds outlive a grid stage
-    spans = []
-    for s in _family_states():
-        psi = coefficient_matrix(embed(s))
-        _, _, corr_t, image, eps = _grid_correlations(psi, 24)
-        bounds = _pair_bounds(image, eps, grid.pairs, space)
-        spans.append((bounds >= _grid_stage(psi, 24)[0]).sum())
-    assert max(spans) > 4 * bell.PAIR_CHUNK
+# --- regressions: states the A-grid scan left crawling ----------------------
+
+@pytest.mark.parametrize("grid_n", [8, 9, 12, 24])
+def test_oracle_reaches_the_near_maximal_boundary_state(grid_n):
+    # at grid_n 9 the A-grid scan's start stopped 3.34e-3 short after 40 sweeps
+    q0 = 1.0 / (2.0 * (1.0 - 0.95 ** 2))
+    s = state_from_magnitudes(0.97 * q0, 0.95, 0.95, math.pi)
+    value = oracle_bell_max(embed(s), grid_n)
+    assert analytic_bell(schmidt_decompose(s)) - value <= 1e-9
+    assert value <= 2 * math.sqrt(2) + 1e-9
 
 
-def _chunks_evaluated(monkeypatch, run):
-    """Chunks ``run()`` evaluates exactly, not counting the one-pair floor."""
-    sizes = []
-    evaluate = bell._pair_totals
-
-    def counting(corr_t, flat, space):
-        sizes.append(len(flat))
-        return evaluate(corr_t, flat, space)
-
-    monkeypatch.setattr(bell, "_pair_totals", counting)
-    run()
-    monkeypatch.undo()
-    return len(sizes) - 1
+def test_oracle_reaches_the_tie_input():
+    # two A-grid pairs tied here, and one of them led to a crawl 5.6e-11 short
+    s = make_state(0.5 + 0.5j, -0.3 + 0.6j, 0.6 - 0.3j, 0.1 + 0.7j, auto_normalize=True)
+    assert analytic_bell(schmidt_decompose(s)) - oracle_bell_max(embed(s)) <= 1e-12
 
 
-def test_reach_bounds_cut_boundary_states_to_four_chunks(monkeypatch):
-    # with the coarse bound alone (refine returning it) some boundary state
-    # evaluates more than four chunks; with the reach bounds none does, and
-    # the refined path runs on at least one of them
-    grid = _grid_constants(24)
-    space = _new_workspace(len(grid.chis), bell.PAIR_CHUNK)   # its bounds outlive a grid stage
-    coarse, refined = [], []
-    for overlap in (0.0, 0.3, 0.6, 0.9, 0.95):
-        for scale in (1.0, 0.97):
-            q = scale / (2.0 * (1.0 - overlap ** 2))
-            psi = coefficient_matrix(embed(state_from_magnitudes(q, overlap, overlap, math.pi)))
-            _, _, corr_t, image, eps = _grid_correlations(psi, 24)
-            bounds = _pair_bounds(image, eps, grid.pairs, space)
-            coarse.append(_chunks_evaluated(monkeypatch, lambda: _best_pair(
-                corr_t, bounds, grid.pairs, space, bounds.__getitem__)))
-            refined.append(_chunks_evaluated(monkeypatch, lambda: _grid_stage(psi, 24)))
-    assert max(coarse) > 4
-    assert max(refined) <= 4 and max(refined) > 1
-
-
-@pytest.mark.parametrize("grid_n", [8, 9, 12, 16, 24])
-def test_reach_table_bounds_what_the_grid_reaches(grid_n):
-    # at every direction u the tabulated reach is at least max_r |n_r . u|:
-    # random directions, the fold seams (the equator chi = pi/2, and
-    # phi' = 0 and the period, met from both sides), the poles and every +-n_r
-    grid = _grid_constants(grid_n)
-    rng = np.random.default_rng(grid_n)
-    period = (2.0 if grid_n % 2 == 0 else 1.0) * math.pi / grid_n
-    seam = -math.pi + period * np.arange(round(2.0 * math.pi / period) + 1)
-    seam = np.concatenate([np.nextafter(seam, -np.inf), seam, np.nextafter(seam, np.inf)])
-    chis = np.concatenate([rng.uniform(0.0, math.pi, 40), [0.5 * math.pi]])
-    seam_chi, seam_phi = (g.ravel() for g in np.meshgrid(chis, seam, indexing="ij"))
-    equator_phi = rng.uniform(-math.pi, math.pi, 2000)
-    random = rng.normal(size=(100_000, 3))
-
-    def standard(chi, phi):     # the table's u = (sin chi cos phi, sin chi sin phi, cos chi)
-        return _bloch_vectors(chi, -phi)
-
-    units = np.concatenate([
-        random / np.linalg.norm(random, axis=1, keepdims=True),
-        standard(seam_chi, seam_phi),
-        standard(np.full_like(equator_phi, 0.5 * math.pi), equator_phi),
-        [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], grid.bloch, -grid.bloch])
-    for block in np.array_split(units, 60):
-        reach = np.abs(block @ grid.bloch.T).max(axis=1)
-        assert (_reach_lengths(grid.reach, block.T) >= reach).all()
+def test_oracle_reaches_a_boundary_state_off_the_family():
+    # near-maximal (d ~ 1e-3); the A-grid scan's start was 1.13e-6 short at 40 sweeps
+    s = make_state(0.7386214236228797, 0.5443168430911733 - 0.5319434847141975j,
+                   -0.3121233246455152 + 0.11656266638013081j,
+                   0.30469641469030134 + 0.13478842626980725j)
+    assert canonical_bell_value(s) - oracle_bell_max(embed(s)) <= 1e-9
 
 
 def test_grid_constants_are_cached_and_read_only():
     grid = _grid_constants(24)
     assert _grid_constants(24) is grid
-    for array in (grid.chis, grid.phis, grid.bloch, grid.reach[0]):
+    for array in (grid.chis, grid.phis, grid.bloch):
         with pytest.raises(ValueError):
             array[0] = 0.0
     # the pairs i <= j in row-major order, i.e. ascending flat index; they
@@ -655,24 +534,16 @@ def test_grid_stage_allocates_less_than_one_square_array():
         assert peak < n * n * 8
 
 
-def test_workspace_layout_reuse_and_keys(monkeypatch):
+def test_workspace_layout_reuse_and_keys():
     n = len(_grid_constants(24).chis)
     space = _workspace(n)
     assert _workspace(n) is space
-    flat = space.scratch.base
+    flat = space.work.base
     assert all(view.base is flat for view in space)
     pairs = n * (n + 1) // 2
-    assert flat.size == max(n * n, 3 * bell.PAIR_CHUNK * n) + n * n + 2 * pairs
-    assert space.halves.shape == (2, pairs)
-    # views that live at the same time never overlap
-    assert not np.shares_memory(space.corr_t, space.halves)
-    for name in ("work", "rows", "tails", "both"):
-        view = getattr(space, name)
-        assert np.shares_memory(view, space.scratch), name
-        assert not np.shares_memory(view, space.corr_t), name
-        assert not np.shares_memory(view, space.halves), name
-    for a, b in [("rows", "tails"), ("rows", "both"), ("tails", "both")]:
-        assert not np.shares_memory(getattr(space, a), getattr(space, b)), (a, b)
+    assert flat.size == n * n + 2 * pairs
+    assert space.work.shape == (n, n) and space.halves.shape == (2, pairs)
+    assert not np.shares_memory(space.work, space.halves)
     best, angles = _grid_stage(coefficient_matrix(embed(_workspace_states()[0])), 24)
     assert not np.shares_memory(angles, flat)
     # another thread gets its own workspace
@@ -681,12 +552,10 @@ def test_workspace_layout_reuse_and_keys(monkeypatch):
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive() and len(box) == 1
-    assert not np.shares_memory(box[0].scratch.base, flat)
-    # a workspace sized for another chunk length is never reused
-    monkeypatch.setattr(bell, "PAIR_CHUNK", 1)
-    single = _workspace(n)
-    assert single is not space and single.rows.shape == (1, n)
-    monkeypatch.undo()
+    assert not np.shares_memory(box[0].work.base, flat)
+    # and each orbit count its own
+    small = _workspace(len(_grid_constants(8).chis))
+    assert small is not space and small.work.shape == (25, 25)
     assert _workspace(n) is space
 
 
@@ -802,17 +671,25 @@ def test_coordinate_moves_reach_the_offset_grid_maximum(s, seed):
 
 def test_exact_moves_match_the_probe_refinement_at_its_fixed_points():
     # where both refinements reach their fixed point within 40 sweeps they
-    # agree (largest difference seen: 7.4e-14); the trajectories match only
-    # in exact arithmetic, and on a near-maximal state one loop can still be
-    # crawling along the flat direction when the other has stopped
-    compared = 0
+    # agree within 1e-13 but on a few near-maximal states (4 seen, below);
+    # the trajectories match only in exact arithmetic, and on a near-maximal
+    # state one loop can still be crawling along the flat direction when the
+    # other has stopped
+    compared = ridge = 0
     for s in [*_family_states(), *random_states(40, 7)]:
         psi = coefficient_matrix(embed(s))
         for grid_n in (8, 9, 24):
             start = _grid_stage(psi, grid_n)
             probe, probe_fixed = _probe_reference_oracle(psi, *start)
-            exact, exact_fixed = _reference_oracle(psi, *start)
+            exact, exact_fixed = _reference_oracle(psi, start[1])
             if probe_fixed and exact_fixed:
                 compared += 1
-                assert abs(exact - probe) <= 1e-13
+                if abs(exact - probe) > 1e-13:
+                    # both stopped on a near-maximal state's flat ridge, where
+                    # a coordinate step's gain is below rounding, at points
+                    # that depend on the path (largest difference seen: 4.0e-13)
+                    canonical = canonical_bell_value(s)
+                    assert max(canonical - exact, canonical - probe) <= 1e-11
+                    ridge += 1
+    assert ridge <= 8
     assert compared >= 200

@@ -363,6 +363,95 @@ def test_grid_stage_matches_the_brute_force_on_families():
         _assert_grid_stage_matches_the_references(coefficient_matrix(embed(s)))
 
 
+def _reference_grid_stage(psi, grid_n):
+    """The grid stage without its 1e-6 cut: every pair i <= j compared on a_i +- a_j."""
+    grid = _grid_constants(grid_n)
+    image = _tensor_image(bell._pauli_forms(psi.tolist()), grid.bloch)
+    first, second = np.triu_indices(len(image))
+    plus, minus = image[first] + image[second], image[first] - image[second]
+    totals = (np.sqrt(np.einsum('ij,ij->i', plus, plus))
+              + np.sqrt(np.einsum('ij,ij->i', minus, minus)))
+    best = int(np.argmax(totals))
+    angles = []
+    for x, y, z in plus[best].tolist(), minus[best].tolist():
+        angles += [math.atan2(math.hypot(x, y), z), math.atan2(-y, x)]
+    ib, ibp = int(first[best]), int(second[best])
+    angles += [float(grid.chis[ib]), float(grid.phis[ib]),
+               float(grid.chis[ibp]), float(grid.phis[ibp])]
+    return _chsh_value(psi.tolist(), angles), np.array(angles)
+
+
+def _assert_grid_exact(psi):
+    """The pruned grid stage matches the unpruned reference bit for bit."""
+    for grid_n in (8, 9, 24):
+        best, angles = _grid_stage(psi, grid_n)
+        ref_best, ref_angles = _reference_grid_stage(psi, grid_n)
+        assert best == ref_best
+        assert np.array_equal(angles, ref_angles)
+
+
+@given(valid_states())
+@settings(max_examples=30, deadline=None)
+def test_pruned_grid_is_bit_identical_on_random_states(s):
+    _assert_grid_exact(coefficient_matrix(embed(s)))
+
+
+def test_pruned_grid_is_bit_identical_on_families():
+    # the pairs the cut keeps are compared in the reference's arithmetic, so
+    # the first largest pair and its angles are the same to the last bit
+    for s in _family_states():
+        _assert_grid_exact(coefficient_matrix(embed(s)))
+    for nu in (1e-6, 1e-5):
+        s = make_state(0.6 + 0.3j, nu * (0.5 - 0.8j), 0.4, 0.3j, auto_normalize=True)
+        _assert_grid_exact(coefficient_matrix(embed(s)))
+
+
+def test_pruning_stays_exact_with_a_wrong_tensor_or_noisy_correlations(monkeypatch):
+    # the cut keeps every pair within 1e-6 of the top, relative, and the top
+    # is at least 2 max|a_i|; pair values from a slightly wrong tensor, or
+    # the exact values with noise up to the 2^-22 max|a_i| that _pair_bounds
+    # grants its rounding, reorder the candidates but leave the result as is
+    rng = np.random.default_rng(5)
+    pair_bounds = bell._pair_bounds
+
+    def wrong_tensor(image, pairs, space):
+        scale = np.abs(image).max()
+        return pair_bounds(image * (1.0 + 2.0 ** -24)
+                           + rng.uniform(-1.0, 1.0, image.shape) * 2.0 ** -26 * scale,
+                           pairs, space)
+
+    def noisy(image, pairs, space):
+        bounds = pair_bounds(image, pairs, space)
+        reach = 2.0 ** -22 * np.linalg.norm(image, axis=1).max()
+        bounds += rng.uniform(-1.0, 1.0, bounds.shape) * reach
+        return bounds
+
+    states = [*random_states(5, 12), *_family_states()]
+    expected = {}
+    for i, s in enumerate(states):
+        psi = coefficient_matrix(embed(s))
+        for grid_n in (8, 9, 24):
+            expected[i, grid_n] = _reference_grid_stage(psi, grid_n)
+    reordered = 0
+    for perturb in (wrong_tensor, noisy):
+        monkeypatch.setattr(bell, "_pair_bounds", perturb)
+        for i, s in enumerate(states):
+            psi = coefficient_matrix(embed(s))
+            for grid_n in (8, 9, 24):
+                best, angles = _grid_stage(psi, grid_n)
+                ref_best, ref_angles = expected[i, grid_n]
+                assert best == ref_best
+                assert np.array_equal(angles, ref_angles)
+                grid = _grid_constants(grid_n)
+                image = _tensor_image(bell._pauli_forms(psi.tolist()), grid.bloch)
+                bounds = perturb(image, grid.pairs, _workspace(len(image)))
+                first, second = np.divmod(grid.pairs[int(np.argmax(bounds))], len(image))
+                reordered += not np.array_equal(
+                    ref_angles[4:], [grid.chis[first], grid.phis[first],
+                                     grid.chis[second], grid.phis[second]])
+    assert reordered > 0    # the perturbed values alone would pick another pair
+
+
 def test_grid_angles_are_finite_on_product_states():
     # finite angles that attain the value, at most the classical 2; on |00>
     # the best pair is the pole twice, so A' points along a_i - a_j = 0

@@ -11,9 +11,10 @@ result, ``bell._refine``), and the minor page faults per oracle call (the
 first call, and the median and mean of the later ones) where the
 ``resource`` module exists.  A last line times the near-maximal boundary
 family |x| = |y| = t, eta = pi, |mu|^2 = s/(2 (1 - t^2)), for t in
-{0.3, 0.6, 0.9} and s in {1, 0.97}.  The grid stage costs the same on
-every state; the refinement's sweeps run longest along this family's
-flat direction, so its worst state is the slowest warm call.
+{0.3, 0.6, 0.9} and s in {1, 0.97}.  The grid stage's Newton polish
+takes the most steps along this family's nearly flat ridge, so its worst
+state is the slowest warm call; the refinement then ends within a sweep
+or two.
 
 Exits 0; 2 with one usage line on stderr for a bad count or seed; or 141
 when the reader closes stdout early (``| head``).

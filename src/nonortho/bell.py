@@ -19,7 +19,10 @@ With B and B' fixed the value is n_A . T(n_B + n_B') + n_A' . T(n_B - n_B'),
 so by Cauchy-Schwarz the best A and A' point along T(n_B +- n_B') and the
 value is |T(n_B + n_B')| + |T(n_B - n_B')|.  The grid stage takes the B pair
 of the settings grid that maximizes it, one setting per {Theta, -Theta} pair
-and each unordered pair once, and sets A and A' exactly.
+and each unordered pair once, and sets A and A' exactly.  Near maximal
+violation the value has a nearly flat ridge, along which single-angle
+moves crawl and stop short, so Newton steps on B and B' (A and A'
+re-derived) polish the grid's best pair first.
 
 Refinement moves one angle at a time to its exact maximizer (one atan2): with
 three settings fixed, the value is n . v + const in the fourth's Bloch vector.
@@ -40,6 +43,7 @@ from .schmidt import SchmidtForm, coefficient_matrix
 from .state import wrap_angle
 
 IMAG_TOL = 1e-10
+POLISH_STEPS = 30      # Newton steps of the grid stage's B pair, at most
 
 COMP_PLUS = np.array([1.0, 0.0], dtype=complex)
 COMP_MINUS = np.array([0.0, 1.0], dtype=complex)
@@ -254,7 +258,7 @@ def _bloch_vectors(chis: np.ndarray, phis: np.ndarray) -> np.ndarray:
 class _Workspace(NamedTuple):
     """One thread's grid-stage buffers for R orbits: views of one flat float64 array.
 
-    ``work`` (R x R) holds one of ``_pair_bounds``' products at a time, and
+    ``work`` (R x R) holds one of ``_pair_values``' products at a time, and
     ``halves`` is 2 x P for the P = R (R + 1)/2 pairs i <= j.
     """
 
@@ -286,13 +290,16 @@ def _tensor_image(forms, bloch: np.ndarray) -> np.ndarray:
     return bloch @ np.array([[2.0 * z.real for z in k], [2.0 * z.imag for z in k], d])
 
 
-def _pair_bounds(image: np.ndarray, pairs: np.ndarray, space: _Workspace) -> np.ndarray:
-    """|a_i + a_j| + |a_i - a_j| for the B pairs i <= j up to rounding, in ``space.halves``.
+def _pair_values(image: np.ndarray, pairs: np.ndarray, space: _Workspace) -> np.ndarray:
+    """Approximate pair values |a_i + a_j| + |a_i - a_j| for i <= j, in ``space.halves``.
 
     ``pairs`` holds the pairs' flat indices i R + j, row-major, and row i of
     ``image`` is a_i.  With B, B' = Theta_i, Theta_j the CHSH value is
-    n_A . (a_i + a_j) + n_A' . (a_i - a_j), so by Cauchy-Schwarz this bounds
-    it over every A and A' and is reached along a_i +- a_j.  The squares are
+    n_A . (a_i + a_j) + n_A' . (a_i - a_j), so by Cauchy-Schwarz the pair
+    value is its maximum over every A and A', reached along a_i +- a_j.
+    Formed in the Gram form below, a value may sit on either side of the
+    pair's, which is why ``_grid_stage`` compares its top pairs again on
+    the vectors.  The squares are
     entries of [a, |a|^2, 1] [+-2 a, 1, |a|^2]^T, formed in ``space.work``,
     gathered into ``space.halves`` and clipped at 0.  Each rounds by at most
     gamma_5 (|a_i| + |a_j|)^2 + gamma_3 (|a_i|^2 + |a_j|^2) < 2^-47 m^2, m =
@@ -310,9 +317,9 @@ def _pair_bounds(image: np.ndarray, pairs: np.ndarray, space: _Workspace) -> np.
         right[:3] *= -1.0
     np.maximum(halves, 0.0, out=halves)
     np.sqrt(halves, out=halves)
-    bounds, minus = halves
-    bounds += minus
-    return bounds
+    values, minus = halves
+    values += minus
+    return values
 
 
 class _Grid(NamedTuple):
@@ -346,37 +353,162 @@ def _grid_constants(grid_n: int) -> _Grid:
     return _Grid(chis, phis, bloch, _upper_pairs(len(chis)))
 
 
-def _grid_stage(psi: np.ndarray, grid_n: int) -> tuple[float, np.ndarray]:
-    """Best CHSH value over the settings grid's B pairs, with A and A' free, and its angles.
+def _dot(u, v) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
-    A B pair (+-Theta_i, +-Theta_j) reaches ``_pair_bounds``' value
+
+def _tangent_frame(n) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+    """Two unit vectors that complete the unit 3-vector ``n`` to an orthonormal frame.
+
+    The first is n x e_k for the axis e_k least aligned with n, so it is
+    never shorter than sqrt(2/3); the second is n x the first.
+    """
+    x, y, z = n
+    if abs(x) <= abs(y) and abs(x) <= abs(z):
+        e = (0.0, z, -y)
+    elif abs(y) <= abs(z):
+        e = (-z, 0.0, x)
+    else:
+        e = (y, -x, 0.0)
+    scale = 1.0 / math.sqrt(_dot(e, e))
+    e = (e[0] * scale, e[1] * scale, e[2] * scale)
+    return e, (y * e[2] - z * e[1], z * e[0] - x * e[2], x * e[1] - y * e[0])
+
+
+def _turn(n, frame, u: float, v: float) -> tuple[float, float, float]:
+    """Unit ``n`` moved by the angle |(u, v)| along the tangent u e1 + v e2 of ``frame``."""
+    (e1, e2), r = frame, math.hypot(u, v)
+    if r == 0.0:
+        return n
+    c, s = math.cos(r), math.sin(r) / r
+    m = [c * n[k] + s * (u * e1[k] + v * e2[k]) for k in range(3)]
+    scale = 1.0 / math.sqrt(_dot(m, m))
+    return m[0] * scale, m[1] * scale, m[2] * scale
+
+
+def _polish(columns, b, b_prime):
+    """Newton ascent of f = |T(b + b')| + |T(b - b')| over the unit vectors b, b'.
+
+    ``columns`` are the columns of T, so (T n)_k = columns[k] . n.  f is the
+    CHSH value with A and A' at their exact maximizers.  On a near-maximal
+    state f has a nearly flat ridge, along which the coordinate moves of
+    ``_refine`` crawl and stop, rounding-limited, up to ~1e-12 short of the
+    top, at points that depend on their path.  Each step moves b and b'
+    along great circles, using f's gradient G and Hessian H in tangent
+    frames of b and b', from p = T(b + b') and m = T(b - b'): a frame vector
+    e of b moves p and m by T e, and its second derivative adds -T b to
+    both; e of b' moves p by +T e and m by -T e.  The step is |H|^-1 G, H's
+    eigenvalues taken by absolute value (so saddles repel) and floored at
+    1e-8 of the largest, and it is halved, up to 11 times, until f rises.
+    The ascent stops when the step's first-order gain is below f's
+    rounding, when no halving raises f, after ``POLISH_STEPS`` steps, or
+    where p or m vanishes (a cone point of f).  Returns b, b', p, m and
+    whether b, b' moved.
+    """
+    def image(n):
+        return _dot(columns[0], n), _dot(columns[1], n), _dot(columns[2], n)
+
+    def value(b, b_prime):
+        u, u_prime = image(b), image(b_prime)
+        p = [x + y for x, y in zip(u, u_prime)]
+        m = [x - y for x, y in zip(u, u_prime)]
+        return math.sqrt(_dot(p, p)) + math.sqrt(_dot(m, m)), u, u_prime, p, m
+
+    current, u, u_prime, p, m = value(b, b_prime)
+    moved = False
+    signs = (1.0, 1.0, -1.0, -1.0)      # how each frame direction enters m
+    for _ in range(POLISH_STEPS):
+        length_p, length_m = math.sqrt(_dot(p, p)), math.sqrt(_dot(m, m))
+        if length_p == 0.0 or length_m == 0.0:
+            break
+        p_hat = [x / length_p for x in p]
+        m_hat = [x / length_m for x in m]
+        frame, frame_prime = _tangent_frame(b), _tangent_frame(b_prime)
+        jac = [image(e) for e in (*frame, *frame_prime)]
+        grad_p = [_dot(j, p_hat) for j in jac]
+        grad_m = [s * _dot(j, m_hat) for s, j in zip(signs, jac)]
+        hess = [[0.0] * 4 for _ in range(4)]
+        for k in range(4):
+            for l in range(k, 4):
+                gram = _dot(jac[k], jac[l])
+                hess[k][l] = hess[l][k] = (
+                    (gram - grad_p[k] * grad_p[l]) / length_p
+                    + (signs[k] * signs[l] * gram - grad_m[k] * grad_m[l]) / length_m)
+        curv = _dot(p_hat, u) + _dot(m_hat, u)
+        curv_prime = _dot(p_hat, u_prime) - _dot(m_hat, u_prime)
+        for k, c in enumerate((curv, curv, curv_prime, curv_prime)):
+            hess[k][k] -= c
+        grad = np.array([x + y for x, y in zip(grad_p, grad_m)])
+        curvatures, vectors = np.linalg.eigh(hess)
+        curvatures = np.abs(curvatures)
+        step = vectors @ ((vectors.T @ grad) / np.maximum(curvatures, 1e-8 * curvatures.max()))
+        if grad @ step <= 1e-15 * current:
+            break       # no step gains above the value's rounding
+        step = step.tolist()
+        for _ in range(12):
+            trial_b = _turn(b, frame, step[0], step[1])
+            trial_b_prime = _turn(b_prime, frame_prime, step[2], step[3])
+            trial = value(trial_b, trial_b_prime)
+            if trial[0] > current:
+                break
+            step = [0.5 * x for x in step]
+        else:
+            break
+        current, u, u_prime, p, m = trial
+        b, b_prime, moved = trial_b, trial_b_prime, True
+    return b, b_prime, p, m, moved
+
+
+def _direction_angles(n) -> list[float]:
+    """(chi, phi) with n = |n| (sin chi cos phi, -sin chi sin phi, cos chi); (0, 0) at n = 0."""
+    x, y, z = n
+    return [math.atan2(math.hypot(x, y), z), math.atan2(-y, x)]
+
+
+def _pair_settings(psi: list, forms, grid: _Grid, ib: int, ibp: int) -> tuple[float, np.ndarray]:
+    """The CHSH value and the angles of A, A', B, B' from the grid's B pair (ib, ibp).
+
+    B and B' start at the pair's settings and are polished (``_polish``);
+    A and A' point along p = T(b + b') and m = T(b - b').  The value is
+    ``_chsh_value`` at the angles, the arithmetic of ``_refine``, and the
+    angles are a new array.
+    """
+    d, k = forms
+    columns = [(2.0 * z.real, 2.0 * z.imag, dz) for z, dz in zip(k, d)]
+    b, b_prime, p, m, moved = _polish(columns, tuple(grid.bloch[ib].tolist()),
+                                      tuple(grid.bloch[ibp].tolist()))
+    if moved:
+        angles_b = _direction_angles(b) + _direction_angles(b_prime)
+    else:
+        angles_b = [float(grid.chis[ib]), float(grid.phis[ib]),
+                    float(grid.chis[ibp]), float(grid.phis[ibp])]
+    angles = _direction_angles(p) + _direction_angles(m) + angles_b
+    return _chsh_value(psi, angles), np.array(angles)
+
+
+def _grid_stage(psi: np.ndarray, grid_n: int) -> tuple[float, np.ndarray]:
+    """The CHSH value and angles from the settings grid's best B pair, A and A' free.
+
+    A B pair (+-Theta_i, +-Theta_j) reaches ``_pair_values``' value
     whatever the signs and the order of i, j, so only i <= j is searched.
     The largest value is at least 2 max_i |a_i| (the pairs i = j), so every
     pair within 1e-6 of it, relative, may be the best given the values'
     rounding; these are compared again on the lengths of a_i +- a_j
-    themselves, and the first largest pair in (i, j) order wins.  A and A'
-    point along n = a_i +- a_j = (sin chi cos phi, -sin chi sin phi, cos chi),
-    so chi = atan2(|(x, y)|, z) and phi = atan2(-y, x) (both 0 where n = 0).
-    The value returned is ``_chsh_value`` at the angles, the arithmetic of
-    ``_refine``.  The R x R products live in this thread's ``_workspace``;
-    the returned angles are a new array.
+    themselves, and the first largest pair in (i, j) order wins.  That pair
+    is polished and set by ``_pair_settings``.  The R x R products live in
+    this thread's ``_workspace``.
     """
     grid = _grid_constants(grid_n)
     psi = psi.tolist()
-    image = _tensor_image(_pauli_forms(psi), grid.bloch)
-    bounds = _pair_bounds(image, grid.pairs, _workspace(len(image)))
-    first, second = np.divmod(grid.pairs[bounds >= (1.0 - 1e-6) * bounds.max()], len(image))
+    forms = _pauli_forms(psi)
+    image = _tensor_image(forms, grid.bloch)
+    values = _pair_values(image, grid.pairs, _workspace(len(image)))
+    first, second = np.divmod(grid.pairs[values >= (1.0 - 1e-6) * values.max()], len(image))
     plus, minus = image[first] + image[second], image[first] - image[second]
     totals = (np.sqrt(np.einsum('ij,ij->i', plus, plus))
               + np.sqrt(np.einsum('ij,ij->i', minus, minus)))
     best = int(np.argmax(totals))
-    ib, ibp = int(first[best]), int(second[best])
-    angles = []
-    for x, y, z in plus[best].tolist(), minus[best].tolist():
-        angles += [math.atan2(math.hypot(x, y), z), math.atan2(-y, x)]
-    angles += [float(grid.chis[ib]), float(grid.phis[ib]),
-               float(grid.chis[ibp]), float(grid.phis[ibp])]
-    return _chsh_value(psi, angles), np.array(angles)
+    return _pair_settings(psi, forms, grid, int(first[best]), int(second[best]))
 
 
 def oracle_bell_max(vector: np.ndarray, grid_n: int = 24,
@@ -384,10 +516,11 @@ def oracle_bell_max(vector: np.ndarray, grid_n: int = 24,
     """Brute-force CHSH maximum over all four settings.
 
     The best B pair of the ``grid_n`` x ``grid_n`` (chi, phi) grid, closed
-    under Theta -> -Theta, with A and A' at their exact maximizers, seeds a
-    coordinate-wise refinement: each angle moves to its exact maximizer,
-    and a pattern move along each sweep's displacement, doubled while it
-    improves, speeds the collinear modes.  Only strict improvements are
+    under Theta -> -Theta, with A and A' at their exact maximizers and B,
+    B' polished by Newton steps, seeds a coordinate-wise refinement: each
+    angle moves to its exact maximizer, and a pattern move along each
+    sweep's displacement, doubled while it improves, speeds the collinear
+    modes.  Only strict improvements are
     taken, so the result is non-decreasing in ``refine_iters``, and a sweep
     that moves nothing ends the refinement.
     """

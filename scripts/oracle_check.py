@@ -6,15 +6,14 @@ Usage: python scripts/oracle_check.py [count] [seed]
 ``count`` (default 25) must be a positive integer and ``seed`` a
 nonnegative one.  Besides the time per state, the script prints the median
 times of the oracle's two stages, each timed on its own in a second, warm
-call (the grid stage, ``bell._grid_stage``, and the refinement from its
-result, ``bell._refine``), and the minor page faults per oracle call (the
-first call, and the median and mean of the later ones) where the
-``resource`` module exists.  A last line times the near-maximal boundary
-family |x| = |y| = t, eta = pi, |mu|^2 = s/(2 (1 - t^2)), for t in
-{0.3, 0.6, 0.9} and s in {1, 0.97}.  The grid stage's Newton polish
-takes the most steps along this family's nearly flat ridge, so its worst
-state is the slowest warm call; the refinement then ends within a sweep
-or two.
+call (the grid stage with no Newton step, ``bell._grid_stage(psi, 24, 0)``,
+and the Newton refinement of its best B pair, ``bell._polish`` at up to 40
+steps), and the minor page faults per oracle call (the first call, and the
+median and mean of the later ones) where the ``resource`` module exists.
+A last line times the near-maximal boundary family |x| = |y| = t,
+eta = pi, |mu|^2 = s/(2 (1 - t^2)), for t in {0.3, 0.6, 0.9} and s in
+{1, 0.97}.  The Newton refinement takes the most steps along this
+family's nearly flat ridge, so its worst state is the slowest warm call.
 
 Exits 0; 2 with one usage line on stderr for a bad count or seed; or 141
 when the reader closes stdout early (``| head``).
@@ -30,7 +29,8 @@ try:
 except ImportError:     # not on every platform
     resource = None
 
-from nonortho.bell import _grid_stage, _refine, analytic_bell, oracle_bell_max
+from nonortho.bell import (_bloch_vectors, _grid_stage, _pauli_forms, _polish, analytic_bell,
+                           oracle_bell_max)
 from nonortho.cli import closed_stdout_status
 from nonortho.report import canonical_bell_value
 from nonortho.sampling import DEFAULT_SEED, random_states
@@ -83,11 +83,13 @@ def main(argv: list[str]) -> int:
             faults.append(minor_faults() - before)
         psi = coefficient_matrix(vector)
         start = time.perf_counter()
-        angles = _grid_stage(psi, 24)[1]
-        middle = time.perf_counter()
-        _refine(psi, angles, 40)
-        stage_seconds[0].append(middle - start)
-        stage_seconds[1].append(time.perf_counter() - middle)
+        angles = _grid_stage(psi, 24, 0)[1]
+        stage_seconds[0].append(time.perf_counter() - start)
+        forms = _pauli_forms(psi.tolist())
+        b, b_prime = (tuple(n) for n in _bloch_vectors(angles[4::2], angles[5::2]).tolist())
+        start = time.perf_counter()
+        _polish(forms, b, b_prime, 40)
+        stage_seconds[1].append(time.perf_counter() - start)
         worst_match = max(worst_match, abs(oracle - analytic))
         worst_shortfall = max(worst_shortfall, canonical - oracle)
         if i < 5:

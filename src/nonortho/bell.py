@@ -19,13 +19,9 @@ With B and B' fixed the value is n_A . T(n_B + n_B') + n_A' . T(n_B - n_B'),
 so by Cauchy-Schwarz the best A and A' point along T(n_B +- n_B') and the
 value is |T(n_B + n_B')| + |T(n_B - n_B')|.  The grid stage takes the B pair
 of the settings grid that maximizes it, one setting per {Theta, -Theta} pair
-and each unordered pair once, and sets A and A' exactly.  Near maximal
-violation the value has a nearly flat ridge, along which single-angle
-moves crawl and stop short, so Newton steps on B and B' (A and A'
-re-derived) polish the grid's best pair first.
-
-Refinement moves one angle at a time to its exact maximizer (one atan2): with
-three settings fixed, the value is n . v + const in the fourth's Bloch vector.
+and each unordered pair once.  Newton steps on B and B' (A and A'
+re-derived) refine that pair, also along the nearly flat ridge the value
+has near maximal violation, and A and A' are then set exactly.
 """
 
 from __future__ import annotations
@@ -43,7 +39,6 @@ from .schmidt import SchmidtForm, coefficient_matrix
 from .state import wrap_angle
 
 IMAG_TOL = 1e-10
-POLISH_STEPS = 30      # Newton steps of the grid stage's B pair, at most
 
 COMP_PLUS = np.array([1.0, 0.0], dtype=complex)
 COMP_MINUS = np.array([0.0, 1.0], dtype=complex)
@@ -155,7 +150,7 @@ def _share(forms, side: int, chi: float, phi: float) -> tuple[float, complex]:
 
     For A and A' it is (K00 - K11, K01) of K = psi^dagger Theta psi =
     sum_k n_k M_k, i.e. (n . D, n . K) with ``forms`` = (D, K); for B and B'
-    it is (Theta00, Theta01) = (n_z, n_x - i n_y), which ``_combine`` sums.
+    it is (Theta00, Theta01) = (n_z, n_x - i n_y), which ``_chsh_value`` sums.
     """
     s = math.sin(chi)
     nx, ny, nz = s * math.cos(phi), -s * math.sin(phi), math.cos(chi)
@@ -163,13 +158,6 @@ def _share(forms, side: int, chi: float, phi: float) -> tuple[float, complex]:
         return nz, complex(nx, -ny)
     (dx, dy, dz), (kx, ky, kz) = forms
     return nx * dx + ny * dy + nz * dz, nx * kx + ny * ky + nz * kz
-
-
-def _combine(a, a_prime, b, b_prime) -> float:
-    """The CHSH value from the four settings' ``_share``s."""
-    (d_a, k_a), (d_ap, k_ap), (c_b, w_b), (c_bp, w_bp) = a, a_prime, b, b_prime
-    return (d_a * (c_b + c_bp) + 2.0 * (k_a * (w_b + w_bp)).real
-            + d_ap * (c_b - c_bp) + 2.0 * (k_ap * (w_b - w_bp)).real)
 
 
 def _chsh_value(psi, angles) -> float:
@@ -180,50 +168,10 @@ def _chsh_value(psi, angles) -> float:
     Re sum K_ab W_ab = (K00 - K11) W00 + 2 Re(K01 W01); likewise A', B - B'.
     """
     forms = _pauli_forms(psi)
-    return _combine(*(_share(forms, side, angles[2 * side], angles[2 * side + 1])
-                      for side in range(4)))
-
-
-def _linear_form(forms, terms, side: int) -> tuple[float, float, float]:
-    """The real 3-vector v with CHSH value = n . v + (terms free of setting ``side``).
-
-    n is the setting's Bloch vector; v takes the other three ``terms`` with
-    ``_combine``'s coefficients: for A, v_k = D_k (c_B + c_B') +
-    2 Re(K_k (w_B + w_B')), for B, v = (2 Re S, 2 Im S, d_A + d_A') with
-    S = k_A + k_A'; A' and B' take the differences.
-    """
-    (d_a, k_a), (d_ap, k_ap), (c_b, w_b), (c_bp, w_bp) = terms
-    if side >= 2:
-        if side == 2:
-            s, z = k_a + k_ap, d_a + d_ap
-        else:
-            s, z = k_a - k_ap, d_a - d_ap
-        return 2.0 * s.real, 2.0 * s.imag, z
-    if side == 0:
-        c, w = c_b + c_bp, w_b + w_bp
-    else:
-        c, w = c_b - c_bp, w_b - w_bp
-    (dx, dy, dz), (kx, ky, kz) = forms
-    return (dx * c + 2.0 * (kx * w).real, dy * c + 2.0 * (ky * w).real,
-            dz * c + 2.0 * (kz * w).real)
-
-
-def _coordinate_offset(v, k: int, chi: float, phi: float) -> float:
-    """The move of angle ``k`` (even: chi, odd: phi) to its exact maximizer of n . v.
-
-    n . v = sin chi (cos phi v_x - sin phi v_y) + cos chi v_z is maximal at
-    chi* = atan2(cos phi v_x - sin phi v_y, v_z) and, for sin chi > 0, at
-    phi* = atan2(-v_y, v_x) (both arguments negated for sin chi < 0); at a
-    pole phi moves nothing.  The offset is wrapped to (-pi, pi].
-    """
-    vx, vy, vz = v
-    if k % 2 == 0:
-        return wrap_angle(math.atan2(math.cos(phi) * vx - math.sin(phi) * vy, vz) - chi)
-    s = math.sin(chi)
-    if s == 0.0:
-        return 0.0
-    target = math.atan2(-vy, vx) if s > 0.0 else math.atan2(vy, -vx)
-    return wrap_angle(target - phi)
+    (d_a, k_a), (d_ap, k_ap), (c_b, w_b), (c_bp, w_bp) = (
+        _share(forms, side, angles[2 * side], angles[2 * side + 1]) for side in range(4))
+    return (d_a * (c_b + c_bp) + 2.0 * (k_a * (w_b + w_bp)).real
+            + d_ap * (c_b - c_bp) + 2.0 * (k_ap * (w_b - w_bp)).real)
 
 
 def _orbit_representatives(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -282,9 +230,9 @@ def _tensor_image(forms, bloch: np.ndarray) -> np.ndarray:
     """The rows a_i = T n_i for the Bloch vectors n_i, the rows of ``bloch``.
 
     T is the Pauli correlation tensor of psi, <Theta_A Theta_B> = n_A . T
-    n_B; by ``_combine`` B's coefficients are (2 Re k_A, 2 Im k_A, d_A) with
-    (d_A, k_A) = (n_A . D, n_A . K) and ``forms`` = (D, K), so T^T has rows
-    (2 Re K, 2 Im K, D), as the B side of ``_linear_form``.
+    n_B; by ``_chsh_value`` B's coefficients are (2 Re k_A, 2 Im k_A, d_A)
+    with (d_A, k_A) = (n_A . D, n_A . K) and ``forms`` = (D, K), so T^T has
+    rows (2 Re K, 2 Im K, D).
     """
     d, k = forms
     return bloch @ np.array([[2.0 * z.real for z in k], [2.0 * z.imag for z in k], d])
@@ -386,27 +334,29 @@ def _turn(n, frame, u: float, v: float) -> tuple[float, float, float]:
     return m[0] * scale, m[1] * scale, m[2] * scale
 
 
-def _polish(columns, b, b_prime):
+def _polish(forms, b, b_prime, steps: int):
     """Newton ascent of f = |T(b + b')| + |T(b - b')| over the unit vectors b, b'.
 
-    ``columns`` are the columns of T, so (T n)_k = columns[k] . n.  f is the
-    CHSH value with A and A' at their exact maximizers.  On a near-maximal
-    state f has a nearly flat ridge, along which the coordinate moves of
-    ``_refine`` crawl and stop, rounding-limited, up to ~1e-12 short of the
-    top, at points that depend on their path.  Each step moves b and b'
-    along great circles, using f's gradient G and Hessian H in tangent
-    frames of b and b', from p = T(b + b') and m = T(b - b'): a frame vector
-    e of b moves p and m by T e, and its second derivative adds -T b to
-    both; e of b' moves p by +T e and m by -T e.  The step is |H|^-1 G, H's
-    eigenvalues taken by absolute value (so saddles repel) and floored at
-    1e-8 of the largest, and it is halved, up to 11 times, until f rises.
-    The ascent stops when the step's first-order gain is below f's
-    rounding, when no halving raises f, after ``POLISH_STEPS`` steps, or
-    where p or m vanishes (a cone point of f).  Returns b, b', p, m and
-    whether b, b' moved.
+    T's rows are (2 Re K_k, 2 Im K_k, D_k) for ``forms`` = (D, K), as in
+    ``_tensor_image``.  f is the CHSH value with A and A' at their exact
+    maximizers.  On a near-maximal state f has a nearly flat ridge, along
+    which single-angle moves crawl and stop, rounding-limited, short of the
+    top.  Each step moves b and b' along great circles, using f's gradient
+    G and Hessian H in tangent frames of b and b', from p = T(b + b') and
+    m = T(b - b'): a frame vector e of b moves p and m by T e, and its
+    second derivative adds -T b to both; e of b' moves p by +T e and m by
+    -T e.  The step is |H|^-1 G, H's eigenvalues taken by absolute value
+    (so saddles repel) and floored at 1e-8 of the largest, and it is
+    halved, up to 11 times, until f rises.  The ascent stops when the
+    step's first-order gain is below f's rounding, when no halving raises
+    f, after ``steps`` steps, or where p or m vanishes (a cone point of f).
+    Returns b, b', p, m and whether b, b' moved.
     """
+    d, k = forms
+    rows = [(2.0 * z.real, 2.0 * z.imag, dz) for z, dz in zip(k, d)]
+
     def image(n):
-        return _dot(columns[0], n), _dot(columns[1], n), _dot(columns[2], n)
+        return _dot(rows[0], n), _dot(rows[1], n), _dot(rows[2], n)
 
     def value(b, b_prime):
         u, u_prime = image(b), image(b_prime)
@@ -417,7 +367,7 @@ def _polish(columns, b, b_prime):
     current, u, u_prime, p, m = value(b, b_prime)
     moved = False
     signs = (1.0, 1.0, -1.0, -1.0)      # how each frame direction enters m
-    for _ in range(POLISH_STEPS):
+    for _ in range(steps):
         length_p, length_m = math.sqrt(_dot(p, p)), math.sqrt(_dot(m, m))
         if length_p == 0.0 or length_m == 0.0:
             break
@@ -465,18 +415,17 @@ def _direction_angles(n) -> list[float]:
     return [math.atan2(math.hypot(x, y), z), math.atan2(-y, x)]
 
 
-def _pair_settings(psi: list, forms, grid: _Grid, ib: int, ibp: int) -> tuple[float, np.ndarray]:
+def _pair_settings(psi: list, forms, grid: _Grid, ib: int, ibp: int,
+                   steps: int) -> tuple[float, np.ndarray]:
     """The CHSH value and the angles of A, A', B, B' from the grid's B pair (ib, ibp).
 
-    B and B' start at the pair's settings and are polished (``_polish``);
-    A and A' point along p = T(b + b') and m = T(b - b').  The value is
-    ``_chsh_value`` at the angles, the arithmetic of ``_refine``, and the
+    B and B' start at the pair's settings and take up to ``steps`` Newton
+    steps (``_polish``); A and A' point along p = T(b + b') and
+    m = T(b - b').  The value is ``_chsh_value`` at the angles, and the
     angles are a new array.
     """
-    d, k = forms
-    columns = [(2.0 * z.real, 2.0 * z.imag, dz) for z, dz in zip(k, d)]
-    b, b_prime, p, m, moved = _polish(columns, tuple(grid.bloch[ib].tolist()),
-                                      tuple(grid.bloch[ibp].tolist()))
+    b, b_prime, p, m, moved = _polish(forms, tuple(grid.bloch[ib].tolist()),
+                                      tuple(grid.bloch[ibp].tolist()), steps)
     if moved:
         angles_b = _direction_angles(b) + _direction_angles(b_prime)
     else:
@@ -486,7 +435,7 @@ def _pair_settings(psi: list, forms, grid: _Grid, ib: int, ibp: int) -> tuple[fl
     return _chsh_value(psi, angles), np.array(angles)
 
 
-def _grid_stage(psi: np.ndarray, grid_n: int) -> tuple[float, np.ndarray]:
+def _grid_stage(psi: np.ndarray, grid_n: int, steps: int) -> tuple[float, np.ndarray]:
     """The CHSH value and angles from the settings grid's best B pair, A and A' free.
 
     A B pair (+-Theta_i, +-Theta_j) reaches ``_pair_values``' value
@@ -495,8 +444,8 @@ def _grid_stage(psi: np.ndarray, grid_n: int) -> tuple[float, np.ndarray]:
     pair within 1e-6 of it, relative, may be the best given the values'
     rounding; these are compared again on the lengths of a_i +- a_j
     themselves, and the first largest pair in (i, j) order wins.  That pair
-    is polished and set by ``_pair_settings``.  The R x R products live in
-    this thread's ``_workspace``.
+    takes up to ``steps`` Newton steps and is set by ``_pair_settings``.
+    The R x R products live in this thread's ``_workspace``.
     """
     grid = _grid_constants(grid_n)
     psi = psi.tolist()
@@ -508,7 +457,7 @@ def _grid_stage(psi: np.ndarray, grid_n: int) -> tuple[float, np.ndarray]:
     totals = (np.sqrt(np.einsum('ij,ij->i', plus, plus))
               + np.sqrt(np.einsum('ij,ij->i', minus, minus)))
     best = int(np.argmax(totals))
-    return _pair_settings(psi, forms, grid, int(first[best]), int(second[best]))
+    return _pair_settings(psi, forms, grid, int(first[best]), int(second[best]), steps)
 
 
 def oracle_bell_max(vector: np.ndarray, grid_n: int = 24,
@@ -516,54 +465,16 @@ def oracle_bell_max(vector: np.ndarray, grid_n: int = 24,
     """Brute-force CHSH maximum over all four settings.
 
     The best B pair of the ``grid_n`` x ``grid_n`` (chi, phi) grid, closed
-    under Theta -> -Theta, with A and A' at their exact maximizers and B,
-    B' polished by Newton steps, seeds a coordinate-wise refinement: each
-    angle moves to its exact maximizer, and a pattern move along each
-    sweep's displacement, doubled while it improves, speeds the collinear
-    modes.  Only strict improvements are
-    taken, so the result is non-decreasing in ``refine_iters``, and a sweep
-    that moves nothing ends the refinement.
+    under Theta -> -Theta, is refined by at most ``refine_iters`` Newton
+    steps on B and B' (``_polish``), with A and A' at their exact
+    maximizers, and the value is the CHSH combination at those settings.
+    A step is taken only where it raises the value, so the result is
+    non-decreasing in ``refine_iters`` up to its rounding, and the steps
+    end early once none can gain above that rounding.  Raises DomainError
+    for ``grid_n`` < 8 or ``refine_iters`` < 0.
     """
     if grid_n < 8:
         raise DomainError(f"grid_n must be >= 8, got {grid_n}")
-    psi = coefficient_matrix(vector)
-    return _refine(psi, _grid_stage(psi, grid_n)[1], refine_iters)
-
-
-def _refine(psi: np.ndarray, angles: np.ndarray, refine_iters: int) -> float:
-    """``oracle_bell_max``'s refinement from the grid stage's ``angles``."""
-    forms, angles = _pauli_forms(psi.tolist()), angles.tolist()
-    # each setting's share of the value; a move of one angle recomputes one
-    terms = [_share(forms, side, angles[2 * side], angles[2 * side + 1]) for side in range(4)]
-    current = _combine(*terms)
-    for _ in range(refine_iters):
-        sweep_start = angles    # angles is rebound below, never changed in place
-        for side in range(4):
-            # the other shares stay fixed while this setting's two angles move
-            v = _linear_form(forms, terms, side)
-            for k in (2 * side, 2 * side + 1):
-                offset = _coordinate_offset(v, k, angles[2 * side], angles[2 * side + 1])
-                if offset == 0.0:
-                    continue    # the trial would be the current point
-                trial = angles.copy()
-                trial[k] += offset
-                moved = terms.copy()
-                moved[side] = _share(forms, side, trial[2 * side], trial[2 * side + 1])
-                value = _combine(*moved)
-                if value > current:
-                    current, angles, terms = value, trial, moved
-        displacement = [a - s for a, s in zip(angles, sweep_start)]
-        if not any(displacement):
-            break       # fixed point: every later sweep would repeat this one
-        scale = 1.0
-        for _ in range(50):
-            trial = [a + scale * d for a, d in zip(angles, displacement)]
-            moved = [_share(forms, side, trial[2 * side], trial[2 * side + 1])
-                     for side in range(4)]
-            value = _combine(*moved)
-            if value > current:
-                current, angles, terms = value, trial, moved
-                scale *= 2.0
-            else:
-                break
-    return current
+    if refine_iters < 0:
+        raise DomainError(f"refine_iters must be >= 0, got {refine_iters}")
+    return _grid_stage(coefficient_matrix(vector), grid_n, refine_iters)[0]

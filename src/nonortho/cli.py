@@ -84,7 +84,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid-n", type=int, default=24,
                         help="grid resolution per angle for the CHSH maximizer")
     parser.add_argument("--refine-iters", type=int, default=40,
-                        help="refinement iterations for the CHSH maximizer")
+                        help="Newton refinement steps of the CHSH maximizer")
 
 
 def _state_from_args(args: argparse.Namespace):

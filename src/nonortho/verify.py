@@ -2,7 +2,8 @@
 
 ``quick`` covers the closed-form identities, fixed examples, feasibility
 verdicts and the kaon application in a few seconds; ``full`` adds the
-independent CHSH maximizer comparison and the impossibility grid scans.
+independent CHSH maximizer comparison, on random states and near maximal
+violation, and the impossibility grid scans.
 Every check is wrapped so an exception counts as a failure rather than
 aborting the run.
 """
@@ -262,6 +263,25 @@ def _check_oracle(seed: int, grid_n: int, refine_iters: int,
                 f"max value {ceiling:.12f} <= 2*sqrt(2)+1e-9")
 
 
+def _check_oracle_boundary(seed: int, grid_n: int, refine_iters: int,
+                           count: int = 200) -> tuple[bool, str]:
+    """The oracle just below maximal violation, where its local search can stop short.
+
+    The states are the boundary family |x| = |y| = t, eta = pi at
+    |mu|^2 = s/(2 (1 - t^2)), s in {0.97, 0.99, 0.999} (s = 1 is maximal);
+    the CHSH value there has a nearly flat ridge.
+    """
+    rng = np.random.default_rng(seed + 5)
+    worst, short = 0.0, 0
+    for t, scale in zip(rng.uniform(0.02, 0.97, count), itertools.cycle((0.97, 0.99, 0.999))):
+        s = state_from_magnitudes(scale / (2.0 * (1.0 - t * t)), t, t, math.pi)
+        gap = canonical_bell_value(s) - oracle_bell_max(embed(s), grid_n=grid_n,
+                                                        refine_iters=refine_iters)
+        worst, short = max(worst, gap), short + (gap > 1e-9)
+    return short == 0, (f"{short}/{count} boundary states more than 1e-9 short of canonical, "
+                        f"worst shortfall {worst:.2e}")
+
+
 def _check_nn_generic() -> tuple[bool, str]:
     """The scan's min d over each unequal pair lies on the closed-form floor."""
     low_gap, high_gap = math.inf, -math.inf
@@ -324,6 +344,7 @@ def checks(level: str = "quick", seed: int = DEFAULT_SEED, grid_n: int = 24,
     if level == "full":
         table["nn-generic-impossibility"] = _check_nn_generic
         table["oracle-vs-analytic-100"] = lambda: _check_oracle(seed, grid_n, refine_iters)
+        table["oracle-boundary-200"] = lambda: _check_oracle_boundary(seed, grid_n, refine_iters)
     return table
 
 

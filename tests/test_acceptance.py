@@ -45,7 +45,14 @@ def test_criterion_3_canonical_settings_achieve_closed_form():
 
 
 def test_criterion_4_independent_chsh_oracle():
-    assert_checks_pass("oracle-vs-analytic-100")
+    assert_checks_pass("oracle-vs-analytic-100", "oracle-boundary-200")
+
+
+def test_criterion_4_boundary_check_fails_without_refinement():
+    # the grid's best pair alone is short of canonical near maximal violation
+    passed, detail = checks("full", refine_iters=0)["oracle-boundary-200"]()
+    report(f"oracle-boundary-200 at refine_iters 0 {'PASS' if passed else 'FAIL'}: {detail}")
+    assert not passed
 
 
 def test_criterion_5_single_overlap_impossibility():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from nonortho import bell
 from nonortho.bell import (MeasurementSetting, _bloch_vectors, _chsh_value,
                            _grid_constants, _grid_stage, _orbit_representatives,
-                           _pair_values, _refine, _tensor_image, _workspace,
+                           _pair_values, _tensor_image, _workspace,
                            analytic_bell, bell_expectation, canonical_settings,
                            oracle_bell_max, spin_observable)
 from nonortho.errors import DomainError
@@ -137,6 +137,11 @@ def test_oracle_rejects_tiny_grid():
         oracle_bell_max(embed(make_state(SQ2, -SQ2, 0, 0)), grid_n=4)
 
 
+def test_oracle_rejects_negative_refine_iters():
+    with pytest.raises(DomainError, match="refine_iters"):
+        oracle_bell_max(embed(make_state(SQ2, -SQ2, 0, 0)), refine_iters=-1)
+
+
 def _theta_entries(chis, phis):
     """(n, 2, 2) stack of observables in the computational basis."""
     out = np.empty((len(chis), 2, 2), dtype=complex)
@@ -167,14 +172,14 @@ def test_folded_grid_matches_full_scan(s):
     # A and A' range over every setting, a superset of the grid's
     psi = coefficient_matrix(embed(s))
     for grid_n in (8, 9):
-        folded, angles = _grid_stage(psi, grid_n)
+        folded, angles = _grid_stage(psi, grid_n, 40)
         assert folded >= _full_grid_best(psi, grid_n) - 1e-14
         # the angles attain the stage's value
         assert abs(_chsh_value(psi, angles) - folded) <= 1e-15
 
 
 def test_oracle_early_stop_is_exact():
-    # this state's refinement reaches its fixed point well before sweep 40
+    # this state's Newton steps stop well before step 40
     v = embed(make_state(0.8, 0.6, 0.4, 0.2j, auto_normalize=True))
     assert oracle_bell_max(v, refine_iters=40) == oracle_bell_max(v, refine_iters=1000)
 
@@ -244,53 +249,6 @@ def _reference_chsh_value(psi, angles):
             + d_ap * (c_b - c_bp) + 2.0 * (k_ap * (w_b - w_bp)).real)
 
 
-def _pattern_move(value_at, current, angles, sweep_start):
-    """The doubling pattern move along a sweep's displacement, or None at a fixed point."""
-    displacement = [a - s for a, s in zip(angles, sweep_start)]
-    if not any(displacement):
-        return None
-    scale = 1.0
-    for _ in range(50):
-        trial = [a + scale * d for a, d in zip(angles, displacement)]
-        value = value_at(trial)
-        if value > current:
-            current, angles = value, trial
-            scale *= 2.0
-        else:
-            break
-    return current, angles
-
-
-def _reference_oracle(psi, angles, refine_iters=40):
-    """oracle_bell_max's refinement from the grid stage's angles, every share recomputed.
-
-    Returns the value and whether a sweep reached the fixed point.
-    """
-    forms, angles = bell._pauli_forms(psi.tolist()), angles.tolist()
-
-    def shares(angles):
-        return [bell._share(forms, side, angles[2 * side], angles[2 * side + 1])
-                for side in range(4)]
-
-    current = bell._combine(*shares(angles))
-    for _ in range(refine_iters):
-        sweep_start = angles
-        for k in range(8):
-            side = k // 2
-            v = bell._linear_form(forms, shares(angles), side)
-            trial = angles.copy()
-            trial[k] += bell._coordinate_offset(v, k, angles[2 * side], angles[2 * side + 1])
-            value = bell._combine(*shares(trial))
-            if value > current:
-                current, angles = value, trial
-        moved = _pattern_move(lambda trial: bell._combine(*shares(trial)),
-                              current, angles, sweep_start)
-        if moved is None:
-            return current, True
-        current, angles = moved
-    return current, False
-
-
 def _probe_reference_oracle(psi, best, angles, refine_iters=40):
     """The refinement that fits each coordinate's sinusoid to probes at +-0.5 rad.
 
@@ -317,23 +275,29 @@ def _probe_reference_oracle(psi, best, angles, refine_iters=40):
             value = _reference_chsh_value(psi, trial)
             if value > current:
                 current, angles = value, trial
-        moved = _pattern_move(lambda trial: _reference_chsh_value(psi, trial),
-                              current, angles, sweep_start)
-        if moved is None:
+        # a pattern move along the sweep's displacement, doubled while it gains
+        displacement = [a - s for a, s in zip(angles, sweep_start)]
+        if not any(displacement):
             return current, True
-        current, angles = moved
+        scale = 1.0
+        for _ in range(50):
+            trial = [a + scale * d for a, d in zip(angles, displacement)]
+            value = _reference_chsh_value(psi, trial)
+            if value > current:
+                current, angles = value, trial
+                scale *= 2.0
+            else:
+                break
     return current, False
 
 
 def _assert_grid_stage_matches_the_references(psi):
-    """The grid stage against the brute force, and the oracle against the reference refinement."""
+    """The grid stage against the brute force, and its angles against its value."""
     for grid_n in (8, 9, 24):
-        best, angles = _grid_stage(psi, grid_n)
+        best, angles = _grid_stage(psi, grid_n, 40)
         assert best >= _brute_force_best(psi, _grid_constants(grid_n).bloch) - 1e-14
         assert np.isfinite(angles).all()
         assert abs(_chsh_value(psi, angles) - best) <= 1e-15
-        assert (oracle_bell_max(psi.ravel(), grid_n)
-                == _reference_oracle(psi, angles)[0])
 
 
 @given(valid_states())
@@ -366,7 +330,7 @@ def test_grid_stage_matches_the_brute_force_on_families():
         _assert_grid_stage_matches_the_references(coefficient_matrix(embed(s)))
 
 
-def _reference_grid_stage(psi, grid_n):
+def _reference_grid_stage(psi, grid_n, steps):
     """The grid stage without its 1e-6 cut: every pair i <= j compared on a_i +- a_j."""
     grid = _grid_constants(grid_n)
     forms = bell._pauli_forms(psi.tolist())
@@ -376,14 +340,15 @@ def _reference_grid_stage(psi, grid_n):
     totals = (np.sqrt(np.einsum('ij,ij->i', plus, plus))
               + np.sqrt(np.einsum('ij,ij->i', minus, minus)))
     best = int(np.argmax(totals))
-    return bell._pair_settings(psi.tolist(), forms, grid, int(first[best]), int(second[best]))
+    return bell._pair_settings(psi.tolist(), forms, grid, int(first[best]), int(second[best]),
+                               steps)
 
 
 def _assert_grid_exact(psi):
     """The pruned grid stage matches the unpruned reference bit for bit."""
     for grid_n in (8, 9, 24):
-        best, angles = _grid_stage(psi, grid_n)
-        ref_best, ref_angles = _reference_grid_stage(psi, grid_n)
+        best, angles = _grid_stage(psi, grid_n, 40)
+        ref_best, ref_angles = _reference_grid_stage(psi, grid_n, 40)
         assert best == ref_best
         assert np.array_equal(angles, ref_angles)
 
@@ -429,14 +394,14 @@ def test_pruning_stays_exact_with_a_wrong_tensor_or_noisy_correlations(monkeypat
     for i, s in enumerate(states):
         psi = coefficient_matrix(embed(s))
         for grid_n in (8, 9, 24):
-            expected[i, grid_n] = _reference_grid_stage(psi, grid_n)
+            expected[i, grid_n] = _reference_grid_stage(psi, grid_n, 40)
     reordered = 0
     for perturb in (wrong_tensor, noisy):
         monkeypatch.setattr(bell, "_pair_values", perturb)
         for i, s in enumerate(states):
             psi = coefficient_matrix(embed(s))
             for grid_n in (8, 9, 24):
-                best, angles = _grid_stage(psi, grid_n)
+                best, angles = _grid_stage(psi, grid_n, 40)
                 ref_best, ref_angles = expected[i, grid_n]
                 assert best == ref_best
                 assert np.array_equal(angles, ref_angles)
@@ -456,31 +421,35 @@ def test_grid_angles_are_finite_on_product_states():
     for vector in ([1.0, 0, 0, 0], [0.6, 0, 0.8j, 0], embed(make_state(1, 0, 0.5, 0.3))):
         psi = coefficient_matrix(vector)
         for grid_n in (8, 9, 24):
-            best, angles = _grid_stage(psi, grid_n)
+            best, angles = _grid_stage(psi, grid_n, 40)
             assert np.isfinite(angles).all()
             assert abs(_chsh_value(psi, angles) - best) <= 1e-15
             assert best <= 2.0 + 1e-15
-    best, angles = _grid_stage(coefficient_matrix([1.0, 0, 0, 0]), 24)
+    best, angles = _grid_stage(coefficient_matrix([1.0, 0, 0, 0]), 24, 40)
     assert best == 2.0 and angles[4] == angles[6] == 0.0
 
 
 def test_refine_starts_from_the_grid_value_exactly():
-    # the grid value and the refinement's first value come from the same
-    # shares, so zero sweeps return it bit for bit
+    # zero Newton steps leave B and B' at the grid's best pair, so the
+    # oracle returns the unpolished grid value bit for bit
     for s in [*_family_states(), *random_states(20, 17)]:
         psi = coefficient_matrix(embed(s))
         for grid_n in (8, 9, 24):
-            best, angles = _grid_stage(psi, grid_n)
-            assert _refine(psi, angles, 0) == best
+            grid = _grid_constants(grid_n)
+            best, angles = _reference_grid_stage(psi, grid_n, 0)
+            settings = set(zip(grid.chis.tolist(), grid.phis.tolist()))
+            b_angles = angles[4:].tolist()
+            assert {tuple(b_angles[:2]), tuple(b_angles[2:])} <= settings
+            assert oracle_bell_max(embed(s), grid_n, 0) == best
 
 
 def test_grid_stage_polish_reaches_the_canonical_value():
-    # the Newton polish of the grid's best pair tops the flat ridge that the
-    # coordinate moves crawl along (largest shortfall seen: 2.7e-15)
+    # the Newton steps on the grid's best pair top the flat ridge that
+    # single-angle moves crawl along (largest shortfall seen: 2.2e-15)
     for s in [*_family_states(), *random_states(40, 7)]:
         psi = coefficient_matrix(embed(s))
         for grid_n in (8, 9, 24):
-            assert canonical_bell_value(s) - _grid_stage(psi, grid_n)[0] <= 1e-13
+            assert canonical_bell_value(s) - _grid_stage(psi, grid_n, 40)[0] <= 1e-13
 
 
 @pytest.mark.parametrize("n", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -1.0),
@@ -568,7 +537,7 @@ def test_pair_bounds_are_tight_on_pure_states():
         assert np.abs(np.linalg.norm(image, axis=1) - 1.0).max() < 1e-15
         values = _pair_values(image, _grid_constants(grid_n).pairs, _workspace(len(corr_t)))
         assert values.max() <= 2.0 * math.sqrt(2.0) + 1e-15
-        assert abs(_grid_stage(psi, grid_n)[0] - 2.0 * math.sqrt(2.0)) < 1e-15
+        assert abs(_grid_stage(psi, grid_n, 40)[0] - 2.0 * math.sqrt(2.0)) < 1e-15
         tops.append(values.max())
     assert abs(tops[0] - 2.0 * math.sqrt(2.0)) < 1e-15 and tops[1] < 2.0 * math.sqrt(2.0) - 1e-9
 
@@ -610,7 +579,7 @@ def test_grid_constants_are_cached_and_read_only():
     # stage leaves them as built
     n = len(grid.chis)
     rows, cols = np.triu_indices(n)
-    _grid_stage(coefficient_matrix(embed(_workspace_states()[1])), 24)
+    _grid_stage(coefficient_matrix(embed(_workspace_states()[1])), 24, 40)
     assert grid.pairs.dtype == np.intp and grid.pairs.flags.writeable
     assert np.array_equal(grid.pairs, rows * n + cols)
     assert _packed_index(n, 7, 9) == int(np.flatnonzero(grid.pairs == 7 * n + 9)[0])
@@ -656,7 +625,7 @@ def test_workspace_layout_reuse_and_keys():
     assert flat.size == n * n + 2 * pairs
     assert space.work.shape == (n, n) and space.halves.shape == (2, pairs)
     assert not np.shares_memory(space.work, space.halves)
-    best, angles = _grid_stage(coefficient_matrix(embed(_workspace_states()[0])), 24)
+    best, angles = _grid_stage(coefficient_matrix(embed(_workspace_states()[0])), 24, 40)
     assert not np.shares_memory(angles, flat)
     # another thread gets its own workspace
     box = []
@@ -725,7 +694,7 @@ def test_scalar_chsh_value_matches_einsum_form(s, seed):
         assert abs(_chsh_value(psi.tolist(), angles.tolist()) - reference) <= 1e-15
 
 
-# --- exact coordinate moves --------------------------------------------------
+# --- per-setting shares, and the probe refinement at the oracle's angles ---
 
 @given(valid_states(), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=100, deadline=None)
@@ -745,55 +714,20 @@ def test_linear_form_shares_match_the_contraction(s, seed):
             assert abs(got[1] - expected[1]) <= 1e-15
 
 
-# chi at the poles (sin chi = 0 exactly at 0), and with sin chi < 0
-_SPECIAL_CHIS = (0.0, math.pi, -0.9, -2.5, 4.0)
-
-
-@given(valid_states(), st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_coordinate_moves_reach_the_offset_grid_maximum(s, seed):
-    psi = coefficient_matrix(embed(s)).tolist()
-    forms = bell._pauli_forms(psi)
-    rng = np.random.default_rng(seed)
-    rows = rng.uniform(-2 * math.pi, 2 * math.pi, (len(_SPECIAL_CHIS) + 3, 8))
-    rows[:len(_SPECIAL_CHIS), 0::2] = np.array(_SPECIAL_CHIS)[:, None]
-    offsets = (2 * math.pi / 64) * np.arange(64)
-    for angles in rows.tolist():
-        terms = [bell._share(forms, side, angles[2 * side], angles[2 * side + 1])
-                 for side in range(4)]
-        for k in range(8):
-            side = k // 2
-            chi, phi = angles[2 * side], angles[2 * side + 1]
-            v = bell._linear_form(forms, terms, side)
-            offset = bell._coordinate_offset(v, k, chi, phi)
-
-            def value(t):
-                moved = angles.copy()
-                moved[k] += t
-                return _reference_chsh_value(psi, moved)
-
-            sampled = [value(t) for t in offsets]
-            if k % 2 and math.sin(chi) == 0.0:
-                assert offset == 0.0        # at a pole phi moves nothing
-                assert max(sampled) == min(sampled)
-            else:
-                assert -math.pi < offset <= math.pi
-                assert value(offset) >= max(sampled) - 1e-14
-
-
 def test_exact_moves_match_the_probe_refinement_at_its_fixed_points():
-    # where both refinements reach their fixed point within 40 sweeps they
-    # agree (largest difference seen: 8.9e-16); the trajectories match only
-    # in exact arithmetic, and on a near-maximal state one loop can still be
-    # crawling along the flat direction when the other has stopped
+    # started from the oracle's own final angles, the probe refinement,
+    # which shares no derivative with the Newton steps, finds nothing more
+    # where it reaches its fixed point within 40 sweeps (largest difference
+    # seen: 1.3e-15)
     compared = 0
     for s in [*_family_states(), *random_states(40, 7)]:
         psi = coefficient_matrix(embed(s))
         for grid_n in (8, 9, 24):
-            start = _grid_stage(psi, grid_n)
-            probe, probe_fixed = _probe_reference_oracle(psi, *start)
-            exact, exact_fixed = _reference_oracle(psi, start[1])
-            if probe_fixed and exact_fixed:
+            oracle = oracle_bell_max(embed(s), grid_n)
+            best, angles = _grid_stage(psi, grid_n, 40)
+            assert best == oracle
+            probe, probe_fixed = _probe_reference_oracle(psi, best, angles)
+            if probe_fixed:
                 compared += 1
-                assert abs(exact - probe) <= 1e-13
+                assert abs(oracle - probe) <= 1e-13
     assert compared >= 200

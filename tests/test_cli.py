@@ -302,6 +302,13 @@ def test_analyze_oracle_rejects_tiny_grid(capsys):
     assert json.loads(out)["error"]["type"] == "DomainError"
 
 
+def test_analyze_oracle_rejects_negative_refine_iters(capsys):
+    code, out = run_cli(["analyze", *SINGLET_FLAGS, "--oracle", "--refine-iters", "-5"], capsys)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "DomainError" and "refine_iters" in error["message"]
+
+
 EDGE_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 1.5e308, -1.5e308, 1e300,
                                -1e300, 1e-300, -1e-300, 0.0, -0.0, 1.0, -1.0])
 

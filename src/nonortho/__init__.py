@@ -7,9 +7,7 @@ two independent routes), the feasibility case analysis over the overlap
 pattern, and the neutral-kaon application.
 """
 
-from .bell import (BellSettings, MeasurementSetting, analytic_bell,
-                   bell_expectation, canonical_settings, oracle_bell_max,
-                   spin_observable)
+from .bell import analytic_bell, oracle_bell_max
 from .errors import (DomainError, LinearDependence, NoCompatibleNu,
                      NonHermitianDrift, NonorthoError, NotNormalized,
                      PhaseUndefined, SingularNorm, ZeroState)

@@ -1,20 +1,12 @@
-"""Spin observables, canonical Bell settings, and the CHSH expectation.
+"""The closed-form CHSH value and the independent CHSH maximizer.
 
-The observable family is the full unit-spin set
-
-    Theta(chi, phi) = cos(chi) (|+><+| - |-><-|)
-                    + sin(chi) (e^{i phi} |+><-| + e^{-i phi} |-><+|)
-
-built in a given orthonormal basis.  For a Schmidt form the canonical
-settings (chi_A = 0, chi_A' = pi/2, chi_B = -chi_B' = arccos[1+|2 c+ c-|^2]^{-1/2},
-phase sums phi_A + phi_B = phi_A' + phi_B' = phi_plus - phi_minus) give the
-CHSH value 2*sqrt(1 + |2 c+ c-|^2).
-
-``oracle_bell_max`` is the independent check: it maximizes the raw CHSH
-combination over all four settings by a grid search plus local refinement,
-sharing no algebra with the closed form.  Theta(chi, phi) = n . sigma with
-the Bloch vector n = (sin chi cos phi, -sin chi sin phi, cos chi), so a
-correlation is n_A . T n_B for the 3x3 Pauli correlation tensor T of psi.
+``analytic_bell`` is the closed form 2*sqrt(1 + |2 c+ c-|^2) of a Schmidt
+form.  ``oracle_bell_max`` is the independent check: it maximizes the raw
+CHSH combination over all four settings by a grid search plus local
+refinement, sharing no algebra with the closed form.  A setting is the
+unit-spin observable Theta(chi, phi) = n . sigma with the Bloch vector
+n = (sin chi cos phi, -sin chi sin phi, cos chi), so a correlation is
+n_A . T n_B for the 3x3 Pauli correlation tensor T of psi.
 With B and B' fixed the value is n_A . T(n_B + n_B') + n_A' . T(n_B - n_B'),
 so by Cauchy-Schwarz the best A and A' point along T(n_B +- n_B') and the
 value is |T(n_B + n_B')| + |T(n_B - n_B')|.  The grid stage takes the B pair
@@ -29,97 +21,12 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NonHermitianDrift
+from .errors import DomainError
 from .schmidt import SchmidtForm, coefficient_matrix
-from .state import wrap_angle
-
-IMAG_TOL = 1e-10
-
-COMP_PLUS = np.array([1.0, 0.0], dtype=complex)
-COMP_MINUS = np.array([0.0, 1.0], dtype=complex)
-
-
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """One spin direction, canonically wrapped to chi in [0, pi], phi in (-pi, pi]."""
-
-    chi: float
-    phi: float
-
-    @staticmethod
-    def canonical(chi: float, phi: float) -> "MeasurementSetting":
-        chi = wrap_angle(chi)
-        if chi < 0:
-            # Theta(-chi, phi) == Theta(chi, phi + pi)
-            chi, phi = -chi, phi + math.pi
-        return MeasurementSetting(chi, wrap_angle(phi))
-
-
-@dataclass(frozen=True)
-class BellSettings:
-    a: MeasurementSetting
-    a_prime: MeasurementSetting
-    b: MeasurementSetting
-    b_prime: MeasurementSetting
-
-
-def spin_observable(setting: MeasurementSetting,
-                    basis_plus: np.ndarray,
-                    basis_minus: np.ndarray) -> np.ndarray:
-    """2x2 Hermitian unit-spin component along (chi, phi) in the given basis."""
-    pp = np.outer(basis_plus, basis_plus.conj())
-    mm = np.outer(basis_minus, basis_minus.conj())
-    pm = np.outer(basis_plus, basis_minus.conj())
-    c, s = math.cos(setting.chi), math.sin(setting.chi)
-    e = complex(math.cos(setting.phi), math.sin(setting.phi))
-    return c * (pp - mm) + s * (e * pm + np.conj(e) * pm.conj().T)
-
-
-def canonical_settings(form: SchmidtForm) -> BellSettings:
-    """Measurement settings that achieve the closed-form CHSH value.
-
-    The phase constraint fixes only the sums phi_A + phi_B; the split used
-    here puts the whole phase phi_plus - phi_minus on side A and 0 on side
-    B, which is one deterministic choice among the valid family.
-    """
-    k_sq = (2.0 * abs(form.c_plus) * abs(form.c_minus)) ** 2
-    chi_b = math.acos(1.0 / math.sqrt(1.0 + k_sq))
-    phase_a = wrap_angle(form.phi_plus - form.phi_minus)
-    return BellSettings(
-        a=MeasurementSetting.canonical(0.0, phase_a),
-        a_prime=MeasurementSetting.canonical(math.pi / 2.0, phase_a),
-        b=MeasurementSetting.canonical(chi_b, 0.0),
-        b_prime=MeasurementSetting.canonical(-chi_b, 0.0))
-
-
-def bell_expectation(vector: np.ndarray, settings: BellSettings,
-                     basis_a: tuple[np.ndarray, np.ndarray] | None = None,
-                     basis_b: tuple[np.ndarray, np.ndarray] | None = None) -> float:
-    """<Psi| A B + A B' + A' B - A' B' |Psi> for unit ``vector``.
-
-    ``basis_a`` and ``basis_b`` are (plus, minus) pairs; the computational
-    basis is used when omitted.  Raises NonHermitianDrift if the imaginary
-    residue exceeds 1e-10.
-    """
-    if basis_a is None:
-        basis_a = (COMP_PLUS, COMP_MINUS)
-    if basis_b is None:
-        basis_b = (COMP_PLUS, COMP_MINUS)
-    obs_a = spin_observable(settings.a, *basis_a)
-    obs_ap = spin_observable(settings.a_prime, *basis_a)
-    obs_b = spin_observable(settings.b, *basis_b)
-    obs_bp = spin_observable(settings.b_prime, *basis_b)
-    op = (np.kron(obs_a, obs_b) + np.kron(obs_a, obs_bp)
-          + np.kron(obs_ap, obs_b) - np.kron(obs_ap, obs_bp))
-    value = np.vdot(vector, op @ vector)
-    if abs(value.imag) > IMAG_TOL:
-        raise NonHermitianDrift(f"imaginary residue {value.imag:.3e} exceeds {IMAG_TOL:.0e}")
-    return float(value.real)
 
 
 def analytic_bell(form: SchmidtForm) -> float:
@@ -460,6 +367,14 @@ def _grid_stage(psi: np.ndarray, grid_n: int, steps: int) -> tuple[float, np.nda
     return _pair_settings(psi, forms, grid, int(first[best]), int(second[best]), steps)
 
 
+def check_oracle_args(grid_n: int, refine_iters: int) -> None:
+    """Raise DomainError for ``grid_n`` < 8 or ``refine_iters`` < 0."""
+    if grid_n < 8:
+        raise DomainError(f"grid_n must be >= 8, got {grid_n}")
+    if refine_iters < 0:
+        raise DomainError(f"refine_iters must be >= 0, got {refine_iters}")
+
+
 def oracle_bell_max(vector: np.ndarray, grid_n: int = 24,
                     refine_iters: int = 40) -> float:
     """Brute-force CHSH maximum over all four settings.
@@ -471,10 +386,7 @@ def oracle_bell_max(vector: np.ndarray, grid_n: int = 24,
     A step is taken only where it raises the value, so the result is
     non-decreasing in ``refine_iters`` up to its rounding, and the steps
     end early once none can gain above that rounding.  Raises DomainError
-    for ``grid_n`` < 8 or ``refine_iters`` < 0.
+    for arguments ``check_oracle_args`` rejects.
     """
-    if grid_n < 8:
-        raise DomainError(f"grid_n must be >= 8, got {grid_n}")
-    if refine_iters < 0:
-        raise DomainError(f"refine_iters must be >= 0, got {refine_iters}")
+    check_oracle_args(grid_n, refine_iters)
     return _grid_stage(coefficient_matrix(vector), grid_n, refine_iters)[0]

@@ -1,4 +1,18 @@
-"""Assembly of the per-state entanglement report and its JSON/CSV forms."""
+"""Assembly of the per-state entanglement report and its JSON/CSV forms.
+
+Also the canonical-settings CHSH route, ``canonical_bell_value``: the CHSH
+combination at the settings of the Schmidt form that reach the closed form
+2*sqrt(1 + |2 c+ c-|^2), with the unit-spin observables
+
+    Theta(chi, phi) = cos(chi) (|+><+| - |-><-|)
+                    + sin(chi) (e^{i phi} |+><-| + e^{-i phi} |-><+|)
+
+built in the Schmidt bases: chi_A = 0, chi_A' = pi/2 and
+chi_B = -chi_B' = arccos[1 + |2 c+ c-|^2]^{-1/2}, with the whole phase
+phi_plus - phi_minus on side A and 0 on side B (the phase sums
+phi_A + phi_B = phi_A' + phi_B' fix only the total).  It shares no code
+with the CHSH maximizer of ``bell``, which is checked against it.
+"""
 
 from __future__ import annotations
 
@@ -7,17 +21,19 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
+import numpy as np
+
 from . import measures
-from .bell import bell_expectation, canonical_settings, oracle_bell_max
+from .bell import oracle_bell_max
 from .closed_forms import report_scalars
-from .errors import PhaseUndefined
+from .errors import NonHermitianDrift, PhaseUndefined
 from .feasibility import (VERDICT_INFEASIBLE, FeasibilityVerdict, concurrence_scan,
                           maximal_feasibility)
 from .kaon import (KaonEvolution, kaon_deviation_closed_form,
                    kaon_entangled_state, kaon_overlap, kaon_overlap_mag_sq_alt,
                    weak_decay_norm)
 from .schmidt import DEGENERACY_TOL, schmidt_decompose
-from .state import NonorthogonalState, embed, eta_phase
+from .state import NonorthogonalState, embed, eta_phase, wrap_angle
 
 SCHEMA_VERSION = 2
 
@@ -185,10 +201,34 @@ def csv_row(mu_sq: float, x_abs: float, y_abs: float, eta: float,
     return csv_lines([values]).split(",")
 
 
+def _spin_observable(chi: float, phi: float, plus: np.ndarray,
+                     minus: np.ndarray) -> np.ndarray:
+    """Theta(chi, phi), the 2x2 Hermitian unit-spin component, in the basis (plus, minus)."""
+    pp = np.outer(plus, plus.conj())
+    mm = np.outer(minus, minus.conj())
+    pm = np.outer(plus, minus.conj())
+    c, s = math.cos(chi), math.sin(chi)
+    e = complex(math.cos(phi), math.sin(phi))
+    return c * (pp - mm) + s * (e * pm + np.conj(e) * pm.conj().T)
+
+
 def canonical_bell_value(state: NonorthogonalState) -> float:
-    """Bell expectation of the state at its canonical settings."""
+    """<psi| A (B + B') + A' (B - B') |psi> at the canonical settings in the Schmidt bases.
+
+    chi_A = 0, chi_A' = pi/2, chi_B = -chi_B' = arccos[1 + |2 c+ c-|^2]^{-1/2},
+    with the phase phi_plus - phi_minus on side A and 0 on side B.  Raises
+    NonHermitianDrift if the imaginary residue exceeds 1e-10.
+    """
     form = schmidt_decompose(state)
-    settings = canonical_settings(form)
-    return bell_expectation(embed(state), settings,
-                            basis_a=(form.a_plus, form.a_minus),
-                            basis_b=(form.b_plus, form.b_minus))
+    k_sq = (2.0 * abs(form.c_plus) * abs(form.c_minus)) ** 2
+    chi_b = math.acos(1.0 / math.sqrt(1.0 + k_sq))
+    phase = wrap_angle(form.phi_plus - form.phi_minus)
+    a, a_prime = (_spin_observable(chi, phase, form.a_plus, form.a_minus)
+                  for chi in (0.0, math.pi / 2.0))
+    b, b_prime = (_spin_observable(chi, 0.0, form.b_plus, form.b_minus)
+                  for chi in (chi_b, -chi_b))
+    vector = embed(state)
+    value = np.vdot(vector, (np.kron(a, b + b_prime) + np.kron(a_prime, b - b_prime)) @ vector)
+    if abs(value.imag) > 1e-10:
+        raise NonHermitianDrift(f"imaginary residue {value.imag:.3e} exceeds 1e-10")
+    return float(value.real)

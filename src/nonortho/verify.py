@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import measures
-from .bell import analytic_bell, oracle_bell_max
+from .bell import analytic_bell, check_oracle_args, oracle_bell_max
 from .closed_forms import report_scalars
 from .errors import NoCompatibleNu, NonorthoError
 from .feasibility import (VERDICT_FEASIBLE_DEGENERATE, VERDICT_FEASIBLE_ORTHOGONAL,
@@ -323,9 +323,14 @@ def _check_feasible_orthogonal() -> tuple[bool, str]:
 
 def checks(level: str = "quick", seed: int = DEFAULT_SEED, grid_n: int = 24,
            refine_iters: int = 40) -> dict[str, Check]:
-    """The named checks of one level, in run order, each not yet run."""
+    """The named checks of one level, in run order, each not yet run.
+
+    Raises before any check runs for an unknown level or for oracle
+    arguments ``check_oracle_args`` rejects, at either level.
+    """
     if level not in ("quick", "full"):
         raise NonorthoError(f"verify level must be 'quick' or 'full', got {level!r}")
+    check_oracle_args(grid_n, refine_iters)
     table: dict[str, Check] = {
         "oo-maximal-case": _check_oo_maximal,
         "closed-form-identities-10k": lambda: _check_identities(seed),

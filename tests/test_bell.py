@@ -1,24 +1,24 @@
+import ast
 import math
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonortho import bell
-from nonortho.bell import (MeasurementSetting, _bloch_vectors, _chsh_value,
-                           _grid_constants, _grid_stage, _orbit_representatives,
-                           _pair_values, _tensor_image, _workspace,
-                           analytic_bell, bell_expectation, canonical_settings,
-                           oracle_bell_max, spin_observable)
-from nonortho.errors import DomainError
+from nonortho import bell, report
+from nonortho.bell import (_bloch_vectors, _chsh_value, _grid_constants, _grid_stage,
+                           _orbit_representatives, _pair_values, _tensor_image, _workspace,
+                           analytic_bell, oracle_bell_max)
+from nonortho.errors import DomainError, NonHermitianDrift
 from nonortho.sampling import random_states
 from nonortho.schmidt import coefficient_matrix, schmidt_decompose
 from nonortho.state import embed, make_state, state_from_magnitudes
-from nonortho.report import canonical_bell_value
+from nonortho.report import _spin_observable, canonical_bell_value
 
 from conftest import valid_states
 
@@ -28,58 +28,67 @@ E1 = np.array([0, 1], dtype=complex)
 
 
 def test_spin_observable_z_like():
-    obs = spin_observable(MeasurementSetting(0.0, 0.0), E0, E1)
+    obs = _spin_observable(0.0, 0.0, E0, E1)
     assert np.allclose(obs, np.diag([1, -1]), atol=1e-15)
 
 
 def test_spin_observable_x_like():
-    obs = spin_observable(MeasurementSetting(math.pi / 2, 0.0), E0, E1)
+    obs = _spin_observable(math.pi / 2, 0.0, E0, E1)
     assert np.allclose(obs, [[0, 1], [1, 0]], atol=1e-15)
 
 
 @given(valid_states())
 def test_spin_observable_squares_to_identity(s):
     form = schmidt_decompose(s)
-    setting = MeasurementSetting.canonical(0.7, -2.1)
-    obs = spin_observable(setting, form.a_plus, form.a_minus)
+    obs = _spin_observable(0.7, -2.1, form.a_plus, form.a_minus)
     assert np.allclose(obs, obs.conj().T, atol=1e-14)
     assert np.allclose(obs @ obs, np.eye(2), atol=1e-12)
 
 
 def test_canonical_wrap_equivalence():
-    # Theta(-chi, phi) == Theta(chi, phi + pi) after wrapping
-    raw = (-0.8, 0.4)
-    wrapped = MeasurementSetting.canonical(*raw)
-    assert wrapped.chi == pytest.approx(0.8)
-    direct = spin_observable(MeasurementSetting(*raw), E0, E1)
-    assert np.allclose(spin_observable(wrapped, E0, E1), direct, atol=1e-14)
+    # Theta(-chi, phi) == Theta(chi, phi + pi), which lets B' take -chi_B
+    form = schmidt_decompose(make_state(0.6, 0.8j, 0.3 - 0.2j, 0.5j, auto_normalize=True))
+    for basis in ((E0, E1), (form.b_plus, form.b_minus)):
+        assert np.allclose(_spin_observable(-0.8, 0.4, *basis),
+                           _spin_observable(0.8, 0.4 + math.pi, *basis), rtol=0, atol=1e-14)
 
 
-def test_canonical_settings_balanced():
-    form = schmidt_decompose(make_state(SQ2, -SQ2, 0, 0))
-    st = canonical_settings(form)
-    assert st.a.chi == 0.0
-    assert st.a_prime.chi == pytest.approx(math.pi / 2)
-    assert st.b.chi == pytest.approx(math.pi / 4)   # arccos(1/sqrt(2))
-    assert st.b_prime.chi == pytest.approx(math.pi / 4)
+def _canonical_angles(state, monkeypatch):
+    """canonical_bell_value(state) and the (chi, phi) of A, A', B, B' it builds."""
+    angles = []
+
+    def spy(chi, phi, plus, minus):
+        angles.append((chi, phi))
+        return _spin_observable(chi, phi, plus, minus)
+
+    monkeypatch.setattr(report, "_spin_observable", spy)
+    return canonical_bell_value(state), angles
 
 
-def test_canonical_settings_product_state():
-    form = schmidt_decompose(make_state(1, 0, 0.5, 0.3))
-    st = canonical_settings(form)
-    assert st.b.chi == pytest.approx(0.0, abs=1e-12)
+def test_canonical_settings_balanced(monkeypatch):
+    _, angles = _canonical_angles(make_state(SQ2, -SQ2, 0, 0), monkeypatch)
+    (chi_a, _), (chi_ap, _), (chi_b, phi_b), (chi_bp, phi_bp) = angles
+    assert chi_a == 0.0
+    assert chi_ap == pytest.approx(math.pi / 2)
+    assert chi_b == pytest.approx(math.pi / 4)   # arccos(1/sqrt(2))
+    assert chi_bp == -chi_b and phi_b == phi_bp == 0.0
 
 
-def test_canonical_settings_frozen_example():
+def test_canonical_settings_product_state(monkeypatch):
+    value, angles = _canonical_angles(make_state(1, 0, 0.5, 0.3), monkeypatch)
+    assert angles[2][0] == pytest.approx(0.0, abs=1e-12)
+    assert value == pytest.approx(2.0, abs=1e-12)
+
+
+def test_canonical_settings_frozen_example(monkeypatch):
     # |c+|^2 = 0.9, |c-|^2 = 0.1 -> chi_B = arccos(1/sqrt(1.36))
     from nonortho.feasibility import mu_squared_solutions
-    from nonortho.state import state_from_magnitudes
     (q,) = [r for r in mu_squared_solutions(0.0, 0.0, 1 - 0.36) if r > 0.5]
     s = state_from_magnitudes(q, 0.0, 0.0)
-    form = schmidt_decompose(s)
-    st = canonical_settings(form)
-    assert st.b.chi == pytest.approx(0.54041950027058405, abs=1e-12)
-    assert analytic_bell(form) == pytest.approx(2.3323807579381204, abs=1e-12)
+    value, angles = _canonical_angles(s, monkeypatch)
+    assert angles[2][0] == pytest.approx(0.54041950027058405, abs=1e-12)
+    assert value == pytest.approx(2.3323807579381204, abs=1e-12)
+    assert analytic_bell(schmidt_decompose(s)) == pytest.approx(2.3323807579381204, abs=1e-12)
 
 
 def test_bell_expectation_singlet_canonical():
@@ -87,14 +96,50 @@ def test_bell_expectation_singlet_canonical():
     assert canonical_bell_value(s) == pytest.approx(2 * math.sqrt(2), abs=1e-12)
 
 
-@given(valid_states())
+@given(valid_states(), st.lists(st.floats(-math.pi, math.pi), min_size=8, max_size=8))
 @settings(max_examples=60)
-def test_product_states_within_classical_bound(s):
-    # any settings on a product state stay within [-2, 2]
+def test_product_states_within_classical_bound(s, angles):
+    # any settings on a product state stay within [-2, 2], and the canonical ones give 2
     product = make_state(1, 0, s.x, s.y)
-    settings_obj = canonical_settings(schmidt_decompose(s))
-    value = bell_expectation(embed(product), settings_obj)
+    v = embed(product)
+    a, a_prime, b, b_prime = (_spin_observable(*angles[k:k + 2], E0, E1) for k in range(0, 8, 2))
+    value = np.vdot(v, (np.kron(a, b + b_prime) + np.kron(a_prime, b - b_prime)) @ v).real
     assert -2.0 - 1e-12 <= value <= 2.0 + 1e-12
+    assert canonical_bell_value(product) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_canonical_value_rejects_an_imaginary_residue(monkeypatch):
+    # A = A' = B = B' = diag(1, i): <psi| 2 diag(1, i, i, -1) |psi> has imaginary part
+    # 2 (|psi_01|^2 + |psi_10|^2)
+    monkeypatch.setattr(report, "_spin_observable", lambda *args: np.diag([1.0, 1j]))
+    with pytest.raises(NonHermitianDrift):
+        canonical_bell_value(make_state(0.6, 0.8, 0.3, 0.5, auto_normalize=True))
+
+
+ORACLE_PRIVATE = {"_pauli_forms", "_share", "_chsh_value", "_tensor_image", "_polish"}
+
+
+def test_canonical_route_is_independent_of_the_oracle():
+    # read from the source, not run: bell imports nothing from the canonical
+    # route's module, and that module names none of the oracle's private helpers
+    canonical = ast.parse(Path(sys.modules[canonical_bell_value.__module__].__file__).read_text())
+    names = set()
+    for node in ast.walk(canonical):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert names.isdisjoint(ORACLE_PRIVATE)
+    route = canonical_bell_value.__module__.rsplit(".", 1)[-1]
+    imported = set()
+    for node in ast.walk(ast.parse(Path(bell.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+    assert route not in imported
 
 
 @given(valid_states())

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import nonortho.feasibility as feasibility_mod
 import nonortho.report as report_mod
+import nonortho.verify as verify_mod
 from nonortho.cli import STATE_KEYS, SWEEP_PARAMS, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -307,6 +308,21 @@ def test_analyze_oracle_rejects_negative_refine_iters(capsys):
     assert code == 2
     error = json.loads(out)["error"]
     assert error["type"] == "DomainError" and "refine_iters" in error["message"]
+
+
+@pytest.mark.parametrize("argv, arg", [
+    (["verify", "full", "--refine-iters", "-5"], "refine_iters"),
+    (["verify", "quick", "--grid-n", "4"], "grid_n"),
+])
+def test_verify_rejects_bad_oracle_args_before_any_check(argv, arg, monkeypatch, capsys):
+    def no_check(name, fn):
+        raise AssertionError(f"check {name} ran")
+
+    monkeypatch.setattr(verify_mod, "_run", no_check)
+    code, out = run_cli(argv, capsys)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "DomainError" and arg in error["message"]
 
 
 EDGE_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 1.5e308, -1.5e308, 1e300,

@@ -10,6 +10,8 @@ call (the grid stage with no Newton step, ``bell._grid_stage(psi, 24, 0)``,
 and the Newton refinement of its best B pair, ``bell._polish`` at up to 40
 steps), and the minor page faults per oracle call (the first call, and the
 median and mean of the later ones) where the ``resource`` module exists.
+The grid stage is split once more: the pair ranking, ``bell._pair_values``
+timed in a third call, and the rest, the grid stage's time less it.
 A last line times the near-maximal boundary family |x| = |y| = t,
 eta = pi, |mu|^2 = s/(2 (1 - t^2)), for t in {0.3, 0.6, 0.9} and s in
 {1, 0.97}.  The Newton refinement takes the most steps along this
@@ -29,7 +31,8 @@ try:
 except ImportError:     # not on every platform
     resource = None
 
-from nonortho.bell import (_bloch_vectors, _grid_stage, _pauli_forms, _polish, analytic_bell,
+from nonortho.bell import (_bloch_vectors, _grid_constants, _grid_stage, _pair_values,
+                           _pauli_forms, _polish, _tensor_image, _workspace, analytic_bell,
                            oracle_bell_max)
 from nonortho.cli import closed_stdout_status
 from nonortho.report import canonical_bell_value
@@ -69,7 +72,7 @@ def main(argv: list[str]) -> int:
     worst_match = 0.0
     worst_shortfall = 0.0
     seconds = []
-    stage_seconds = ([], [])     # grid stage, refinement
+    stage_seconds = ([], [], [])     # grid stage, refinement, pair ranking
     faults = []
     for i, state in enumerate(random_states(count, seed)):
         analytic = analytic_bell(schmidt_decompose(state))
@@ -90,6 +93,12 @@ def main(argv: list[str]) -> int:
         start = time.perf_counter()
         _polish(forms, b, b_prime, 40)
         stage_seconds[1].append(time.perf_counter() - start)
+        grid = _grid_constants(24)      # built by the first oracle call
+        image = _tensor_image(forms, grid.bloch)
+        space = _workspace(len(image))
+        start = time.perf_counter()
+        _pair_values(image, grid.pairs, space)
+        stage_seconds[2].append(time.perf_counter() - start)
         worst_match = max(worst_match, abs(oracle - analytic))
         worst_shortfall = max(worst_shortfall, canonical - oracle)
         if i < 5:
@@ -97,9 +106,12 @@ def main(argv: list[str]) -> int:
                   f"diff={oracle - analytic:+.2e}")
     print(f"\n{count} states, oracle time per state: "
           f"median {1e3 * statistics.median(seconds):.1f} ms, worst {1e3 * max(seconds):.1f} ms")
-    grid_ms, refine_ms = (1e3 * statistics.median(s) for s in stage_seconds)
+    grid_ms, refine_ms, ranking_ms = (1e3 * statistics.median(s) for s in stage_seconds)
+    rest_ms = 1e3 * statistics.median(g - r for g, r in zip(stage_seconds[0], stage_seconds[2]))
     print(f"oracle stages per state: grid stage median {grid_ms:.2f} ms, "
           f"refinement median {refine_ms:.2f} ms")
+    print(f"grid stage split per state: pair ranking median {ranking_ms:.2f} ms, "
+          f"rest median {rest_ms:.2f} ms")
     if faults:
         later = faults[1:]
         rest = (f", later calls median {statistics.median(later):g}, "

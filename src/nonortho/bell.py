@@ -111,14 +111,20 @@ def _bloch_vectors(chis: np.ndarray, phis: np.ndarray) -> np.ndarray:
 
 
 class _Workspace(NamedTuple):
-    """One thread's grid-stage buffers for R orbits: views of one flat float64 array.
+    """One thread's grid-stage buffers for R orbits: row-major views of one flat float64 array.
 
     ``work`` (R x R) holds one of ``_pair_values``' products at a time, and
-    ``halves`` is 2 x P for the P = R (R + 1)/2 pairs i <= j.
+    last the pairs' products of squares; ``halves`` is 2 x P for the
+    P = R (R + 1)/2 pairs i <= j.  ``left`` (R x 5, columns [a, |a|^2, 1]) and ``right``
+    (5 x R, rows [+-2 a; 1; |a|^2]) are the products' operands: their ones
+    are written once here, and ``_pair_values`` fills the rest in place on
+    each call, since a depends on the state.
     """
 
     work: np.ndarray
     halves: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
 
 
 _WORKSPACES = threading.local()
@@ -128,8 +134,11 @@ def _workspace(n: int) -> _Workspace:
     """This thread's workspace for ``n`` orbits, kept per ``n``."""
     spaces = _WORKSPACES.__dict__.setdefault("spaces", {})     # this thread's own dict
     if n not in spaces:
-        flat = np.empty(n * n + n * (n + 1))
-        spaces[n] = _Workspace(work=flat[:n * n].reshape(n, n), halves=flat[n * n:].reshape(2, -1))
+        flat = np.empty(n * n + n * (n + 1) + 10 * n)
+        work, halves, left, right = np.split(flat, np.cumsum([n * n, n * (n + 1), 5 * n]))
+        left, right = left.reshape(n, 5), right.reshape(5, n)
+        left[:, 4] = right[3] = 1.0
+        spaces[n] = _Workspace(work.reshape(n, n), halves.reshape(2, -1), left, right)
     return spaces[n]
 
 
@@ -146,35 +155,50 @@ def _tensor_image(forms, bloch: np.ndarray) -> np.ndarray:
 
 
 def _pair_values(image: np.ndarray, pairs: np.ndarray, space: _Workspace) -> np.ndarray:
-    """Approximate pair values |a_i + a_j| + |a_i - a_j| for i <= j, in ``space.halves``.
+    """Keys that rank the pairs i <= j by |a_i + a_j| + |a_i - a_j|, in ``space.halves[0]``.
 
     ``pairs`` holds the pairs' flat indices i R + j, row-major, and row i of
     ``image`` is a_i.  With B, B' = Theta_i, Theta_j the CHSH value is
     n_A . (a_i + a_j) + n_A' . (a_i - a_j), so by Cauchy-Schwarz the pair
-    value is its maximum over every A and A', reached along a_i +- a_j.
-    Formed in the Gram form below, a value may sit on either side of the
-    pair's, which is why ``_grid_stage`` compares its top pairs again on
-    the vectors.  The squares are
-    entries of [a, |a|^2, 1] [+-2 a, 1, |a|^2]^T, formed in ``space.work``,
-    gathered into ``space.halves`` and clipped at 0.  Each rounds by at most
-    gamma_5 (|a_i| + |a_j|)^2 + gamma_3 (|a_i|^2 + |a_j|^2) < 2^-47 m^2, m =
-    max_i |a_i|, which moves a root near 0 by up to 2^-23.5 m, so a value
-    is within 2^-22 m of its pair's.
+    value |p| + |q|, p, q = a_i +- a_j, is its maximum over every A and A'.
+    The key is (|p|^2 + |q|^2)/2 + sqrt(|p|^2 |q|^2) = (|p| + |q|)^2/2, which
+    rises with the value and takes one square root per pair.  The squares
+    are entries of [a, |a|^2, 1] [+-2 a; 1; |a|^2], formed in ``space.work``
+    from ``space.left`` and ``space.right`` and gathered into
+    ``space.halves``; their product is formed in ``space.work``, clipped at
+    0 and rooted.
+
+    Rounding: each square is off by at most gamma_5 (|a_i| + |a_j|)^2 +
+    gamma_3 (|a_i|^2 + |a_j|^2) < 2^-48 m^2 =: delta, m = max_i |a_i|.  So
+    half their sum is off by at most delta; and, as the clip only moves the
+    product towards |p|^2 |q|^2 >= 0 and |sqrt x - sqrt y| <= sqrt |x - y|,
+    the root by at most sqrt(delta (|p|^2 + |q|^2) + delta^2) <= 2 m
+    sqrt(delta) + delta < 2^-23 m^2 + delta, as |p|^2 + |q|^2 <= 4 m^2.
+    The last four operations add < 2^-49 m^2, so a key is within
+    2^-22.9 m^2 of its pair's exact key.  The top key is at least 2 m^2 (a
+    pair i = j with |a_i| = m), so that is less than 2^-23.9 ~ 6.4e-8 of
+    the top key.  A key may sit on either side of its pair's, which is why
+    ``_grid_stage`` compares its top pairs again on the vectors.
     """
-    work, halves = space.work, space.halves
-    sq = np.einsum('ij,ij->i', image, image)
-    left = np.column_stack((image, sq, np.ones_like(sq)))
-    right = np.vstack((2.0 * image.T, np.ones_like(sq), sq))
+    work, halves, left, right = space
+    np.einsum('ij,ij->i', image, image, out=right[4])
+    left[:, 3] = right[4]
+    left[:, :3] = image
+    np.multiply(image.T, 2.0, out=right[:3])
     for half in halves:
         np.matmul(left, right, out=work)
         # the indices are in range; "wrap" skips the copy of ``out`` that "raise" makes
         np.take(work.ravel(), pairs, out=half, mode="wrap")
         right[:3] *= -1.0
-    np.maximum(halves, 0.0, out=halves)
-    np.sqrt(halves, out=halves)
-    values, minus = halves
-    values += minus
-    return values
+    keys, minus = halves
+    roots = work.ravel()[:len(keys)]
+    np.multiply(keys, minus, out=roots)
+    np.maximum(roots, 0.0, out=roots)
+    np.sqrt(roots, out=roots)
+    keys += minus
+    keys *= 0.5
+    keys += roots
+    return keys
 
 
 class _Grid(NamedTuple):
@@ -345,32 +369,39 @@ def _pair_settings(psi: list, forms, grid: _Grid, ib: int, ibp: int,
 def _grid_stage(psi: np.ndarray, grid_n: int, steps: int) -> tuple[float, np.ndarray]:
     """The CHSH value and angles from the settings grid's best B pair, A and A' free.
 
-    A B pair (+-Theta_i, +-Theta_j) reaches ``_pair_values``' value
-    whatever the signs and the order of i, j, so only i <= j is searched.
-    The largest value is at least 2 max_i |a_i| (the pairs i = j), so every
-    pair within 1e-6 of it, relative, may be the best given the values'
-    rounding; these are compared again on the lengths of a_i +- a_j
-    themselves, and the first largest pair in (i, j) order wins.  That pair
-    takes up to ``steps`` Newton steps and is set by ``_pair_settings``.
-    The R x R products live in this thread's ``_workspace``.
+    A B pair (+-Theta_i, +-Theta_j) reaches the value |a_i + a_j| +
+    |a_i - a_j| whatever the signs and the order of i, j, so only i <= j is
+    searched.  ``_pair_values`` ranks the pairs by keys that are off by less
+    than 6.4e-8 of the top key, so every pair whose key is within 1e-6 of the
+    top, relative, may be the best; these are compared again on the lengths
+    of a_i +- a_j themselves, and the first largest pair in (i, j) order
+    wins.  That pair takes up to ``steps`` Newton steps and is set by
+    ``_pair_settings``.  The R x R products live in this thread's
+    ``_workspace``.
     """
     grid = _grid_constants(grid_n)
     psi = psi.tolist()
     forms = _pauli_forms(psi)
     image = _tensor_image(forms, grid.bloch)
-    values = _pair_values(image, grid.pairs, _workspace(len(image)))
-    first, second = np.divmod(grid.pairs[values >= (1.0 - 1e-6) * values.max()], len(image))
-    plus, minus = image[first] + image[second], image[first] - image[second]
+    keys = _pair_values(image, grid.pairs, _workspace(len(image)))
+    first, second = np.divmod(grid.pairs[keys >= (1.0 - 1e-6) * keys.max()], len(image))
+    a_first, a_second = image[first], image[second]
+    plus, minus = a_first + a_second, a_first - a_second
     totals = (np.sqrt(np.einsum('ij,ij->i', plus, plus))
               + np.sqrt(np.einsum('ij,ij->i', minus, minus)))
     best = int(np.argmax(totals))
     return _pair_settings(psi, forms, grid, int(first[best]), int(second[best]), steps)
 
 
+# The grid stage's arrays grow as grid_n^4: 79 MB at 64, and 296 MB at 63,
+# since an odd grid_n adds the half-step settings (``_orbit_representatives``).
+GRID_N_MAX = 64
+
+
 def check_oracle_args(grid_n: int, refine_iters: int) -> None:
-    """Raise DomainError for ``grid_n`` < 8 or ``refine_iters`` < 0."""
-    if grid_n < 8:
-        raise DomainError(f"grid_n must be >= 8, got {grid_n}")
+    """Raise DomainError for ``grid_n`` outside [8, GRID_N_MAX] or ``refine_iters`` < 0."""
+    if not 8 <= grid_n <= GRID_N_MAX:
+        raise DomainError(f"grid_n must be in [8, {GRID_N_MAX}], got {grid_n}")
     if refine_iters < 0:
         raise DomainError(f"refine_iters must be >= 0, got {refine_iters}")
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import measures
 from .bell import analytic_bell, check_oracle_args, oracle_bell_max
 from .closed_forms import report_scalars
-from .errors import NoCompatibleNu, NonorthoError
+from .errors import DomainError, NoCompatibleNu, NonorthoError
 from .feasibility import (VERDICT_FEASIBLE_DEGENERATE, VERDICT_FEASIBLE_ORTHOGONAL,
                           VERDICT_INFEASIBLE, concurrence_scan, deviation,
                           deviation_closed_form, deviation_formula, maximal_feasibility,
@@ -325,11 +325,14 @@ def checks(level: str = "quick", seed: int = DEFAULT_SEED, grid_n: int = 24,
            refine_iters: int = 40) -> dict[str, Check]:
     """The named checks of one level, in run order, each not yet run.
 
-    Raises before any check runs for an unknown level or for oracle
+    Raises before any check runs for an unknown level, a negative ``seed``
+    (the checks draw from seeds ``seed`` to ``seed + 5``) or oracle
     arguments ``check_oracle_args`` rejects, at either level.
     """
     if level not in ("quick", "full"):
         raise NonorthoError(f"verify level must be 'quick' or 'full', got {level!r}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     check_oracle_args(grid_n, refine_iters)
     table: dict[str, Check] = {
         "oo-maximal-case": _check_oo_maximal,

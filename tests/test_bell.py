@@ -182,6 +182,13 @@ def test_oracle_rejects_tiny_grid():
         oracle_bell_max(embed(make_state(SQ2, -SQ2, 0, 0)), grid_n=4)
 
 
+def test_oracle_rejects_a_grid_above_the_cap(monkeypatch):
+    # rejected before the grid's arrays, which grow as grid_n^4, are built
+    monkeypatch.setattr(bell, "_grid_constants", None)
+    with pytest.raises(DomainError, match="grid_n"):
+        oracle_bell_max(embed(make_state(SQ2, -SQ2, 0, 0)), grid_n=bell.GRID_N_MAX + 1)
+
+
 def test_oracle_rejects_negative_refine_iters():
     with pytest.raises(DomainError, match="refine_iters"):
         oracle_bell_max(embed(make_state(SQ2, -SQ2, 0, 0)), refine_iters=-1)
@@ -415,10 +422,11 @@ def test_pruned_grid_is_bit_identical_on_families():
 
 
 def test_pruning_stays_exact_with_a_wrong_tensor_or_noisy_correlations(monkeypatch):
-    # the cut keeps every pair within 1e-6 of the top, relative, and the top
-    # is at least 2 max|a_i|; pair values from a slightly wrong tensor, or
-    # the exact values with noise up to the 2^-22 max|a_i| that _pair_values
-    # grants its rounding, reorder the candidates but leave the result as is
+    # the cut keeps every pair within 1e-6 of the top key, relative, and the
+    # top key is at least 2 max|a_i|^2; keys from a slightly wrong tensor, or
+    # the keys with noise up to the 2^-22.9 max|a_i|^2 that _pair_values
+    # proves for its rounding, reorder the candidates but leave the result
+    # as is
     rng = np.random.default_rng(5)
     pair_values = bell._pair_values
 
@@ -429,10 +437,10 @@ def test_pruning_stays_exact_with_a_wrong_tensor_or_noisy_correlations(monkeypat
                            pairs, space)
 
     def noisy(image, pairs, space):
-        values = pair_values(image, pairs, space)
-        reach = 2.0 ** -22 * np.linalg.norm(image, axis=1).max()
-        values += rng.uniform(-1.0, 1.0, values.shape) * reach
-        return values
+        keys = pair_values(image, pairs, space)
+        reach = 2.0 ** -22.9 * np.linalg.norm(image, axis=1).max() ** 2
+        keys += rng.uniform(-1.0, 1.0, keys.shape) * reach
+        return keys
 
     states = [*random_states(5, 12), *_family_states()]
     expected = {}
@@ -452,8 +460,8 @@ def test_pruning_stays_exact_with_a_wrong_tensor_or_noisy_correlations(monkeypat
                 assert np.array_equal(angles, ref_angles)
                 grid = _grid_constants(grid_n)
                 image = _tensor_image(bell._pauli_forms(psi.tolist()), grid.bloch)
-                values = perturb(image, grid.pairs, _workspace(len(image)))
-                first, second = np.divmod(grid.pairs[int(np.argmax(values))], len(image))
+                keys = perturb(image, grid.pairs, _workspace(len(image)))
+                first, second = np.divmod(grid.pairs[int(np.argmax(keys))], len(image))
                 reordered += not np.array_equal(
                     ref_angles[4:], [grid.chis[first], grid.phis[first],
                                      grid.chis[second], grid.phis[second]])
@@ -543,9 +551,10 @@ def _packed_index(n, i, j):
 
 def test_pair_bounds_dominate_every_total():
     # with A and A' free every pair reaches at least what the grid's A
-    # settings reach, and the Gram form stays within the 2^-22 max|a_i| its
-    # docstring grants; near-product states have pairs with
-    # |T(n_i - n_j)| ~ 1e-8, where the square root magnifies its rounding
+    # settings reach, and each key stays within the 2^-22.9 max|a_i|^2 of
+    # (|a_i + a_j| + |a_i - a_j|)^2 / 2 that _pair_values proves; on
+    # near-product states and at i = j, where |a_i - a_j| ~ 0, the key's
+    # square root magnifies the rounding of the squares
     near_product = [make_state(0.6 + 0.3j, nu * (0.5 - 0.8j), x, y, auto_normalize=True)
                     for nu in (1e-16, 1e-12, 1e-10, 1e-8) for x, y in ((0.4, 0.3j), (0, 0))]
     pairs = _grid_constants(24).pairs
@@ -554,23 +563,24 @@ def test_pair_bounds_dominate_every_total():
     rounded = 0.0
     for s in [*random_states(20, 11), *near_product, *boundary]:
         _, _, corr_t, image = _grid_correlations(coefficient_matrix(embed(s)), 24)
-        values = _pair_values(image, pairs, _workspace(len(corr_t)))
+        keys = _pair_values(image, pairs, _workspace(len(corr_t)))
         first, second = np.divmod(pairs, len(image))
         exact = (np.linalg.norm(image[first] + image[second], axis=1)
                  + np.linalg.norm(image[first] - image[second], axis=1))
-        assert values.shape == exact.shape
+        assert keys.shape == exact.shape
         assert (exact >= _all_totals(corr_t) - 1e-14).all()
-        worst = float(np.abs(values - exact).max())
-        assert worst <= 2.0 ** -22 * np.linalg.norm(image, axis=1).max()
+        worst = float(np.abs(keys - 0.5 * exact ** 2).max())
+        assert worst <= 2.0 ** -22.9 * np.linalg.norm(image, axis=1).max() ** 2
         rounded = max(rounded, worst)
     assert rounded > 1e-12      # the rounding the grid stage's exact comparison covers
 
 
 def test_pair_bounds_are_tight_on_pure_states():
     # Theta = n . sigma, read off its entries; on the maximally entangled
-    # state T is orthogonal, so |a_i| = 1 and a pair reaches 2 sqrt 2 when
-    # n_i . n_j = 0, as the pole and the equator do at grid_n 9 (not at 24,
-    # whose chis miss pi/2, so there the polish of the best pair gets it)
+    # state T is orthogonal, so |a_i| = 1 and a pair's key (|a_i + a_j| +
+    # |a_i - a_j|)^2 / 2 reaches 4 when n_i . n_j = 0, as the pole and the
+    # equator do at grid_n 9 (not at 24, whose chis miss pi/2, so there the
+    # polish of the best pair gets it)
     psi = coefficient_matrix(embed(make_state(SQ2, -SQ2, 0, 0)))
     tops = []
     for grid_n in (9, 24):
@@ -580,11 +590,11 @@ def test_pair_bounds_are_tight_on_pure_states():
         read_off = np.stack([obs[:, 0, 1].real, -obs[:, 0, 1].imag, obs[:, 0, 0].real], axis=1)
         assert np.abs(bloch - read_off).max() < 1e-15
         assert np.abs(np.linalg.norm(image, axis=1) - 1.0).max() < 1e-15
-        values = _pair_values(image, _grid_constants(grid_n).pairs, _workspace(len(corr_t)))
-        assert values.max() <= 2.0 * math.sqrt(2.0) + 1e-15
+        keys = _pair_values(image, _grid_constants(grid_n).pairs, _workspace(len(corr_t)))
+        assert keys.max() <= 4.0 + 1e-14
         assert abs(_grid_stage(psi, grid_n, 40)[0] - 2.0 * math.sqrt(2.0)) < 1e-15
-        tops.append(values.max())
-    assert abs(tops[0] - 2.0 * math.sqrt(2.0)) < 1e-15 and tops[1] < 2.0 * math.sqrt(2.0) - 1e-9
+        tops.append(keys.max())
+    assert abs(tops[0] - 4.0) < 1e-14 and tops[1] < 4.0 - 1e-9
 
 
 # --- regressions: states the A-grid scan left crawling ----------------------
@@ -665,13 +675,23 @@ def test_workspace_layout_reuse_and_keys():
     space = _workspace(n)
     assert _workspace(n) is space
     flat = space.work.base
-    assert all(view.base is flat for view in space)
+    assert all(view.base is flat and view.flags.c_contiguous for view in space)
     pairs = n * (n + 1) // 2
-    assert flat.size == n * n + 2 * pairs
+    assert flat.size == n * n + 2 * pairs + 10 * n
     assert space.work.shape == (n, n) and space.halves.shape == (2, pairs)
-    assert not np.shares_memory(space.work, space.halves)
-    best, angles = _grid_stage(coefficient_matrix(embed(_workspace_states()[0])), 24, 40)
+    assert space.left.shape == (n, 5) and space.right.shape == (5, n)
+    assert not any(np.shares_memory(u, v) for k, u in enumerate(space) for v in space[k + 1:])
+    # the operands' ones stay as written, and the rest holds the last
+    # state's a, 2 a and |a|^2
+    psi = coefficient_matrix(embed(_workspace_states()[0]))
+    best, angles = _grid_stage(psi, 24, 40)
     assert not np.shares_memory(angles, flat)
+    image = _tensor_image(bell._pauli_forms(psi.tolist()), _grid_constants(24).bloch)
+    assert (space.left[:, 4] == 1.0).all() and (space.right[3] == 1.0).all()
+    assert np.array_equal(space.left[:, :3], image)
+    assert np.array_equal(space.right[:3], 2.0 * image.T)
+    assert np.array_equal(space.left[:, 3], space.right[4])
+    assert np.allclose(space.right[4], (image ** 2).sum(axis=1), rtol=1e-15, atol=0.0)
     # another thread gets its own workspace
     box = []
     worker = threading.Thread(target=lambda: box.append(_workspace(n)))

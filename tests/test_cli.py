@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import nonortho.bell as bell_mod
 import nonortho.feasibility as feasibility_mod
 import nonortho.report as report_mod
 import nonortho.verify as verify_mod
@@ -310,9 +311,26 @@ def test_analyze_oracle_rejects_negative_refine_iters(capsys):
     assert error["type"] == "DomainError" and "refine_iters" in error["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", *SINGLET_FLAGS, "--oracle", "--grid-n", "65"],
+    ["kaon", "--eps-re", "0.1", "--oracle", "--grid-n", "65"],
+])
+def test_oracle_rejects_a_grid_above_the_cap_before_building_it(argv, monkeypatch, capsys):
+    # the grid's arrays grow as grid_n^4; none may be built
+    monkeypatch.setattr(bell_mod, "_grid_constants", None)
+    code, out = run_cli(argv, capsys)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "DomainError" and "grid_n" in error["message"]
+
+
 @pytest.mark.parametrize("argv, arg", [
     (["verify", "full", "--refine-iters", "-5"], "refine_iters"),
     (["verify", "quick", "--grid-n", "4"], "grid_n"),
+    (["verify", "full", "--grid-n", "65"], "grid_n"),
+    # the checks draw from seeds seed to seed + 5, so -1 would break some
+    (["verify", "quick", "--seed", "-1"], "seed"),
+    (["verify", "full", "--seed", "-5"], "seed"),
 ])
 def test_verify_rejects_bad_oracle_args_before_any_check(argv, arg, monkeypatch, capsys):
     def no_check(name, fn):

@@ -28,6 +28,8 @@ def test_script_exits_zero():
     assert result.returncode == 0, result.stderr
     assert re.search(r"^oracle stages per state: grid stage median \d+\.\d\d ms, "
                      r"refinement median \d+\.\d\d ms$", result.stdout, re.MULTILINE)
+    assert re.search(r"^grid stage split per state: pair ranking median \d+\.\d\d ms, "
+                     r"rest median -?\d+\.\d\d ms$", result.stdout, re.MULTILINE)
     assert re.search(r"^boundary family, 6 states, oracle time per state: "
                      r"median \d+\.\d ms, worst \d+\.\d ms, "
                      r"worst \|oracle - analytic\| = \d\.\d{3}e[-+]\d\d$",

@@ -11,8 +11,11 @@ and the Newton refinement of its best B pair, ``bell._polish`` at up to 40
 steps), and the minor page faults per oracle call (the first call, and the
 median and mean of the later ones) where the ``resource`` module exists.
 The grid stage is split once more: the pair ranking, ``bell._pair_values``
-timed in a third call, and the rest, the grid stage's time less it.
-A last line times the near-maximal boundary family |x| = |y| = t,
+(the float32 keys) timed in a third call, and the rest, the grid stage's
+time less it.  The next line counts the pairs the float32 keys' window
+keeps for the float64 comparison, per state (``bell._candidates`` at
+``grid_n`` 24): median and max over the random states, and over the
+boundary family below.  A last line times the near-maximal boundary family |x| = |y| = t,
 eta = pi, |mu|^2 = s/(2 (1 - t^2)), for t in {0.3, 0.6, 0.9} and s in
 {1, 0.97}.  The Newton refinement takes the most steps along this
 family's nearly flat ridge, so its worst state is the slowest warm call.
@@ -31,9 +34,9 @@ try:
 except ImportError:     # not on every platform
     resource = None
 
-from nonortho.bell import (_bloch_vectors, _grid_constants, _grid_stage, _pair_values,
-                           _pauli_forms, _polish, _tensor_image, _workspace, analytic_bell,
-                           oracle_bell_max)
+from nonortho.bell import (_bloch_vectors, _candidates, _grid_constants, _grid_stage,
+                           _pair_values, _pauli_forms, _polish, _tensor_image, _workspace,
+                           analytic_bell, oracle_bell_max)
 from nonortho.cli import closed_stdout_status
 from nonortho.report import canonical_bell_value
 from nonortho.sampling import DEFAULT_SEED, random_states
@@ -59,6 +62,13 @@ def parse_args(argv: list[str]) -> tuple[int, int] | None:
     return count, seed
 
 
+def survivors(state) -> int:
+    """How many B pairs the float32 window keeps for ``state`` at grid_n 24."""
+    grid = _grid_constants(24)
+    image = _tensor_image(_pauli_forms(coefficient_matrix(embed(state)).tolist()), grid.bloch)
+    return len(_candidates(image, grid.pairs)[0])
+
+
 def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
@@ -74,6 +84,7 @@ def main(argv: list[str]) -> int:
     seconds = []
     stage_seconds = ([], [], [])     # grid stage, refinement, pair ranking
     faults = []
+    kept = []
     for i, state in enumerate(random_states(count, seed)):
         analytic = analytic_bell(schmidt_decompose(state))
         canonical = canonical_bell_value(state)
@@ -99,6 +110,7 @@ def main(argv: list[str]) -> int:
         start = time.perf_counter()
         _pair_values(image, grid.pairs, space)
         stage_seconds[2].append(time.perf_counter() - start)
+        kept.append(survivors(state))
         worst_match = max(worst_match, abs(oracle - analytic))
         worst_shortfall = max(worst_shortfall, canonical - oracle)
         if i < 5:
@@ -112,6 +124,10 @@ def main(argv: list[str]) -> int:
           f"refinement median {refine_ms:.2f} ms")
     print(f"grid stage split per state: pair ranking median {ranking_ms:.2f} ms, "
           f"rest median {rest_ms:.2f} ms")
+    kept_boundary = [survivors(state) for state in BOUNDARY]
+    print(f"float32 window survivors per state: random median {statistics.median(kept):g}, "
+          f"max {max(kept)}; boundary family median {statistics.median(kept_boundary):g}, "
+          f"max {max(kept_boundary)}")
     if faults:
         later = faults[1:]
         rest = (f", later calls median {statistics.median(later):g}, "

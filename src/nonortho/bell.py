@@ -111,14 +111,15 @@ def _bloch_vectors(chis: np.ndarray, phis: np.ndarray) -> np.ndarray:
 
 
 class _Workspace(NamedTuple):
-    """One thread's grid-stage buffers for R orbits: row-major views of one flat float64 array.
+    """One thread's grid-stage buffers for R orbits: row-major views of one flat float32 array.
 
     ``work`` (R x R) holds one of ``_pair_values``' products at a time, and
     last the pairs' products of squares; ``halves`` is 2 x P for the
     P = R (R + 1)/2 pairs i <= j.  ``left`` (R x 5, columns [a, |a|^2, 1]) and ``right``
     (5 x R, rows [+-2 a; 1; |a|^2]) are the products' operands: their ones
     are written once here, and ``_pair_values`` fills the rest in place on
-    each call, since a depends on the state.
+    each call, since a depends on the state.  float32 halves the bytes
+    every pass moves; ``_pair_values`` bounds what it costs in precision.
     """
 
     work: np.ndarray
@@ -134,7 +135,7 @@ def _workspace(n: int) -> _Workspace:
     """This thread's workspace for ``n`` orbits, kept per ``n``."""
     spaces = _WORKSPACES.__dict__.setdefault("spaces", {})     # this thread's own dict
     if n not in spaces:
-        flat = np.empty(n * n + n * (n + 1) + 10 * n)
+        flat = np.empty(n * n + n * (n + 1) + 10 * n, dtype=np.float32)
         work, halves, left, right = np.split(flat, np.cumsum([n * n, n * (n + 1), 5 * n]))
         left, right = left.reshape(n, 5), right.reshape(5, n)
         left[:, 4] = right[3] = 1.0
@@ -155,7 +156,7 @@ def _tensor_image(forms, bloch: np.ndarray) -> np.ndarray:
 
 
 def _pair_values(image: np.ndarray, pairs: np.ndarray, space: _Workspace) -> np.ndarray:
-    """Keys that rank the pairs i <= j by |a_i + a_j| + |a_i - a_j|, in ``space.halves[0]``.
+    """float32 keys ranking the pairs i <= j by |a_i + a_j| + |a_i - a_j|, in ``space.halves[0]``.
 
     ``pairs`` holds the pairs' flat indices i R + j, row-major, and row i of
     ``image`` is a_i.  With B, B' = Theta_i, Theta_j the CHSH value is
@@ -166,22 +167,29 @@ def _pair_values(image: np.ndarray, pairs: np.ndarray, space: _Workspace) -> np.
     are entries of [a, |a|^2, 1] [+-2 a; 1; |a|^2], formed in ``space.work``
     from ``space.left`` and ``space.right`` and gathered into
     ``space.halves``; their product is formed in ``space.work``, clipped at
-    0 and rooted.
+    0 and rooted.  Everything runs in float32, from a and |a|^2 (summed in
+    float64) rounded once.
 
-    Rounding: each square is off by at most gamma_5 (|a_i| + |a_j|)^2 +
-    gamma_3 (|a_i|^2 + |a_j|^2) < 2^-48 m^2 =: delta, m = max_i |a_i|.  So
-    half their sum is off by at most delta; and, as the clip only moves the
-    product towards |p|^2 |q|^2 >= 0 and |sqrt x - sqrt y| <= sqrt |x - y|,
-    the root by at most sqrt(delta (|p|^2 + |q|^2) + delta^2) <= 2 m
-    sqrt(delta) + delta < 2^-23 m^2 + delta, as |p|^2 + |q|^2 <= 4 m^2.
-    The last four operations add < 2^-49 m^2, so a key is within
-    2^-22.9 m^2 of its pair's exact key.  The top key is at least 2 m^2 (a
-    pair i = j with |a_i| = m), so that is less than 2^-23.9 ~ 6.4e-8 of
-    the top key.  A key may sit on either side of its pair's, which is why
-    ``_grid_stage`` compares its top pairs again on the vectors.
+    Rounding, with u = 2^-24 and m = max_i |a_i| (near 1, as T's largest
+    singular value is 1, so nothing here underflows or overflows): a square
+    |a_i|^2 + |a_j|^2 +- 2 a_i . a_j moves by at most 2 (u + 2^-51) m^2 as
+    |a|^2 is rounded, and by at most 2 (2u + u^2) m^2 as a is; its five
+    products have absolute sum at most (1 + 3u) (|a_i| + |a_j|)^2 <= (1 +
+    3u) 4 m^2, so forming it adds at most gamma_5 (1 + 3u) 4 m^2.  Each
+    square is thus off by at most delta < 26.1 u m^2, and half their sum by
+    at most delta.  As the clip only moves the product towards |p|^2 |q|^2
+    >= 0 and |sqrt x - sqrt y| <= sqrt |x - y|, the root of the squares'
+    exact product is off by at most sqrt(delta (|p|^2 + |q|^2) + delta^2)
+    <= sqrt(4 m^2 delta + delta^2) < 2.4946e-3 m^2, as |p|^2 + |q|^2 <=
+    4 m^2.  Rounding the product, the root, the sum and the last addition
+    adds < 9.1 u m^2, so a key is within 2.4967e-3 m^2 < 2.5e-3 m^2 of its
+    pair's exact key.  The top key is at least 2 m^2 (a pair i = j with
+    |a_i| = m), so that is less than 1.25e-3 of the top key.  A key may sit
+    on either side of its pair's, which is why ``_grid_stage`` compares its
+    top pairs again in float64.
     """
     work, halves, left, right = space
-    np.einsum('ij,ij->i', image, image, out=right[4])
+    right[4] = np.einsum('ij,ij->i', image, image)
     left[:, 3] = right[4]
     left[:, :3] = image
     np.multiply(image.T, 2.0, out=right[:3])
@@ -199,6 +207,30 @@ def _pair_values(image: np.ndarray, pairs: np.ndarray, space: _Workspace) -> np.
     keys *= 0.5
     keys += roots
     return keys
+
+
+# twice the bound on ``_pair_values``' keys relative to the top key
+_KEY_WINDOW = 2.5e-3
+
+
+def _candidates(image: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of the pairs whose float32 key is within ``_KEY_WINDOW`` of the top, relative."""
+    keys = _pair_values(image, pairs, _workspace(len(image)))
+    return np.divmod(pairs[keys >= (1.0 - _KEY_WINDOW) * keys.max()], len(image))
+
+
+def _pair_totals(image: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """|a_i + a_j| + |a_i - a_j| in float64 for the pairs (i, j) of ``first`` and ``second``.
+
+    Each axis of the rows a_i of ``image`` is gathered on its own, so every
+    pass runs along the pairs.
+    """
+    a_i, a_j = image.T.take(first, axis=1), image.T.take(second, axis=1)
+    plus = a_i + a_j
+    minus = np.subtract(a_i, a_j, out=a_i)
+    plus *= plus
+    minus *= minus
+    return np.sqrt(plus.sum(axis=0)) + np.sqrt(minus.sum(axis=0))
 
 
 class _Grid(NamedTuple):
@@ -371,30 +403,29 @@ def _grid_stage(psi: np.ndarray, grid_n: int, steps: int) -> tuple[float, np.nda
 
     A B pair (+-Theta_i, +-Theta_j) reaches the value |a_i + a_j| +
     |a_i - a_j| whatever the signs and the order of i, j, so only i <= j is
-    searched.  ``_pair_values`` ranks the pairs by keys that are off by less
-    than 6.4e-8 of the top key, so every pair whose key is within 1e-6 of the
-    top, relative, may be the best; these are compared again on the lengths
-    of a_i +- a_j themselves, and the first largest pair in (i, j) order
-    wins.  That pair takes up to ``steps`` Newton steps and is set by
-    ``_pair_settings``.  The R x R products live in this thread's
-    ``_workspace``.
+    searched.  ``_pair_values`` ranks the pairs in float32, by keys off by
+    less than r = 1.25e-3 of the top key.  With K the best pair's exact key,
+    its key is at least (1 - r) K and the top key at most (1 + r) K; as
+    (1 - 2r)(1 + r) = 1 - r - 2r^2, a cut at 2r = 2.5e-3 below the top key,
+    relative, keeps the best pair, with 2r^2 ~ 3e-6 to spare for the cut's
+    own float32 rounding (< 3u).  ``_candidates`` makes that cut, the pairs
+    it keeps are compared again in float64 by ``_pair_totals``, and the
+    first largest pair in (i, j) order wins.  That pair takes up to
+    ``steps`` Newton steps and is set by ``_pair_settings``.  The R x R
+    products live in this thread's ``_workspace``.
     """
     grid = _grid_constants(grid_n)
     psi = psi.tolist()
     forms = _pauli_forms(psi)
     image = _tensor_image(forms, grid.bloch)
-    keys = _pair_values(image, grid.pairs, _workspace(len(image)))
-    first, second = np.divmod(grid.pairs[keys >= (1.0 - 1e-6) * keys.max()], len(image))
-    a_first, a_second = image[first], image[second]
-    plus, minus = a_first + a_second, a_first - a_second
-    totals = (np.sqrt(np.einsum('ij,ij->i', plus, plus))
-              + np.sqrt(np.einsum('ij,ij->i', minus, minus)))
-    best = int(np.argmax(totals))
+    first, second = _candidates(image, grid.pairs)
+    best = int(np.argmax(_pair_totals(image, first, second)))
     return _pair_settings(psi, forms, grid, int(first[best]), int(second[best]), steps)
 
 
-# The grid stage's arrays grow as grid_n^4: 79 MB at 64, and 296 MB at 63,
-# since an odd grid_n adds the half-step settings (``_orbit_representatives``).
+# The grid stage's arrays (workspace and ``pairs``) grow as grid_n^4: 0.9 MB at
+# 24, 47 MB at 64, and 178 MB at 63, since an odd grid_n adds the half-step
+# settings (``_orbit_representatives``).
 GRID_N_MAX = 64
 
 

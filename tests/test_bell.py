@@ -383,15 +383,12 @@ def test_grid_stage_matches_the_brute_force_on_families():
 
 
 def _reference_grid_stage(psi, grid_n, steps):
-    """The grid stage without its 1e-6 cut: every pair i <= j compared on a_i +- a_j."""
+    """The grid stage without its float32 cut: every pair i <= j compared in float64."""
     grid = _grid_constants(grid_n)
     forms = bell._pauli_forms(psi.tolist())
     image = _tensor_image(forms, grid.bloch)
     first, second = np.triu_indices(len(image))
-    plus, minus = image[first] + image[second], image[first] - image[second]
-    totals = (np.sqrt(np.einsum('ij,ij->i', plus, plus))
-              + np.sqrt(np.einsum('ij,ij->i', minus, minus)))
-    best = int(np.argmax(totals))
+    best = int(np.argmax(bell._pair_totals(image, first, second)))
     return bell._pair_settings(psi.tolist(), forms, grid, int(first[best]), int(second[best]),
                                steps)
 
@@ -412,7 +409,7 @@ def test_pruned_grid_is_bit_identical_on_random_states(s):
 
 
 def test_pruned_grid_is_bit_identical_on_families():
-    # the pairs the cut keeps are compared in the reference's arithmetic, so
+    # the pairs the cut keeps are compared by the reference's own helper, so
     # the first largest pair and its angles are the same to the last bit
     for s in _family_states():
         _assert_grid_exact(coefficient_matrix(embed(s)))
@@ -421,12 +418,38 @@ def test_pruned_grid_is_bit_identical_on_families():
         _assert_grid_exact(coefficient_matrix(embed(s)))
 
 
+def _coverage_states():
+    """Near-product, maximally entangled, boundary-family and random states."""
+    for nu in (1e-16, 1e-12, 1e-8):
+        yield make_state(1.0, nu, 0.4, 0.3j, auto_normalize=True)
+    yield make_state(SQ2, -SQ2, 0, 0)
+    for t in (0.3, 0.6, 0.9, 0.95):
+        for s in (1.0, 0.999, 0.97):
+            yield state_from_magnitudes(s / (2.0 * (1.0 - t * t)), t, t, math.pi)
+    yield from random_states(50, 20)
+
+
+def test_float32_window_keeps_the_float64_best_pair():
+    # the best pair of the unpruned float64 comparison is always among the
+    # pairs the float32 keys' window keeps
+    for s in _coverage_states():
+        forms = bell._pauli_forms(coefficient_matrix(embed(s)).tolist())
+        for grid_n in (8, 9, 24):
+            grid = _grid_constants(grid_n)
+            image = _tensor_image(forms, grid.bloch)
+            first, second = np.divmod(grid.pairs, len(image))
+            best = int(np.argmax(bell._pair_totals(image, first, second)))
+            kept_first, kept_second = bell._candidates(image, grid.pairs)
+            assert ((kept_first == first[best]) & (kept_second == second[best])).any()
+
+
 def test_pruning_stays_exact_with_a_wrong_tensor_or_noisy_correlations(monkeypatch):
-    # the cut keeps every pair within 1e-6 of the top key, relative, and the
-    # top key is at least 2 max|a_i|^2; keys from a slightly wrong tensor, or
-    # the keys with noise up to the 2^-22.9 max|a_i|^2 that _pair_values
-    # proves for its rounding, reorder the candidates but leave the result
-    # as is
+    # the cut keeps every pair within 2.5e-3 of the top key, relative, and the
+    # top key is at least 2 max|a_i|^2; keys from a slightly wrong tensor,
+    # keys anywhere within the 2.5e-3 max|a_i|^2 of the exact keys that
+    # _pair_values proves for its rounding, or at that bound's worst (the
+    # best pairs low by all of it in float32, all others high) reorder the
+    # candidates but leave the result as is
     rng = np.random.default_rng(5)
     pair_values = bell._pair_values
 
@@ -436,11 +459,18 @@ def test_pruning_stays_exact_with_a_wrong_tensor_or_noisy_correlations(monkeypat
                            + rng.uniform(-1.0, 1.0, image.shape) * 2.0 ** -26 * scale,
                            pairs, space)
 
+    def exact_keys(image, pairs):
+        totals = bell._pair_totals(image, *np.divmod(pairs, len(image)))
+        reach = 2.5e-3 * np.linalg.norm(image, axis=1).max() ** 2
+        return totals, 0.5 * totals ** 2, reach
+
     def noisy(image, pairs, space):
-        keys = pair_values(image, pairs, space)
-        reach = 2.0 ** -22.9 * np.linalg.norm(image, axis=1).max() ** 2
-        keys += rng.uniform(-1.0, 1.0, keys.shape) * reach
-        return keys
+        _, keys, reach = exact_keys(image, pairs)
+        return keys + rng.uniform(-1.0, 1.0, keys.shape) * reach
+
+    def worst(image, pairs, space):
+        totals, keys, reach = exact_keys(image, pairs)
+        return (keys + np.where(totals == totals.max(), -reach, reach)).astype(np.float32)
 
     states = [*random_states(5, 12), *_family_states()]
     expected = {}
@@ -449,7 +479,7 @@ def test_pruning_stays_exact_with_a_wrong_tensor_or_noisy_correlations(monkeypat
         for grid_n in (8, 9, 24):
             expected[i, grid_n] = _reference_grid_stage(psi, grid_n, 40)
     reordered = 0
-    for perturb in (wrong_tensor, noisy):
+    for perturb in (wrong_tensor, noisy, worst):
         monkeypatch.setattr(bell, "_pair_values", perturb)
         for i, s in enumerate(states):
             psi = coefficient_matrix(embed(s))
@@ -551,8 +581,8 @@ def _packed_index(n, i, j):
 
 def test_pair_bounds_dominate_every_total():
     # with A and A' free every pair reaches at least what the grid's A
-    # settings reach, and each key stays within the 2^-22.9 max|a_i|^2 of
-    # (|a_i + a_j| + |a_i - a_j|)^2 / 2 that _pair_values proves; on
+    # settings reach, and each float32 key stays within the 2.5e-3 max|a_i|^2
+    # of (|a_i + a_j| + |a_i - a_j|)^2 / 2 that _pair_values proves; on
     # near-product states and at i = j, where |a_i - a_j| ~ 0, the key's
     # square root magnifies the rounding of the squares
     near_product = [make_state(0.6 + 0.3j, nu * (0.5 - 0.8j), x, y, auto_normalize=True)
@@ -567,20 +597,21 @@ def test_pair_bounds_dominate_every_total():
         first, second = np.divmod(pairs, len(image))
         exact = (np.linalg.norm(image[first] + image[second], axis=1)
                  + np.linalg.norm(image[first] - image[second], axis=1))
-        assert keys.shape == exact.shape
+        assert keys.dtype == np.float32 and keys.shape == exact.shape
         assert (exact >= _all_totals(corr_t) - 1e-14).all()
         worst = float(np.abs(keys - 0.5 * exact ** 2).max())
-        assert worst <= 2.0 ** -22.9 * np.linalg.norm(image, axis=1).max() ** 2
+        assert worst <= 2.5e-3 * np.linalg.norm(image, axis=1).max() ** 2
         rounded = max(rounded, worst)
-    assert rounded > 1e-12      # the rounding the grid stage's exact comparison covers
+    assert rounded > 1e-4       # the float32 rounding the grid stage's window covers
 
 
 def test_pair_bounds_are_tight_on_pure_states():
     # Theta = n . sigma, read off its entries; on the maximally entangled
-    # state T is orthogonal, so |a_i| = 1 and a pair's key (|a_i + a_j| +
-    # |a_i - a_j|)^2 / 2 reaches 4 when n_i . n_j = 0, as the pole and the
-    # equator do at grid_n 9 (not at 24, whose chis miss pi/2, so there the
-    # polish of the best pair gets it)
+    # state T is orthogonal, so |a_i| = 1 and a pair's value |a_i + a_j| +
+    # |a_i - a_j| reaches 2 sqrt 2 (key 4) when n_i . n_j = 0, as the pole
+    # and the equator do at grid_n 9 (not at 24, whose chis miss pi/2, so
+    # there the polish of the best pair gets it); the float32 keys stay
+    # within their proven 2.5e-3 of the exact keys
     psi = coefficient_matrix(embed(make_state(SQ2, -SQ2, 0, 0)))
     tops = []
     for grid_n in (9, 24):
@@ -590,11 +621,14 @@ def test_pair_bounds_are_tight_on_pure_states():
         read_off = np.stack([obs[:, 0, 1].real, -obs[:, 0, 1].imag, obs[:, 0, 0].real], axis=1)
         assert np.abs(bloch - read_off).max() < 1e-15
         assert np.abs(np.linalg.norm(image, axis=1) - 1.0).max() < 1e-15
-        keys = _pair_values(image, _grid_constants(grid_n).pairs, _workspace(len(corr_t)))
-        assert keys.max() <= 4.0 + 1e-14
+        pairs = _grid_constants(grid_n).pairs
+        totals = bell._pair_totals(image, *np.divmod(pairs, len(image)))
+        keys = _pair_values(image, pairs, _workspace(len(corr_t)))
+        assert abs(keys.max() - 4.0) <= 2.5e-3
+        assert totals.max() <= 2.0 * math.sqrt(2.0) + 1e-15
         assert abs(_grid_stage(psi, grid_n, 40)[0] - 2.0 * math.sqrt(2.0)) < 1e-15
-        tops.append(keys.max())
-    assert abs(tops[0] - 4.0) < 1e-14 and tops[1] < 4.0 - 1e-9
+        tops.append(totals.max())
+    assert abs(tops[0] - 2.0 * math.sqrt(2.0)) < 1e-15 and tops[1] < 2.0 * math.sqrt(2.0) - 1e-9
 
 
 # --- regressions: states the A-grid scan left crawling ----------------------
@@ -675,6 +709,7 @@ def test_workspace_layout_reuse_and_keys():
     space = _workspace(n)
     assert _workspace(n) is space
     flat = space.work.base
+    assert flat.dtype == np.float32
     assert all(view.base is flat and view.flags.c_contiguous for view in space)
     pairs = n * (n + 1) // 2
     assert flat.size == n * n + 2 * pairs + 10 * n
@@ -682,16 +717,17 @@ def test_workspace_layout_reuse_and_keys():
     assert space.left.shape == (n, 5) and space.right.shape == (5, n)
     assert not any(np.shares_memory(u, v) for k, u in enumerate(space) for v in space[k + 1:])
     # the operands' ones stay as written, and the rest holds the last
-    # state's a, 2 a and |a|^2
+    # state's a, 2 a and |a|^2, each rounded once to float32
     psi = coefficient_matrix(embed(_workspace_states()[0]))
     best, angles = _grid_stage(psi, 24, 40)
     assert not np.shares_memory(angles, flat)
     image = _tensor_image(bell._pauli_forms(psi.tolist()), _grid_constants(24).bloch)
     assert (space.left[:, 4] == 1.0).all() and (space.right[3] == 1.0).all()
-    assert np.array_equal(space.left[:, :3], image)
-    assert np.array_equal(space.right[:3], 2.0 * image.T)
+    assert np.array_equal(space.left[:, :3], image.astype(np.float32))
+    assert np.array_equal(space.right[:3], (2.0 * image.T).astype(np.float32))
     assert np.array_equal(space.left[:, 3], space.right[4])
-    assert np.allclose(space.right[4], (image ** 2).sum(axis=1), rtol=1e-15, atol=0.0)
+    assert np.allclose(space.right[4], (image ** 2).sum(axis=1), rtol=1.0001 * 2.0 ** -24,
+                       atol=0.0)
     # another thread gets its own workspace
     box = []
     worker = threading.Thread(target=lambda: box.append(_workspace(n)))

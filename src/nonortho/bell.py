@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import threading
 from typing import NamedTuple
 
@@ -427,18 +428,26 @@ def _grid_stage(psi: np.ndarray, grid_n: int, steps: int) -> tuple[float, np.nda
 # 24, 47 MB at 64, and 178 MB at 63, since an odd grid_n adds the half-step
 # settings (``_orbit_representatives``).
 GRID_N_MAX = 64
+DEFAULT_GRID_N = 24
+DEFAULT_REFINE_ITERS = 40
 
 
 def check_oracle_args(grid_n: int, refine_iters: int) -> None:
-    """Raise DomainError for ``grid_n`` outside [8, GRID_N_MAX] or ``refine_iters`` < 0."""
+    """Raise DomainError unless both are integers (24.0 would share 24's cached
+    ``_grid_constants``), 8 <= ``grid_n`` <= GRID_N_MAX and ``refine_iters`` >= 0."""
+    for name, value in (("grid_n", grid_n), ("refine_iters", refine_iters)):
+        try:
+            operator.index(value)   # ints and numpy integers pass, unlike floats
+        except TypeError:
+            raise DomainError(f"{name} must be an integer, got {value!r}") from None
     if not 8 <= grid_n <= GRID_N_MAX:
         raise DomainError(f"grid_n must be in [8, {GRID_N_MAX}], got {grid_n}")
     if refine_iters < 0:
         raise DomainError(f"refine_iters must be >= 0, got {refine_iters}")
 
 
-def oracle_bell_max(vector: np.ndarray, grid_n: int = 24,
-                    refine_iters: int = 40) -> float:
+def oracle_bell_max(vector: np.ndarray, grid_n: int = DEFAULT_GRID_N,
+                    refine_iters: int = DEFAULT_REFINE_ITERS) -> float:
     """Brute-force CHSH maximum over all four settings.
 
     The best B pair of the ``grid_n`` x ``grid_n`` (chi, phi) grid, closed

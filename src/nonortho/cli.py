@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from .batch import sweep_blocks
-from .bell import GRID_N_MAX
+from .bell import DEFAULT_GRID_N, DEFAULT_REFINE_ITERS, GRID_N_MAX
 from .errors import NonorthoError
 from .kaon import KaonEvolution
 from .report import CSV_COLUMNS, analyze_state, csv_lines, kaon_report, to_json
@@ -82,10 +82,10 @@ def _add_output_flag(parser: argparse.ArgumentParser, fmt: str) -> None:
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="seed for randomized scans (default %(default)s)")
-    parser.add_argument("--grid-n", type=int, default=24,
+    parser.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N,
                         help="grid resolution per angle for the CHSH maximizer, "
                              f"8 to {GRID_N_MAX} (default %(default)s)")
-    parser.add_argument("--refine-iters", type=int, default=40,
+    parser.add_argument("--refine-iters", type=int, default=DEFAULT_REFINE_ITERS,
                         help="Newton refinement steps of the CHSH maximizer")
 
 

@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from . import measures
-from .bell import oracle_bell_max
+from .bell import DEFAULT_GRID_N, DEFAULT_REFINE_ITERS, oracle_bell_max
 from .closed_forms import report_scalars
 from .errors import NonHermitianDrift, PhaseUndefined
 from .feasibility import (VERDICT_INFEASIBLE, FeasibilityVerdict, concurrence_scan,
@@ -98,15 +98,15 @@ class EntanglementReport:
 
 
 def analyze_state(state: NonorthogonalState, with_oracle: bool = False,
-                  grid_n: int = 24, refine_iters: int = 40,
+                  grid_n: int = DEFAULT_GRID_N, refine_iters: int = DEFAULT_REFINE_ITERS,
                   with_feasibility: bool = True) -> EntanglementReport:
     """Run the full pipeline on one validated state.
 
     The six report scalars come from one :func:`closed_forms.report_scalars`
-    call.  ``with_feasibility=False`` skips the overlap-pattern verdict;
-    sweeps use this since their CSV schema carries only the per-state
-    scalars.  ``with_oracle`` runs the CHSH maximizer and, for an infeasible
-    verdict, the concurrence scan.
+    call.  ``with_feasibility=False`` skips the overlap-pattern verdict,
+    leaving the per-state scalars of a sweep row (sweeps themselves run
+    through :func:`batch.sweep_blocks`).  ``with_oracle`` runs the CHSH
+    maximizer and, for an infeasible verdict, the concurrence scan.
     """
     warnings: list[str] = []
     lam_plus, lam_minus, bell, d, concurrence, entropy = report_scalars(
@@ -144,8 +144,8 @@ def analyze_state(state: NonorthogonalState, with_oracle: bool = False,
 
 def kaon_report(eps: complex, eta: float = math.pi,
                 evolution: KaonEvolution | None = None,
-                with_oracle: bool = False, grid_n: int = 24,
-                refine_iters: int = 40) -> dict:
+                with_oracle: bool = False, grid_n: int = DEFAULT_GRID_N,
+                refine_iters: int = DEFAULT_REFINE_ITERS) -> dict:
     """Entanglement report for the two-kaon state plus comparison fields.
 
     ``pipeline_d`` is the report's own d; each discrepancy is its distance

@@ -2,7 +2,7 @@
 
 Amplitude ratios are drawn uniformly on the complex 2-sphere, overlap
 magnitudes uniformly on [0, 0.95] (the cap keeps the embedding normalizers
-away from zero), overlap phases uniformly on (-pi, pi]; the pair is then
+away from zero), overlap phases uniformly on [-pi, pi); the pair is then
 rescaled to unit norm.  Everything is driven by a numpy Generator so runs
 are reproducible from a single integer seed.
 """

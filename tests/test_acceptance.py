@@ -1,10 +1,10 @@
 """Acceptance criteria, one test per criterion.
 
-Criteria 1-8 run the named checks of ``nonortho verify full``, so each
-criterion is implemented once, in ``verify.py``, with its counts, seeds and
-tolerances.  Criteria 9a and 9b mutate the program and require verify to
-fail.  Run with ``pytest tests/test_acceptance.py -v -s`` to see one line
-per check.
+Criteria 1-8 run the named checks of ``nonortho verify full`` through its
+judge, so each criterion is implemented once, in ``verify.py``, with its
+counts, seeds and tolerances.  Criteria 9a-9d mutate the program and require
+verify to fail; 9c and 9d make a route return NaN.  Run with
+``pytest tests/test_acceptance.py -v -s`` to see one line per check.
 """
 
 import math
@@ -14,9 +14,10 @@ import pytest
 
 import nonortho.measures as measures_mod
 import nonortho.state as state_mod
+import nonortho.verify as verify_mod
 from nonortho.measures import concurrence_det, concurrence_spin_flip
 from nonortho.state import embed, make_state
-from nonortho.verify import checks, run_verify
+from nonortho.verify import checks, judge, run_verify
 
 FULL = checks("full")
 
@@ -25,11 +26,16 @@ def report(line):
     print(f"\nACCEPTANCE {line}")
 
 
+def check_passes(name, table=FULL):
+    """Judge one check's gates and report its line."""
+    passed, detail = judge(table[name]())
+    report(f"{name} {'PASS' if passed else 'FAIL'}: {detail}")
+    return passed
+
+
 def assert_checks_pass(*names):
     for name in names:
-        passed, detail = FULL[name]()
-        report(f"{name} {'PASS' if passed else 'FAIL'}: {detail}")
-        assert passed, f"{name}: {detail}"
+        assert check_passes(name), name
 
 
 def test_criterion_1_oo_maximal_case():
@@ -50,9 +56,7 @@ def test_criterion_4_independent_chsh_oracle():
 
 def test_criterion_4_boundary_check_fails_without_refinement():
     # the grid's best pair alone is short of canonical near maximal violation
-    passed, detail = checks("full", refine_iters=0)["oracle-boundary-200"]()
-    report(f"oracle-boundary-200 at refine_iters 0 {'PASS' if passed else 'FAIL'}: {detail}")
-    assert not passed
+    assert not check_passes("oracle-boundary-200", checks("full", refine_iters=0))
 
 
 def test_criterion_5_single_overlap_impossibility():
@@ -101,3 +105,32 @@ def test_criterion_9b_single_sided_spin_flip_breaks_consistency(monkeypatch):
     failed = [r.name for r in summary.results if not r.passed]
     assert "closed-form-identities-10k" in failed
     report(f"9b PASS: one-sided spin flip fails verify checks {failed}")
+
+
+def nan(*args, **kwargs):
+    return math.nan
+
+
+@pytest.mark.parametrize("route, names", [
+    ("oracle_bell_max", ["oracle-vs-analytic-100", "oracle-boundary-200"]),
+    ("canonical_bell_value", ["canonical-settings-1k"]),
+])
+def test_criterion_9c_nan_chsh_route_fails_its_checks(route, names, monkeypatch):
+    monkeypatch.setattr(verify_mod, route, nan)
+    for name in names:
+        assert not check_passes(name)
+
+
+@pytest.mark.parametrize("name", ["root-feedback", "nn-boundary-family", "scan-vs-pipeline"])
+def test_criterion_9d_one_nan_deviation_fails_its_check(name, monkeypatch):
+    # the second call, so a reduction that skips a NaN not seen first lets it through
+    calls = []
+    real = verify_mod.state_deviation
+
+    def one_nan(*args):
+        calls.append(args)
+        return math.nan if len(calls) == 2 else real(*args)
+
+    monkeypatch.setattr(verify_mod, "state_deviation", one_nan)
+    assert not check_passes(name)
+    assert len(calls) >= 2

@@ -194,6 +194,21 @@ def test_oracle_rejects_negative_refine_iters():
         oracle_bell_max(embed(make_state(SQ2, -SQ2, 0, 0)), refine_iters=-1)
 
 
+@pytest.mark.parametrize("kwargs", [{"grid_n": 24.0}, {"refine_iters": 40.0},
+                                    {"grid_n": np.float64(24)}])
+def test_oracle_rejects_non_integer_args(kwargs, monkeypatch):
+    v = embed(make_state(SQ2, -SQ2, 0, 0))
+    oracle_bell_max(v)   # 24's grid is now cached, and 24.0 hashes like 24
+    monkeypatch.setattr(bell, "_grid_constants", None)
+    with pytest.raises(DomainError, match=next(iter(kwargs))):
+        oracle_bell_max(v, **kwargs)
+
+
+def test_oracle_accepts_numpy_integer_args():
+    v = embed(make_state(0.8, 0.6, 0.3, 0.2, auto_normalize=True))
+    assert oracle_bell_max(v, grid_n=np.int64(24), refine_iters=np.int32(40)) == oracle_bell_max(v)
+
+
 def _theta_entries(chis, phis):
     """(n, 2, 2) stack of observables in the computational basis."""
     out = np.empty((len(chis), 2, 2), dtype=complex)

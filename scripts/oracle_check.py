@@ -12,10 +12,10 @@ steps), and the minor page faults per oracle call (the first call, and the
 median and mean of the later ones) where the ``resource`` module exists.
 The grid stage is split once more: the pair ranking, ``bell._pair_values``
 (the float32 keys) timed in a third call, and the rest, the grid stage's
-time less it.  The next line counts the pairs the float32 keys' window
-keeps for the float64 comparison, per state (``bell._candidates`` at
-``grid_n`` 24): median and max over the random states, and over the
-boundary family below.  A last line times the near-maximal boundary family |x| = |y| = t,
+time less it.  The next line counts the pairs the float32 keys' cut
+keeps for the float64 comparison, per state and out of all the B pairs
+(``bell._candidates`` at ``grid_n`` 24): median and max over the random
+states, and over the boundary family below.  A last line times the near-maximal boundary family |x| = |y| = t,
 eta = pi, |mu|^2 = s/(2 (1 - t^2)), for t in {0.3, 0.6, 0.9} and s in
 {1, 0.97}.  The Newton refinement takes the most steps along this
 family's nearly flat ridge, so its worst state is the slowest warm call.
@@ -63,7 +63,7 @@ def parse_args(argv: list[str]) -> tuple[int, int] | None:
 
 
 def survivors(state) -> int:
-    """How many B pairs the float32 window keeps for ``state`` at grid_n 24."""
+    """How many B pairs the float32 cut keeps for ``state`` at grid_n 24."""
     grid = _grid_constants(24)
     image = _tensor_image(_pauli_forms(coefficient_matrix(embed(state)).tolist()), grid.bloch)
     return len(_candidates(image, grid.pairs)[0])
@@ -125,8 +125,9 @@ def main(argv: list[str]) -> int:
     print(f"grid stage split per state: pair ranking median {ranking_ms:.2f} ms, "
           f"rest median {rest_ms:.2f} ms")
     kept_boundary = [survivors(state) for state in BOUNDARY]
-    print(f"float32 window survivors per state: random median {statistics.median(kept):g}, "
-          f"max {max(kept)}; boundary family median {statistics.median(kept_boundary):g}, "
+    print(f"float32 cut survivors per state, of {len(_grid_constants(24).pairs)} pairs: "
+          f"random median {statistics.median(kept):g}, max {max(kept)}; "
+          f"boundary family median {statistics.median(kept_boundary):g}, "
           f"max {max(kept_boundary)}")
     if faults:
         later = faults[1:]

@@ -10,7 +10,7 @@ same state.
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -54,19 +54,31 @@ def _states(mu_sq: np.ndarray, x: np.ndarray, y: np.ndarray, eta: np.ndarray):
     return mu, nu, x, y, ok
 
 
-def sweep_blocks(mu_sq: np.ndarray, x_abs: np.ndarray, y_abs: np.ndarray,
-                 eta: np.ndarray) -> Iterator[Iterator[tuple]]:
-    """Report rows of a sweep, BLOCK_ROWS at a time.
+def grid_rows(values: np.ndarray, run: int, start: int, stop: int) -> np.ndarray:
+    """Rows ``start`` to ``stop`` of a row-major meshgrid column.
 
-    Each block is an iterator of row tuples in ``report.CSV_COLUMNS`` order,
-    with eta wrapped to (-pi, pi].  The first row the scalar path rejects
-    raises that path's error type, with the message
-    ``row {idx}: ... (params {...})``.
+    Row r holds ``values[(r // run) % len(values)]``: each value for ``run``
+    rows in turn, cyclically.  On the k-th of a meshgrid's axes, ``run`` is
+    the product of the later axes' lengths; a fixed parameter is one value.
     """
-    n = len(mu_sq)
-    for start in range(0, n, BLOCK_ROWS):
-        block = [a[start:start + BLOCK_ROWS] for a in (mu_sq, x_abs, y_abs, eta)]
-        block[3] = wrap_angles(block[3])
+    return values.take(np.arange(start, stop) // run, mode="wrap")
+
+
+def sweep_blocks(columns: Sequence[tuple[np.ndarray, int]],
+                 rows: int) -> Iterator[tuple[list, ...]]:
+    """The six report-scalar columns of a sweep's ``rows`` rows, BLOCK_ROWS at a time.
+
+    ``columns`` gives mu_sq, x_abs, y_abs and eta, in that order, as
+    (values, run) pairs laid out by :func:`grid_rows`, with eta already
+    wrapped to (-pi, pi] by :func:`wrap_angles`; only one block's rows are
+    ever laid out.  Each block is a tuple of six lists, the
+    ``report.CSV_COLUMNS`` from ``lambda_plus`` on.  Every row is checked,
+    and the first row the scalar path rejects raises that path's error type,
+    with the message ``row {idx}: ... (params {...})``.
+    """
+    for start in range(0, rows, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, rows)
+        block = [grid_rows(values, run, start, stop) for values, run in columns]
         *state, ok = _states(*block)
         if not ok.all():
             # the scalar path raises this row's error with its own message
@@ -79,5 +91,4 @@ def sweep_blocks(mu_sq: np.ndarray, x_abs: np.ndarray, y_abs: np.ndarray,
                 raise type(exc)(f"row {start + row}: {exc} (params {params})") from exc
             raise ArithmeticError(f"row {start + row}: the batched checks reject a "
                                   "state the scalar path accepts")
-        columns = (*block, *report_scalars(*state))
-        yield zip(*(c.tolist() for c in columns))
+        yield tuple(c.tolist() for c in report_scalars(*state))

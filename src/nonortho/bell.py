@@ -188,6 +188,15 @@ def _pair_values(image: np.ndarray, pairs: np.ndarray, space: _Workspace) -> np.
     |a_i| = m), so that is less than 1.25e-3 of the top key.  A key may sit
     on either side of its pair's, which is why ``_grid_stage`` compares its
     top pairs again in float64.
+
+    The root's bound is reached only where |p||q| nearly vanishes.  For a
+    pair with |p||q| >= rho > 0 the clipped, rounded product x is within
+    X = 4 m^2 delta + delta^2 + u (2 m^2 + delta)^2 of |p|^2 |q|^2 (the last
+    term its rounding, as the factors' product is at most (2 m^2 +
+    delta)^2), and |sqrt x - |p||q|| = |x - |p|^2 |q|^2| / (sqrt x + |p||q|)
+    <= X / rho.  So its key is within E(rho) = delta + X / rho + 9.1 u m^2
+    (``_key_error``; the last term is the rounding above, counting the
+    product's once more) of the exact key: ~5.3e-6 m^2 at rho = 2 m^2.
     """
     work, halves, left, right = space
     right[4] = np.einsum('ij,ij->i', image, image)
@@ -212,12 +221,48 @@ def _pair_values(image: np.ndarray, pairs: np.ndarray, space: _Workspace) -> np.
 
 # twice the bound on ``_pair_values``' keys relative to the top key
 _KEY_WINDOW = 2.5e-3
+# ``_pair_values``' bounds over m^2: every key's error, a float32 square's
+# (delta) and the rounding after the squares; with 2^-24 for float32 rounding
+_KEY_ERROR = 2.4967e-3
+_SQUARE_ERROR = 26.1 * 2.0 ** -24
+_ROUNDING_ERROR = 9.1 * 2.0 ** -24
+# over m^2: covers the float64 totals' rounding and the cut's own arithmetic
+_CUT_SLACK = 2.0 ** -40
+
+
+def _key_error(m_sq: float, rho: float) -> float:
+    """E(rho), ``_pair_values``' bound on the key error of a pair with |p||q| >= rho > 0."""
+    delta = _SQUARE_ERROR * m_sq
+    product = 4.0 * m_sq * delta + delta * delta + 2.0 ** -24 * (2.0 * m_sq + delta) ** 2
+    return delta + product / rho + _ROUNDING_ERROR * m_sq
 
 
 def _candidates(image: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j) of the pairs whose float32 key is within ``_KEY_WINDOW`` of the top, relative."""
+    """(i, j) of the pairs whose float32 key clears a cut that keeps the best pair.
+
+    Let m^2 bound max |a_i|^2 from above (summed in float64 and raised by
+    2^-50), E = 2.4967e-3 m^2 bound every key's error and s = 2^-40 m^2,
+    which also covers the rounding of this function's own float64 terms.
+    The pair with the top key has exact key at least top - E, and the pair
+    the float64 comparison picks is within s of the best exact key (a pair
+    that ties or beats it in float64 is within 2^-44 m^2 of it), so its
+    exact key is at least top - E - s.  As (|p|^2 + |q|^2)/2 <= 2 m^2, both pairs then have
+    |p||q| >= rho = top - E - 2 m^2 - s.  Where rho > 0 and E(rho) < E
+    (``_key_error``), both keys are within E(rho) of the exact keys, so the
+    picked pair's key is at least top - 2 E(rho) - s: the cut sits there,
+    lowered by 2^-23 of itself so that its float32 rounding keeps it below.
+    Otherwise the cut is ``_KEY_WINDOW`` below the top key, relative, as
+    ``_grid_stage`` argues.
+    """
     keys = _pair_values(image, pairs, _workspace(len(image)))
-    return np.divmod(pairs[keys >= (1.0 - _KEY_WINDOW) * keys.max()], len(image))
+    top = keys.max()
+    m_sq = float(np.einsum('ij,ij->i', image, image).max()) * (1.0 + 2.0 ** -50)
+    rho = float(top) - (_KEY_ERROR + 2.0 + _CUT_SLACK) * m_sq
+    if rho > 0.0 and (error := _key_error(m_sq, rho)) < _KEY_ERROR * m_sq:
+        cut = (float(top) - 2.0 * error - _CUT_SLACK * m_sq) * (1.0 - 2.0 ** -23)
+    else:
+        cut = (1.0 - _KEY_WINDOW) * top
+    return np.divmod(pairs[keys >= cut], len(image))
 
 
 def _pair_totals(image: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -409,9 +454,11 @@ def _grid_stage(psi: np.ndarray, grid_n: int, steps: int) -> tuple[float, np.nda
     its key is at least (1 - r) K and the top key at most (1 + r) K; as
     (1 - 2r)(1 + r) = 1 - r - 2r^2, a cut at 2r = 2.5e-3 below the top key,
     relative, keeps the best pair, with 2r^2 ~ 3e-6 to spare for the cut's
-    own float32 rounding (< 3u).  ``_candidates`` makes that cut, the pairs
-    it keeps are compared again in float64 by ``_pair_totals``, and the
-    first largest pair in (i, j) order wins.  That pair takes up to
+    own float32 rounding (< 3u).  Where the top pairs' |p||q| is bounded
+    away from 0, their keys' tighter bound E(rho) allows a cut ~500 times
+    closer to the top key.  ``_candidates`` makes the closer of the two
+    cuts it can prove, the pairs it keeps are compared again in float64 by
+    ``_pair_totals``, and the first largest pair in (i, j) order wins.  That pair takes up to
     ``steps`` Newton steps and is set by ``_pair_settings``.  The R x R
     products live in this thread's ``_workspace``.
     """

@@ -185,18 +185,29 @@ def to_json(doc: dict) -> str:
 
 
 # one conversion per value: "%.12g" % v and f"{v:.12g}" print the same digits
-_CSV_LINE = ",".join([f"%.{CSV_SIG_DIGITS}g"] * len(CSV_COLUMNS))
+_CSV_NUMBER = f"%.{CSV_SIG_DIGITS}g"
+_CSV_LINE = ",".join(["%s"] * 4 + [_CSV_NUMBER] * (len(CSV_COLUMNS) - 4))
+
+
+def csv_numbers(values: Iterable[float]) -> list[str]:
+    """The CSV text of each value, in the number format of :func:`csv_lines`."""
+    return list(map(_CSV_NUMBER.__mod__, values))
 
 
 def csv_lines(rows: Iterable[tuple]) -> str:
-    """CSV text of report rows, tuples in CSV_COLUMNS order, one line each."""
+    """CSV text of report rows, one line each.
+
+    A row is a tuple in CSV_COLUMNS order: the four parameters as text from
+    :func:`csv_numbers`, so that a sweep formats each distinct parameter
+    value once, then the six report scalars as floats.
+    """
     return "\n".join(map(_CSV_LINE.__mod__, rows))
 
 
 def csv_row(mu_sq: float, x_abs: float, y_abs: float, eta: float,
             report: EntanglementReport) -> list[str]:
-    values = (mu_sq, x_abs, y_abs, eta, report.lambda_plus, report.lambda_minus,
-              report.bell_analytic, report.d, report.concurrence,
+    values = (*csv_numbers((mu_sq, x_abs, y_abs, eta)), report.lambda_plus,
+              report.lambda_minus, report.bell_analytic, report.d, report.concurrence,
               report.entropy_bits)
     return csv_lines([values]).split(",")
 

@@ -60,7 +60,20 @@ EDGE_SPECS = [
     ([("eta", math.pi, -math.pi, 13)], {"mu_sq": 0.0, "x_abs": 0.999, "y_abs": 0.999}),
 ]
 
-SPECS = [*shape_specs(1), *shape_specs(2), *EDGE_SPECS]
+# the CLI lays out each parameter's text per block: flag order unlike column
+# order, a sweep whose parameter runs cross a block boundary, and fixed etas
+# that wrap (-pi to pi, the others from outside (-pi, pi])
+LAYOUT_SPECS = [
+    ([("eta", -3.0, 3.0, 5), ("mu_sq", 0.05, 0.95, 4), ("y_abs", 0.0, 0.9, 3)],
+     {"x_abs": 0.7}),
+    ([("y_abs", 0.9, 0.0, 9), ("eta", -math.pi, math.pi, 8), ("x_abs", 0.0, 0.95, 8),
+      ("mu_sq", 0.0, 1.0, 9)], {}),
+    ([("mu_sq", 0.1, 0.9, 7), ("x_abs", 0.0, 0.9, 5)], {"eta": -math.pi, "y_abs": 0.4}),
+    ([("y_abs", 0.0, 0.9, 6)], {"eta": 7.5, "mu_sq": 0.3, "x_abs": 0.8}),
+    ([("x_abs", 0.0, 0.9, 6)], {"eta": -3.0 * math.pi, "mu_sq": 0.6, "y_abs": 0.5}),
+]
+
+SPECS = [*shape_specs(1), *shape_specs(2), *EDGE_SPECS, *LAYOUT_SPECS]
 
 
 def sweep_argv(sweeps, fixes):
@@ -88,13 +101,17 @@ def reference_rows(sweeps, fixes):
 
 
 def core_rows(sweeps, fixes):
+    """``sweep_blocks`` on the meshgrid's own columns, each a run of one row."""
     grids = np.meshgrid(*[np.linspace(lo, hi, steps) for _, lo, hi, steps in sweeps],
                         indexing="ij")
     columns = {**SWEEP_DEFAULTS, **fixes,
                **{name: g.ravel() for (name, *_), g in zip(sweeps, grids)}}
-    cols = [np.broadcast_to(columns[name], grids[0].size)
-            for name in ("mu_sq", "x_abs", "y_abs", "eta")]
-    return [row for block in batch.sweep_blocks(*cols) for row in block]
+    rows = grids[0].size
+    cols = [np.broadcast_to(columns[name], rows) for name in ("mu_sq", "x_abs", "y_abs", "eta")]
+    cols[3] = batch.wrap_angles(cols[3])
+    scalars = [row for block in batch.sweep_blocks([(c, 1) for c in cols], rows)
+               for row in zip(*block)]
+    return [(*params, *row) for params, row in zip(zip(*(c.tolist() for c in cols)), scalars)]
 
 
 @pytest.mark.parametrize("sweeps,fixes", SPECS)
@@ -138,10 +155,27 @@ def test_first_rejected_row_raises_the_scalar_error(column, value, error):
     with pytest.raises(error) as scalar:
         state_from_magnitudes(*params.values())
     with pytest.raises(NonorthoError) as core:
-        for _ in batch.sweep_blocks(*cols.values()):
+        for _ in batch.sweep_blocks([(c, 1) for c in cols.values()], n):
             pass
     assert type(core.value) is error
     assert str(core.value) == f"row {bad}: {scalar.value} (params {params})"
+
+
+@pytest.mark.parametrize("shape", [(2,), (5, 3), (3, 1, 4), (7, 6, 5, 4), (40, 130)])
+def test_grid_rows_match_the_meshgrid(shape):
+    # every parameter's block of rows, at every block boundary, is the
+    # block of its meshgrid column (runs as the CLI takes them)
+    axes = [np.arange(n) + 10.0 * k for k, n in enumerate(shape)]
+    grids = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+    rows = math.prod(shape)
+    for k, (values, grid) in enumerate(zip(axes, grids)):
+        run = math.prod(shape[k + 1:])
+        for size in (1, 3, 7, rows):
+            for start in range(0, rows, size):
+                stop = min(start + size, rows)
+                assert batch.grid_rows(values, run, start, stop).tolist() == \
+                    grid[start:stop].tolist()
+        assert batch.grid_rows(values[:1], rows, 0, rows).tolist() == [values[0]] * rows
 
 
 def test_clamp_matches_scalar_clamp():

@@ -459,12 +459,12 @@ def test_float32_window_keeps_the_float64_best_pair():
 
 
 def test_pruning_stays_exact_with_a_wrong_tensor_or_noisy_correlations(monkeypatch):
-    # the cut keeps every pair within 2.5e-3 of the top key, relative, and the
-    # top key is at least 2 max|a_i|^2; keys from a slightly wrong tensor,
-    # keys anywhere within the 2.5e-3 max|a_i|^2 of the exact keys that
-    # _pair_values proves for its rounding, or at that bound's worst (the
-    # best pairs low by all of it in float32, all others high) reorder the
-    # candidates but leave the result as is
+    # the cut keeps the best pair whenever every key is within the bound it
+    # assumes for the state: E(rho) of bell._key_error where that applies,
+    # else the 2.5e-3 max|a_i|^2 that _pair_values proves for all keys.
+    # Keys from a slightly wrong tensor, keys anywhere within that bound of
+    # the exact keys, or at its worst (the best pairs low by all of it in
+    # float32, all others high) reorder the candidates but leave the result
     rng = np.random.default_rng(5)
     pair_values = bell._pair_values
 
@@ -476,15 +476,24 @@ def test_pruning_stays_exact_with_a_wrong_tensor_or_noisy_correlations(monkeypat
 
     def exact_keys(image, pairs):
         totals = bell._pair_totals(image, *np.divmod(pairs, len(image)))
-        reach = 2.5e-3 * np.linalg.norm(image, axis=1).max() ** 2
-        return totals, 0.5 * totals ** 2, reach
+        keys = 0.5 * totals ** 2
+        m_sq = float(np.einsum('ij,ij->i', image, image).max())
+        reach = bell._KEY_ERROR * m_sq
+        # keys within reach of the exact ones put the cut's rho at or below
+        # this one, where the bound is E(rho) or more
+        rho = float(keys.max()) - (2.0 + bell._CUT_SLACK) * m_sq
+        if rho > 0.0:
+            reach = min(reach, bell._key_error(m_sq, rho))
+        return totals, keys, reach
 
     def noisy(image, pairs, space):
         _, keys, reach = exact_keys(image, pairs)
         return keys + rng.uniform(-1.0, 1.0, keys.shape) * reach
 
     def worst(image, pairs, space):
+        # less 2^-22, the float32 rounding of a key below 8
         totals, keys, reach = exact_keys(image, pairs)
+        reach -= 2.0 ** -22
         return (keys + np.where(totals == totals.max(), -reach, reach)).astype(np.float32)
 
     states = [*random_states(5, 12), *_family_states()]
@@ -597,7 +606,8 @@ def _packed_index(n, i, j):
 def test_pair_bounds_dominate_every_total():
     # with A and A' free every pair reaches at least what the grid's A
     # settings reach, and each float32 key stays within the 2.5e-3 max|a_i|^2
-    # of (|a_i + a_j| + |a_i - a_j|)^2 / 2 that _pair_values proves; on
+    # of (|a_i + a_j| + |a_i - a_j|)^2 / 2 that _pair_values proves, and
+    # within its E(rho) at rho = |a_i + a_j| |a_i - a_j|; on
     # near-product states and at i = j, where |a_i - a_j| ~ 0, the key's
     # square root magnifies the rounding of the squares
     near_product = [make_state(0.6 + 0.3j, nu * (0.5 - 0.8j), x, y, auto_normalize=True)
@@ -614,9 +624,15 @@ def test_pair_bounds_dominate_every_total():
                  + np.linalg.norm(image[first] - image[second], axis=1))
         assert keys.dtype == np.float32 and keys.shape == exact.shape
         assert (exact >= _all_totals(corr_t) - 1e-14).all()
-        worst = float(np.abs(keys - 0.5 * exact ** 2).max())
-        assert worst <= 2.5e-3 * np.linalg.norm(image, axis=1).max() ** 2
-        rounded = max(rounded, worst)
+        error = np.abs(keys - 0.5 * exact ** 2)
+        m_sq = np.linalg.norm(image, axis=1).max() ** 2
+        assert error.max() <= 2.5e-3 * m_sq
+        # and within E(rho) at rho = the pair's own |p||q|, where that is positive
+        product = (np.linalg.norm(image[first] + image[second], axis=1)
+                   * np.linalg.norm(image[first] - image[second], axis=1))
+        tight = product > 0.0
+        assert (error[tight] <= bell._key_error(m_sq, product[tight])).all()
+        rounded = max(rounded, float(error.max()))
     assert rounded > 1e-4       # the float32 rounding the grid stage's window covers
 
 

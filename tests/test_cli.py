@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ import nonortho.bell as bell_mod
 import nonortho.feasibility as feasibility_mod
 import nonortho.report as report_mod
 import nonortho.verify as verify_mod
-from nonortho.cli import STATE_KEYS, SWEEP_PARAMS, build_parser, main
+from nonortho.cli import STATE_KEYS, SWEEP_PARAMS, SWEEP_ROWS_MAX, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -553,6 +554,25 @@ def test_sweep_rejects_non_finite_spec(args, capsys):
     code, out = run_cli(["sweep", *args], capsys)
     assert code == 2
     assert json.loads(out)["error"]["type"] == "SweepSpec"
+
+
+@pytest.mark.parametrize("args", [
+    ["--sweep", "mu_sq=0:1:100000000000000000000"],
+    ["--sweep", "mu_sq=0:1:3000000000000", "--sweep", "eta=0:1:3000000"],
+    ["--sweep", f"mu_sq=0:1:{SWEEP_ROWS_MAX + 1}"],
+    ["--sweep", "x_abs=0:0.5:2", "--sweep", f"eta=0:1:{SWEEP_ROWS_MAX // 2 + 1}"],
+])
+def test_sweep_rejects_more_rows_than_the_cap_before_allocating(args, capsys, monkeypatch):
+    # numpy used to end the first two in a traceback (size exceeded, out of
+    # memory); each is rejected before any axis is built, so none allocates
+    def no_linspace(*_args, **_kwargs):
+        raise AssertionError("an oversized sweep built an axis")
+
+    monkeypatch.setattr(np, "linspace", no_linspace)
+    code, out = run_cli(["sweep", *args], capsys)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "SweepSpec" and f"{SWEEP_ROWS_MAX} allowed" in error["message"]
 
 
 def test_kaon_cp_conserving(capsys):

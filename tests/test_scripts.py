@@ -30,8 +30,9 @@ def test_script_exits_zero():
                      r"refinement median \d+\.\d\d ms$", result.stdout, re.MULTILINE)
     assert re.search(r"^grid stage split per state: pair ranking median \d+\.\d\d ms, "
                      r"rest median -?\d+\.\d\d ms$", result.stdout, re.MULTILINE)
-    assert re.search(r"^float32 window survivors per state: random median \d+(\.5)?, max \d+; "
-                     r"boundary family median \d+(\.5)?, max \d+$", result.stdout, re.MULTILINE)
+    assert re.search(r"^float32 cut survivors per state, of 35245 pairs: random median "
+                     r"\d+(\.5)?, max \d+; boundary family median \d+(\.5)?, max \d+$",
+                     result.stdout, re.MULTILINE)
     assert re.search(r"^boundary family, 6 states, oracle time per state: "
                      r"median \d+\.\d ms, worst \d+\.\d ms, "
                      r"worst \|oracle - analytic\| = \d\.\d{3}e[-+]\d\d$",

@@ -71,7 +71,7 @@ def sweep_blocks(columns: Sequence[tuple[np.ndarray, int]],
     ``columns`` gives mu_sq, x_abs, y_abs and eta, in that order, as
     (values, run) pairs laid out by :func:`grid_rows`, with eta already
     wrapped to (-pi, pi] by :func:`wrap_angles`; only one block's rows are
-    ever laid out.  Each block is a tuple of six lists, the
+    ever laid out.  Each block is a tuple of six float64 arrays, the
     ``report.CSV_COLUMNS`` from ``lambda_plus`` on.  Every row is checked,
     and the first row the scalar path rejects raises that path's error type,
     with the message ``row {idx}: ... (params {...})``.
@@ -91,4 +91,4 @@ def sweep_blocks(columns: Sequence[tuple[np.ndarray, int]],
                 raise type(exc)(f"row {start + row}: {exc} (params {params})") from exc
             raise ArithmeticError(f"row {start + row}: the batched checks reject a "
                                   "state the scalar path accepts")
-        yield tuple(c.tolist() for c in report_scalars(*state))
+        yield report_scalars(*state)

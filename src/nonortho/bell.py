@@ -356,9 +356,13 @@ def _polish(forms, b, b_prime, steps: int):
     second derivative adds -T b to both; e of b' moves p by +T e and m by
     -T e.  The step is |H|^-1 G, H's eigenvalues taken by absolute value
     (so saddles repel) and floored at 1e-8 of the largest, and it is
-    halved, up to 11 times, until f rises.  The ascent stops when the
-    step's first-order gain is below f's rounding, when no halving raises
-    f, after ``steps`` steps, or where p or m vanishes (a cone point of f).
+    halved, up to 11 times, until f rises.  Where a curvature sits at that
+    floor the step is tens of radians long, and halving shortens it but
+    never turns it; when no halving raises f, the gradient step G / (largest
+    |H| eigenvalue) is taken instead, with its own halvings.  The ascent
+    stops when the step's first-order gain is below f's rounding, when no
+    halving of either step raises f, after ``steps`` steps, or where p or m
+    vanishes (a cone point of f).
     Returns b, b', p, m and whether b, b' moved.
     """
     d, k = forms
@@ -372,6 +376,17 @@ def _polish(forms, b, b_prime, steps: int):
         p = [x + y for x, y in zip(u, u_prime)]
         m = [x - y for x, y in zip(u, u_prime)]
         return math.sqrt(_dot(p, p)) + math.sqrt(_dot(m, m)), u, u_prime, p, m
+
+    def rise(step):
+        # the first of step and its halvings that raises f from b, b', or None
+        for _ in range(12):
+            trial_b = _turn(b, frame, step[0], step[1])
+            trial_b_prime = _turn(b_prime, frame_prime, step[2], step[3])
+            trial = value(trial_b, trial_b_prime)
+            if trial[0] > current:
+                return trial_b, trial_b_prime, trial
+            step = [0.5 * x for x in step]
+        return None
 
     current, u, u_prime, p, m = value(b, b_prime)
     moved = False
@@ -403,18 +418,11 @@ def _polish(forms, b, b_prime, steps: int):
         step = vectors @ ((vectors.T @ grad) / np.maximum(curvatures, 1e-8 * curvatures.max()))
         if grad @ step <= 1e-15 * current:
             break       # no step gains above the value's rounding
-        step = step.tolist()
-        for _ in range(12):
-            trial_b = _turn(b, frame, step[0], step[1])
-            trial_b_prime = _turn(b_prime, frame_prime, step[2], step[3])
-            trial = value(trial_b, trial_b_prime)
-            if trial[0] > current:
-                break
-            step = [0.5 * x for x in step]
-        else:
+        found = rise(step.tolist()) or rise((grad / curvatures.max()).tolist())
+        if found is None:
             break
-        current, u, u_prime, p, m = trial
-        b, b_prime, moved = trial_b, trial_b_prime, True
+        b, b_prime, (current, u, u_prime, p, m) = found
+        moved = True
     return b, b_prime, p, m, moved
 
 

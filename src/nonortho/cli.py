@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -41,9 +42,10 @@ STATE_KEYS = ("mu_re", "mu_im", "nu_re", "nu_im", "x_re", "x_im", "y_re", "y_im"
 
 SWEEP_PARAMS = ("mu_sq", "x_abs", "y_abs", "eta")
 SWEEP_DEFAULTS = {"mu_sq": 0.5, "x_abs": 0.0, "y_abs": 0.0, "eta": math.pi}
-# A sweep holds its CSV text until every row has passed (so a rejected row
-# leaves only the error object), measured at ~121 MB of peak RSS per million
-# rows: about 0.65 GB at this cap, which is checked before any axis is built.
+# A sweep checks every row before it writes any (so a rejected row leaves
+# only the error object), holding each row's six report scalars as float64
+# until then: ~54 MB of peak RSS per million rows, measured, so about 0.3 GB
+# at this cap, which is checked before any axis is built.
 SWEEP_ROWS_MAX = 5_000_000
 
 
@@ -63,8 +65,12 @@ class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors raise CliError("Usage") for ``main``.
 
     Subparsers are built with the class of their parent, so they raise too;
-    ``--help`` still prints and exits 0.
+    ``--help`` still prints and exits 0.  ``build_parser`` sets ``commands``
+    on the top-level parser: the name -> subparser mapping of its
+    subcommands.
     """
+
+    commands: dict[str, argparse.ArgumentParser]
 
     def error(self, message: str):
         raise CliError("Usage", f"{self.prog}: {message}")
@@ -131,13 +137,13 @@ def _state_from_args(args: argparse.Namespace):
         raise CliError(type(exc).__name__, str(exc)) from exc
 
 
-def _write_lines(fh, lines: list[str]) -> None:
+def _write_lines(fh, lines: Iterable[str]) -> None:
     for line in lines:
         fh.write(line)
         fh.write("\n")
 
 
-def _emit(lines: list[str], path: str | None) -> None:
+def _emit(lines: Iterable[str], path: str | None) -> None:
     """Write each line and a newline to PATH, or to stdout.
 
     A PATH that cannot be opened or written raises CliError("OutputFile"),
@@ -217,9 +223,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     The grid is row-major in the order of the --sweep flags (the first
     varies slowest); the other parameters take their --fix or
     SWEEP_DEFAULTS values, and eta is wrapped to (-pi, pi].  A grid of more
-    than SWEEP_ROWS_MAX rows is rejected before any axis is built.  Each
-    parameter's distinct values are formatted once and laid out per block
-    by ``batch.grid_rows``, beside the scalars of ``batch.sweep_blocks``.
+    than SWEEP_ROWS_MAX rows is rejected before any axis is built.  Every
+    row is checked before any is written; then each parameter's distinct
+    values are formatted once and laid out per block by ``batch.grid_rows``,
+    beside the scalars of ``batch.sweep_blocks``.
     """
     specs = _parse_sweep_spec(args.sweep, "--sweep")
     if not specs:
@@ -247,21 +254,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         run //= steps
         axes[name], runs[name] = np.linspace(lo, hi, steps), run
     axes["eta"] = wrap_angles(axes["eta"])
+    # the blocks wait as float columns until every row has passed, so a
+    # rejected row leaves only the error object
+    blocks = list(sweep_blocks([(axes[name], runs[name]) for name in SWEEP_PARAMS], rows))
     # each distinct value is formatted once, and its text laid out per block
     texts = {name: np.array(csv_numbers(values.tolist()), dtype=object)
              for name, values in axes.items()}
-    lines = [",".join(CSV_COLUMNS)]
+    _emit(_sweep_lines(texts, runs, blocks), args.csv)
+    return 0
+
+
+def _sweep_lines(texts: dict, runs: dict, blocks: list) -> Iterator[str]:
+    """The CSV header, then one text per block of ``batch.sweep_blocks`` scalars."""
+    yield ",".join(CSV_COLUMNS)
     start = 0
-    # every block is formatted before any is written, so a rejected row
-    # leaves only the error object on stdout
-    for scalars in sweep_blocks([(axes[name], runs[name]) for name in SWEEP_PARAMS], rows):
+    for scalars in blocks:
         stop = start + len(scalars[0])
         params = [grid_rows(texts[name], runs[name], start, stop).tolist()
                   for name in SWEEP_PARAMS]
-        lines.append(csv_lines(zip(*params, *scalars)))
+        yield csv_lines(zip(*params, *(column.tolist() for column in scalars)))
         start = stop
-    _emit(lines, args.csv)
-    return 0
 
 
 def cmd_kaon(args: argparse.Namespace) -> int:
@@ -350,12 +362,34 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p)
     p.set_defaults(func=cmd_verify)
 
+    parser.commands = sub.choices
     return parser
+
+
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, running only the subcommand's parser.
+
+    When ``argv[0]`` names a subcommand, its parser reads the rest, into a
+    namespace that already holds ``command``, and leftover arguments raise
+    the top-level parser's own ``unrecognized arguments`` error: the same
+    namespace and messages as the full parse, without the top-level pass.
+    Anything else (no arguments, ``-h``, an unknown name) takes the full
+    parse.  ``argv=None`` reads ``sys.argv[1:]``.
+    """
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(argv)
         return args.func(args)
     except BrokenPipeError:
         return closed_stdout_status()

@@ -30,7 +30,7 @@ from .errors import NonHermitianDrift, PhaseUndefined
 from .feasibility import (VERDICT_INFEASIBLE, FeasibilityVerdict, concurrence_scan,
                           maximal_feasibility)
 from .kaon import (KaonEvolution, kaon_deviation_closed_form,
-                   kaon_entangled_state, kaon_overlap, kaon_overlap_mag_sq_alt,
+                   kaon_entangled_state, kaon_overlap_mag_sq_alt,
                    weak_decay_norm)
 from .schmidt import DEGENERACY_TOL, schmidt_decompose
 from .state import NonorthogonalState, embed, eta_phase, wrap_angle
@@ -149,11 +149,12 @@ def kaon_report(eps: complex, eta: float = math.pi,
     """Entanglement report for the two-kaon state plus comparison fields.
 
     ``pipeline_d`` is the report's own d; each discrepancy is its distance
-    from the closed-form d(eps) of one branch.
+    from the closed-form d(eps) of one branch.  The overlap fields read the
+    state's x, which ``make_state`` keeps as ``kaon_overlap(eps)`` gave it.
     """
     report = analyze_state(kaon_entangled_state(eps), with_oracle=with_oracle,
                            grid_n=grid_n, refine_iters=refine_iters)
-    overlap = kaon_overlap(eps)
+    overlap = report.state.x
     plus = kaon_deviation_closed_form(eps, eta, +1)
     minus = kaon_deviation_closed_form(eps, eta, -1)
     doc = report.to_dict()

@@ -110,7 +110,7 @@ def core_rows(sweeps, fixes):
     cols = [np.broadcast_to(columns[name], rows) for name in ("mu_sq", "x_abs", "y_abs", "eta")]
     cols[3] = batch.wrap_angles(cols[3])
     scalars = [row for block in batch.sweep_blocks([(c, 1) for c in cols], rows)
-               for row in zip(*block)]
+               for row in zip(*(c.tolist() for c in block))]
     return [(*params, *row) for params, row in zip(zip(*(c.tolist() for c in cols)), scalars)]
 
 

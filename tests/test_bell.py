@@ -559,6 +559,17 @@ def test_grid_stage_polish_reaches_the_canonical_value():
             assert canonical_bell_value(s) - _grid_stage(psi, grid_n, 40)[0] <= 1e-13
 
 
+def test_polish_leaves_the_stall_by_a_gradient_step():
+    # a boundary state whose correlation tensor has singular values
+    # (1, 1 - 5e-7, 1 - 5e-7): from the grid_n 10 pair, a curvature sits at
+    # the Newton step's floor, no halving of that step raises f, and the
+    # polish used to stop 2.75e-7 short of the canonical value
+    t, s = 0.13372626318668004, 0.999
+    state = state_from_magnitudes(s / (2.0 * (1.0 - t * t)), t, t, math.pi)
+    shortfall = canonical_bell_value(state) - oracle_bell_max(embed(state), 10, 1000)
+    assert shortfall <= 1e-9
+
+
 @pytest.mark.parametrize("n", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -1.0),
                                (0.6, -0.48, 0.64), (1e-9, 0.0, 1.0)])
 def test_polish_frames_and_turns_stay_orthonormal(n):

@@ -17,7 +17,10 @@ import nonortho.bell as bell_mod
 import nonortho.feasibility as feasibility_mod
 import nonortho.report as report_mod
 import nonortho.verify as verify_mod
-from nonortho.cli import STATE_KEYS, SWEEP_PARAMS, SWEEP_ROWS_MAX, build_parser, main
+import nonortho.batch as batch_mod
+from nonortho.cli import (STATE_KEYS, SWEEP_PARAMS, SWEEP_ROWS_MAX, build_parser, main,
+                          parse_args)
+from nonortho.errors import DomainError
 
 ROOT = Path(__file__).resolve().parent.parent
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -284,19 +287,96 @@ def test_help_still_exits_zero(capsys):
     assert capsys.readouterr().out.startswith("usage: nonortho analyze")
 
 
-def test_closed_stdout_ends_without_a_traceback():
+def module_env():
+    """The environment for ``python -m nonortho`` on this checkout's sources."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
+    return env
+
+
+def test_closed_stdout_ends_without_a_traceback():
     # under ``with`` both pipes close, whatever the asserts do
     with subprocess.Popen([sys.executable, "-m", "nonortho", "sweep",
-                           "--sweep", "mu_sq=0:1:20000"], env=env,
+                           "--sweep", "mu_sq=0:1:20000"], env=module_env(),
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert proc.stdout.readline().startswith(b"mu_sq,")
         proc.stdout.close()   # ~2 MB remain unwritten, far beyond a pipe's buffer
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+def _joined(flags):
+    """``--flag value`` pairs as ``--flag=value`` items."""
+    return [f"{flag}={value}" for flag, value in zip(flags[::2], flags[1::2])]
+
+
+RUN_FLAGS = ["--seed", "3", "--grid-n", "10", "--refine-iters", "7"]
+ANALYZE_FLAGS = [*SINGLET_FLAGS, "--input", "state.json", "--json", "out.json", *RUN_FLAGS]
+SWEEP_FLAGS = ["--sweep", "mu_sq=0:1:3", "--sweep", "eta=-1:1:2", "--fix", "x_abs=0.2",
+               "--fix", "y_abs=0.1", "--csv", "out.csv"]
+KAON_FLAGS = ["--eps-re", "-0.001", "--eps-im", "2e-4", "--eta", "1.5", "--gamma-s", "2",
+              "--gamma-l", "0.1", "--t", "0.5", "--json", "out.json", *RUN_FLAGS]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"],
+    ["analyze", *ANALYZE_FLAGS, "--normalize", "--oracle"],
+    ["analyze", *_joined(ANALYZE_FLAGS), "--oracle", "--normalize"],
+    ["sweep"],
+    ["sweep", *SWEEP_FLAGS],
+    ["sweep", *_joined(SWEEP_FLAGS)],
+    ["kaon", "--eps-re", "1e-3"],
+    ["kaon", *KAON_FLAGS, "--oracle"],
+    ["kaon", "--oracle", *_joined(KAON_FLAGS)],
+    ["verify"],
+    ["verify", "full", *RUN_FLAGS],
+    ["verify", *_joined(RUN_FLAGS), "quick"],
+])
+def test_dispatch_builds_the_namespace_of_the_full_parse(argv):
+    # main runs only the subcommand's parser; the namespace, its order
+    # included, is the one the top-level parser builds
+    expected = build_parser().parse_args(argv)
+    assert list(vars(parse_args(argv)).items()) == list(vars(expected).items())
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "nonortho: the following arguments are required: command"),
+    (["analyze", *SINGLET_FLAGS, "stray"], "nonortho: unrecognized arguments: stray"),
+    (["verify", "quick", "full"], "nonortho: unrecognized arguments: full"),
+    (["sweep", "--sweep", "mu_sq=0:1:3", "--", "--csv"],
+     "nonortho: unrecognized arguments: -- --csv"),
+    (["analyze", *SINGLET_FLAGS, "--grid-n", "abc"],
+     "nonortho analyze: argument --grid-n: invalid int value: 'abc'"),
+])
+def test_usage_error_objects_are_byte_stable(argv, message, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ('{\n  "error": {\n    "type": "Usage",\n'
+                   f'    "message": {json.dumps(message)}\n  }}\n}}\n')
+
+
+def test_unknown_subcommand_is_a_usage_error(capsys):
+    code, out = run_cli(["analyse", *SINGLET_FLAGS], capsys)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "Usage"
+    assert error["message"].startswith("nonortho: argument command: invalid choice: 'analyse'")
+
+
+def test_module_entry_point_parses_sys_argv():
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "nonortho", *args], env=module_env(),
+                              capture_output=True, text=True, timeout=60)
+
+    bare = run()
+    assert bare.returncode == 2
+    assert json.loads(bare.stdout)["error"] == {
+        "type": "Usage", "message": "nonortho: the following arguments are required: command"}
+    helped = run("analyze", "--help")
+    assert helped.returncode == 0
+    assert helped.stdout.startswith("usage: nonortho analyze")
 
 
 def test_analyze_oracle_rejects_tiny_grid(capsys):
@@ -573,6 +653,35 @@ def test_sweep_rejects_more_rows_than_the_cap_before_allocating(args, capsys, mo
     assert code == 2
     error = json.loads(out)["error"]
     assert error["type"] == "SweepSpec" and f"{SWEEP_ROWS_MAX} allowed" in error["message"]
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_sweep_rejecting_a_late_row_writes_nothing(to_file, tmp_path, capsys, monkeypatch):
+    # no grid the CLI accepts holds a row the scalar path rejects, so both
+    # reject one row of the second block here; the rows before it are valid
+    steps, bad = batch_mod.BLOCK_ROWS + 200, batch_mod.BLOCK_ROWS + 37
+    bad_mu_sq = np.linspace(0.0, 1.0, steps)[bad]
+    states, scalar = batch_mod._states, batch_mod.state_from_magnitudes
+
+    def reject_in_batch(mu_sq, *rest):
+        *state, ok = states(mu_sq, *rest)
+        return (*state, ok & (mu_sq != bad_mu_sq))
+
+    def reject_in_scalar(mu_sq, *rest):
+        if mu_sq == bad_mu_sq:
+            raise DomainError("rejected")
+        return scalar(mu_sq, *rest)
+
+    monkeypatch.setattr(batch_mod, "_states", reject_in_batch)
+    monkeypatch.setattr(batch_mod, "state_from_magnitudes", reject_in_scalar)
+    target = tmp_path / "sweep.csv"
+    argv = ["sweep", "--sweep", f"mu_sq=0:1:{steps}", *(["--csv", str(target)] * to_file)]
+    code, out = run_cli(argv, capsys)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "DomainError"
+    assert error["message"].startswith(f"row {bad}: rejected (params ")
+    assert not target.exists()
 
 
 def test_kaon_cp_conserving(capsys):

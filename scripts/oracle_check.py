@@ -7,9 +7,10 @@ Usage: python scripts/oracle_check.py [count] [seed]
 nonnegative one.  Besides the time per state, the script prints the median
 times of the oracle's two stages, each timed on its own in a second, warm
 call (the grid stage with no Newton step, ``bell._grid_stage(psi, 24, 0)``,
-and the Newton refinement of its best B pair, ``bell._polish`` at up to 40
-steps), and the minor page faults per oracle call (the first call, and the
-median and mean of the later ones) where the ``resource`` module exists.
+and the Newton refinement of its best B pair, ``bell._polish`` at up to
+``bell.DEFAULT_REFINE_ITERS`` steps), and the minor page faults per oracle
+call (the first call, and the median and mean of the later ones) where the
+``resource`` module exists.
 The grid stage is split once more: the pair ranking, ``bell._pair_values``
 (the float32 keys) timed in a third call, and the rest, the grid stage's
 time less it.  The next line counts the pairs the float32 keys' cut
@@ -19,6 +20,9 @@ states, and over the boundary family below.  A last line times the near-maximal 
 eta = pi, |mu|^2 = s/(2 (1 - t^2)), for t in {0.3, 0.6, 0.9} and s in
 {1, 0.97}.  The Newton refinement takes the most steps along this
 family's nearly flat ridge, so its worst state is the slowest warm call.
+The line before it counts how the refinement ended over the random states
+and over that family (``bell._polish``'s exit reasons: gain below
+rounding, no halving rises, the step cap, a cone point).
 
 Exits 0; 2 with one usage line on stderr for a bad count or seed; or 141
 when the reader closes stdout early (``| head``).
@@ -34,9 +38,11 @@ try:
 except ImportError:     # not on every platform
     resource = None
 
-from nonortho.bell import (_bloch_vectors, _candidates, _grid_constants, _grid_stage,
-                           _pair_values, _pauli_forms, _polish, _tensor_image, _workspace,
-                           analytic_bell, oracle_bell_max)
+import numpy as np
+
+from nonortho.bell import (_POLISH_EXITS, DEFAULT_REFINE_ITERS, _bloch_vectors, _candidates,
+                           _grid_constants, _grid_stage, _pair_values, _pauli_forms, _polish,
+                           _tensor_image, _workspace, analytic_bell, oracle_bell_max)
 from nonortho.cli import closed_stdout_status
 from nonortho.report import canonical_bell_value
 from nonortho.sampling import DEFAULT_SEED, random_states
@@ -69,6 +75,20 @@ def survivors(state) -> int:
     return len(_candidates(image, grid.pairs)[0])
 
 
+def timed_polish(psi) -> tuple[float, str]:
+    """Seconds and exit reason of the Newton refinement of the grid_n 24 stage's best pair."""
+    angles = _grid_stage(psi, 24, 0)[1]
+    b, b_prime = (tuple(n) for n in _bloch_vectors(angles[4::2], angles[5::2]).tolist())
+    forms = _pauli_forms(psi.tolist())
+    start = time.perf_counter()
+    reason = _polish(forms, b, b_prime, DEFAULT_REFINE_ITERS)[-1]
+    return time.perf_counter() - start, reason
+
+
+def exit_counts(reasons) -> str:
+    return ", ".join(f"{name} {reasons.count(name)}" for name in _POLISH_EXITS)
+
+
 def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
@@ -85,6 +105,7 @@ def main(argv: list[str]) -> int:
     stage_seconds = ([], [], [])     # grid stage, refinement, pair ranking
     faults = []
     kept = []
+    exits = []
     for i, state in enumerate(random_states(count, seed)):
         analytic = analytic_bell(schmidt_decompose(state))
         canonical = canonical_bell_value(state)
@@ -97,18 +118,17 @@ def main(argv: list[str]) -> int:
             faults.append(minor_faults() - before)
         psi = coefficient_matrix(vector)
         start = time.perf_counter()
-        angles = _grid_stage(psi, 24, 0)[1]
+        _grid_stage(psi, 24, 0)
         stage_seconds[0].append(time.perf_counter() - start)
-        forms = _pauli_forms(psi.tolist())
-        b, b_prime = (tuple(n) for n in _bloch_vectors(angles[4::2], angles[5::2]).tolist())
-        start = time.perf_counter()
-        _polish(forms, b, b_prime, 40)
-        stage_seconds[1].append(time.perf_counter() - start)
+        polish_seconds, reason = timed_polish(psi)
+        stage_seconds[1].append(polish_seconds)
+        exits.append(reason)
         grid = _grid_constants(24)      # built by the first oracle call
-        image = _tensor_image(forms, grid.bloch)
+        image = _tensor_image(_pauli_forms(psi.tolist()), grid.bloch)
+        norms = np.einsum('ij,ij->i', image, image)
         space = _workspace(len(image))
         start = time.perf_counter()
-        _pair_values(image, grid.pairs, space)
+        _pair_values(image, norms, grid.pairs, space)
         stage_seconds[2].append(time.perf_counter() - start)
         kept.append(survivors(state))
         worst_match = max(worst_match, abs(oracle - analytic))
@@ -136,6 +156,9 @@ def main(argv: list[str]) -> int:
         print(f"minor page faults per oracle call: first call {faults[0]}{rest}")
     print(f"worst |oracle - analytic| = {worst_match:.3e}")
     print(f"worst shortfall vs canonical settings = {worst_shortfall:.3e}")
+    boundary_exits = [timed_polish(coefficient_matrix(embed(state)))[1] for state in BOUNDARY]
+    print(f"refinement exits at up to {DEFAULT_REFINE_ITERS} steps: random {exit_counts(exits)}; "
+          f"boundary family {exit_counts(boundary_exits)}")
     boundary_seconds, boundary_match = [], 0.0
     for state in BOUNDARY:
         vector = embed(state)

@@ -156,11 +156,13 @@ def _tensor_image(forms, bloch: np.ndarray) -> np.ndarray:
     return bloch @ np.array([[2.0 * z.real for z in k], [2.0 * z.imag for z in k], d])
 
 
-def _pair_values(image: np.ndarray, pairs: np.ndarray, space: _Workspace) -> np.ndarray:
+def _pair_values(image: np.ndarray, norms: np.ndarray, pairs: np.ndarray,
+                 space: _Workspace) -> np.ndarray:
     """float32 keys ranking the pairs i <= j by |a_i + a_j| + |a_i - a_j|, in ``space.halves[0]``.
 
-    ``pairs`` holds the pairs' flat indices i R + j, row-major, and row i of
-    ``image`` is a_i.  With B, B' = Theta_i, Theta_j the CHSH value is
+    ``pairs`` holds the pairs' flat indices i R + j, row-major, row i of
+    ``image`` is a_i and ``norms`` holds the |a_i|^2, summed in float64.
+    With B, B' = Theta_i, Theta_j the CHSH value is
     n_A . (a_i + a_j) + n_A' . (a_i - a_j), so by Cauchy-Schwarz the pair
     value |p| + |q|, p, q = a_i +- a_j, is its maximum over every A and A'.
     The key is (|p|^2 + |q|^2)/2 + sqrt(|p|^2 |q|^2) = (|p| + |q|)^2/2, which
@@ -199,7 +201,7 @@ def _pair_values(image: np.ndarray, pairs: np.ndarray, space: _Workspace) -> np.
     product's once more) of the exact key: ~5.3e-6 m^2 at rho = 2 m^2.
     """
     work, halves, left, right = space
-    right[4] = np.einsum('ij,ij->i', image, image)
+    right[4] = norms
     left[:, 3] = right[4]
     left[:, :3] = image
     np.multiply(image.T, 2.0, out=right[:3])
@@ -240,7 +242,8 @@ def _key_error(m_sq: float, rho: float) -> float:
 def _candidates(image: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(i, j) of the pairs whose float32 key clears a cut that keeps the best pair.
 
-    Let m^2 bound max |a_i|^2 from above (summed in float64 and raised by
+    The rows' |a_i|^2 are summed once, in float64, for both ``_pair_values``
+    and the cut.  Let m^2 bound max |a_i|^2 from above (their max raised by
     2^-50), E = 2.4967e-3 m^2 bound every key's error and s = 2^-40 m^2,
     which also covers the rounding of this function's own float64 terms.
     The pair with the top key has exact key at least top - E, and the pair
@@ -252,17 +255,19 @@ def _candidates(image: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.nd
     picked pair's key is at least top - 2 E(rho) - s: the cut sits there,
     lowered by 2^-23 of itself so that its float32 rounding keeps it below.
     Otherwise the cut is ``_KEY_WINDOW`` below the top key, relative, as
-    ``_grid_stage`` argues.
+    ``_grid_stage`` argues.  The pairs are split into (i, j) only after
+    ``compress`` has kept those that clear it.
     """
-    keys = _pair_values(image, pairs, _workspace(len(image)))
+    norms = np.einsum('ij,ij->i', image, image)
+    keys = _pair_values(image, norms, pairs, _workspace(len(image)))
     top = keys.max()
-    m_sq = float(np.einsum('ij,ij->i', image, image).max()) * (1.0 + 2.0 ** -50)
+    m_sq = float(norms.max()) * (1.0 + 2.0 ** -50)
     rho = float(top) - (_KEY_ERROR + 2.0 + _CUT_SLACK) * m_sq
     if rho > 0.0 and (error := _key_error(m_sq, rho)) < _KEY_ERROR * m_sq:
         cut = (float(top) - 2.0 * error - _CUT_SLACK * m_sq) * (1.0 - 2.0 ** -23)
     else:
         cut = (1.0 - _KEY_WINDOW) * top
-    return np.divmod(pairs[keys >= cut], len(image))
+    return np.divmod(pairs.compress(keys >= cut), len(image))
 
 
 def _pair_totals(image: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -343,6 +348,35 @@ def _turn(n, frame, u: float, v: float) -> tuple[float, float, float]:
     return m[0] * scale, m[1] * scale, m[2] * scale
 
 
+# why ``_polish`` stopped: gain below rounding, no halving rises, the step cap, a cone point
+_POLISH_EXITS = ("rounding", "no rise", "cap", "cone")
+
+
+def _saddle_free_step(hess: np.ndarray, grad) -> tuple[list[float], float]:
+    """(|H|^-1 G, |H|'s largest eigenvalue) for the symmetric 4 x 4 ``hess`` H and ``grad`` G.
+
+    With H = V diag(lambda) V^T from ``np.linalg.eigh``, |H|^-1 G is
+    V diag(1 / max(|lambda|, 1e-8 max |lambda|)) V^T G: H's eigenvalues by
+    absolute value, so saddles repel, floored at 1e-8 of the largest.
+    Both products run in floats on the eigenpairs' ``tolist()``.
+    """
+    curvatures, vectors = np.linalg.eigh(hess)
+    c0, c1, c2, c3 = (abs(c) for c in curvatures.tolist())
+    top = max(c0, c1, c2, c3)
+    floor = 1e-8 * top
+    (v00, v01, v02, v03), (v10, v11, v12, v13), (v20, v21, v22, v23), (v30, v31, v32, v33) = (
+        vectors.tolist())
+    g0, g1, g2, g3 = grad
+    w0 = (v00 * g0 + v10 * g1 + v20 * g2 + v30 * g3) / max(c0, floor)
+    w1 = (v01 * g0 + v11 * g1 + v21 * g2 + v31 * g3) / max(c1, floor)
+    w2 = (v02 * g0 + v12 * g1 + v22 * g2 + v32 * g3) / max(c2, floor)
+    w3 = (v03 * g0 + v13 * g1 + v23 * g2 + v33 * g3) / max(c3, floor)
+    return [v00 * w0 + v01 * w1 + v02 * w2 + v03 * w3,
+            v10 * w0 + v11 * w1 + v12 * w2 + v13 * w3,
+            v20 * w0 + v21 * w1 + v22 * w2 + v23 * w3,
+            v30 * w0 + v31 * w1 + v32 * w2 + v33 * w3], top
+
+
 def _polish(forms, b, b_prime, steps: int):
     """Newton ascent of f = |T(b + b')| + |T(b - b')| over the unit vectors b, b'.
 
@@ -354,27 +388,34 @@ def _polish(forms, b, b_prime, steps: int):
     G and Hessian H in tangent frames of b and b', from p = T(b + b') and
     m = T(b - b'): a frame vector e of b moves p and m by T e, and its
     second derivative adds -T b to both; e of b' moves p by +T e and m by
-    -T e.  The step is |H|^-1 G, H's eigenvalues taken by absolute value
-    (so saddles repel) and floored at 1e-8 of the largest, and it is
-    halved, up to 11 times, until f rises.  Where a curvature sits at that
-    floor the step is tens of radians long, and halving shortens it but
-    never turns it; when no halving raises f, the gradient step G / (largest
-    |H| eigenvalue) is taken instead, with its own halvings.  The ascent
-    stops when the step's first-order gain is below f's rounding, when no
-    halving of either step raises f, after ``steps`` steps, or where p or m
-    vanishes (a cone point of f).
-    Returns b, b', p, m and whether b, b' moved.
+    -T e.  T's entries, the Jacobian, G and H's ten entries are plain
+    floats; H is written into one 4 x 4 array per call for
+    ``_saddle_free_step``, which gives the step |H|^-1 G, H's eigenvalues
+    taken by absolute value (so saddles repel) and floored at 1e-8 of the
+    largest.  The step is halved, up to 11 times, until f rises.  Where a
+    curvature sits at that floor the step is tens of radians long, and
+    halving shortens it but never turns it; when no halving raises f, the
+    gradient step G / (largest |H| eigenvalue) is taken instead, with its
+    own halvings.  The ascent stops, and the last item of the result names
+    why, when the step's first-order gain is below f's rounding
+    ("rounding"), when no halving of either step raises f ("no rise"),
+    after ``steps`` steps ("cap"), or where p or m vanishes, a cone point
+    of f ("cone").
+    Returns b, b', p, m, the number of steps taken and that exit reason.
     """
     d, k = forms
-    rows = [(2.0 * z.real, 2.0 * z.imag, dz) for z, dz in zip(k, d)]
+    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = (
+        (2.0 * z.real, 2.0 * z.imag, dz) for z, dz in zip(k, d))
 
     def image(n):
-        return _dot(rows[0], n), _dot(rows[1], n), _dot(rows[2], n)
+        x, y, z = n
+        return (t00 * x + t01 * y + t02 * z, t10 * x + t11 * y + t12 * z,
+                t20 * x + t21 * y + t22 * z)
 
     def value(b, b_prime):
         u, u_prime = image(b), image(b_prime)
-        p = [x + y for x, y in zip(u, u_prime)]
-        m = [x - y for x, y in zip(u, u_prime)]
+        p = (u[0] + u_prime[0], u[1] + u_prime[1], u[2] + u_prime[2])
+        m = (u[0] - u_prime[0], u[1] - u_prime[1], u[2] - u_prime[2])
         return math.sqrt(_dot(p, p)) + math.sqrt(_dot(m, m)), u, u_prime, p, m
 
     def rise(step):
@@ -388,42 +429,62 @@ def _polish(forms, b, b_prime, steps: int):
             step = [0.5 * x for x in step]
         return None
 
+    hess = np.empty((4, 4))
+    entries = hess.reshape(16)      # a view
     current, u, u_prime, p, m = value(b, b_prime)
-    moved = False
-    signs = (1.0, 1.0, -1.0, -1.0)      # how each frame direction enters m
+    taken, reason = 0, "cap"
     for _ in range(steps):
         length_p, length_m = math.sqrt(_dot(p, p)), math.sqrt(_dot(m, m))
         if length_p == 0.0 or length_m == 0.0:
+            reason = "cone"
             break
-        p_hat = [x / length_p for x in p]
-        m_hat = [x / length_m for x in m]
+        p0, p1, p2 = p[0] / length_p, p[1] / length_p, p[2] / length_p
+        m0, m1, m2 = m[0] / length_m, m[1] / length_m, m[2] / length_m
         frame, frame_prime = _tangent_frame(b), _tangent_frame(b_prime)
-        jac = [image(e) for e in (*frame, *frame_prime)]
-        grad_p = [_dot(j, p_hat) for j in jac]
-        grad_m = [s * _dot(j, m_hat) for s, j in zip(signs, jac)]
-        hess = [[0.0] * 4 for _ in range(4)]
-        for k in range(4):
-            for l in range(k, 4):
-                gram = _dot(jac[k], jac[l])
-                hess[k][l] = hess[l][k] = (
-                    (gram - grad_p[k] * grad_p[l]) / length_p
-                    + (signs[k] * signs[l] * gram - grad_m[k] * grad_m[l]) / length_m)
-        curv = _dot(p_hat, u) + _dot(m_hat, u)
-        curv_prime = _dot(p_hat, u_prime) - _dot(m_hat, u_prime)
-        for k, c in enumerate((curv, curv, curv_prime, curv_prime)):
-            hess[k][k] -= c
-        grad = np.array([x + y for x, y in zip(grad_p, grad_m)])
-        curvatures, vectors = np.linalg.eigh(hess)
-        curvatures = np.abs(curvatures)
-        step = vectors @ ((vectors.T @ grad) / np.maximum(curvatures, 1e-8 * curvatures.max()))
-        if grad @ step <= 1e-15 * current:
-            break       # no step gains above the value's rounding
-        found = rise(step.tolist()) or rise((grad / curvatures.max()).tolist())
+        # the Jacobian's columns q, r, s, v = T e for e1, e2 of b and e1', e2' of b'
+        (q0, q1, q2), (r0, r1, r2) = image(frame[0]), image(frame[1])
+        (s0, s1, s2), (v0, v1, v2) = image(frame_prime[0]), image(frame_prime[1])
+        # G's parts along p and m; e1', e2' enter m with a minus sign
+        gp0, gp1 = q0 * p0 + q1 * p1 + q2 * p2, r0 * p0 + r1 * p1 + r2 * p2
+        gp2, gp3 = s0 * p0 + s1 * p1 + s2 * p2, v0 * p0 + v1 * p1 + v2 * p2
+        gm0, gm1 = q0 * m0 + q1 * m1 + q2 * m2, r0 * m0 + r1 * m1 + r2 * m2
+        gm2, gm3 = -(s0 * m0 + s1 * m1 + s2 * m2), -(v0 * m0 + v1 * m1 + v2 * m2)
+        # H's Gram entries T e . T e'; then the second derivatives -T b, -T b' along p and m
+        qq, qr, qs, qv = (q0 * q0 + q1 * q1 + q2 * q2, q0 * r0 + q1 * r1 + q2 * r2,
+                          q0 * s0 + q1 * s1 + q2 * s2, q0 * v0 + q1 * v1 + q2 * v2)
+        rr, rs, rv = (r0 * r0 + r1 * r1 + r2 * r2, r0 * s0 + r1 * s1 + r2 * s2,
+                      r0 * v0 + r1 * v1 + r2 * v2)
+        ss, sv, vv = (s0 * s0 + s1 * s1 + s2 * s2, s0 * v0 + s1 * v1 + s2 * v2,
+                      v0 * v0 + v1 * v1 + v2 * v2)
+        curv = ((p0 * u[0] + p1 * u[1] + p2 * u[2])
+                + (m0 * u[0] + m1 * u[1] + m2 * u[2]))
+        curv_prime = ((p0 * u_prime[0] + p1 * u_prime[1] + p2 * u_prime[2])
+                      - (m0 * u_prime[0] + m1 * u_prime[1] + m2 * u_prime[2]))
+        h00 = (qq - gp0 * gp0) / length_p + (qq - gm0 * gm0) / length_m - curv
+        h01 = (qr - gp0 * gp1) / length_p + (qr - gm0 * gm1) / length_m
+        h02 = (qs - gp0 * gp2) / length_p + (-qs - gm0 * gm2) / length_m
+        h03 = (qv - gp0 * gp3) / length_p + (-qv - gm0 * gm3) / length_m
+        h11 = (rr - gp1 * gp1) / length_p + (rr - gm1 * gm1) / length_m - curv
+        h12 = (rs - gp1 * gp2) / length_p + (-rs - gm1 * gm2) / length_m
+        h13 = (rv - gp1 * gp3) / length_p + (-rv - gm1 * gm3) / length_m
+        h22 = (ss - gp2 * gp2) / length_p + (ss - gm2 * gm2) / length_m - curv_prime
+        h23 = (sv - gp2 * gp3) / length_p + (sv - gm2 * gm3) / length_m
+        h33 = (vv - gp3 * gp3) / length_p + (vv - gm3 * gm3) / length_m - curv_prime
+        entries[:] = (h00, h01, h02, h03, h01, h11, h12, h13,
+                      h02, h12, h22, h23, h03, h13, h23, h33)
+        grad = (gp0 + gm0, gp1 + gm1, gp2 + gm2, gp3 + gm3)
+        step, top = _saddle_free_step(hess, grad)
+        if grad[0] * step[0] + grad[1] * step[1] + grad[2] * step[2] + grad[3] * step[3] <= (
+                1e-15 * current):
+            reason = "rounding"     # no step gains above the value's rounding
+            break
+        found = rise(step) or rise([g / top for g in grad])
         if found is None:
+            reason = "no rise"
             break
         b, b_prime, (current, u, u_prime, p, m) = found
-        moved = True
-    return b, b_prime, p, m, moved
+        taken += 1
+    return b, b_prime, p, m, taken, reason
 
 
 def _direction_angles(n) -> list[float]:
@@ -441,9 +502,9 @@ def _pair_settings(psi: list, forms, grid: _Grid, ib: int, ibp: int,
     m = T(b - b').  The value is ``_chsh_value`` at the angles, and the
     angles are a new array.
     """
-    b, b_prime, p, m, moved = _polish(forms, tuple(grid.bloch[ib].tolist()),
-                                      tuple(grid.bloch[ibp].tolist()), steps)
-    if moved:
+    b, b_prime, p, m, taken, _ = _polish(forms, tuple(grid.bloch[ib].tolist()),
+                                         tuple(grid.bloch[ibp].tolist()), steps)
+    if taken:
         angles_b = _direction_angles(b) + _direction_angles(b_prime)
     else:
         angles_b = [float(grid.chis[ib]), float(grid.phis[ib]),
@@ -479,17 +540,24 @@ def _grid_stage(psi: np.ndarray, grid_n: int, steps: int) -> tuple[float, np.nda
     return _pair_settings(psi, forms, grid, int(first[best]), int(second[best]), steps)
 
 
-# The grid stage's arrays (workspace and ``pairs``) grow as grid_n^4: 0.9 MB at
-# 24, 47 MB at 64, and 178 MB at 63, since an odd grid_n adds the half-step
-# settings (``_orbit_representatives``).
+# The grid stage's arrays (workspace and ``pairs``) grow as R^2 in the orbit
+# count R (``_orbit_count``): 0.9 MB at grid_n 24 and 47 MB at 64.  An odd
+# grid_n adds the half-step settings and nearly doubles R, so the cap is on R:
+# every grid_n up to 64 whose R is at most R(64) = 1985 (odd ones up to 45).
 GRID_N_MAX = 64
 DEFAULT_GRID_N = 24
-DEFAULT_REFINE_ITERS = 40
+DEFAULT_REFINE_ITERS = 100
+
+
+def _orbit_count(grid_n: int) -> int:
+    """R, the number of ``_orbit_representatives(grid_n)``, in closed form."""
+    return grid_n * grid_n // 2 - grid_n + 1 if grid_n % 2 == 0 else (grid_n - 1) ** 2
 
 
 def check_oracle_args(grid_n: int, refine_iters: int) -> None:
     """Raise DomainError unless both are integers (24.0 would share 24's cached
-    ``_grid_constants``), 8 <= ``grid_n`` <= GRID_N_MAX and ``refine_iters`` >= 0."""
+    ``_grid_constants``), 8 <= ``grid_n`` <= GRID_N_MAX, ``grid_n`` has at
+    most as many orbits as GRID_N_MAX, and ``refine_iters`` >= 0."""
     for name, value in (("grid_n", grid_n), ("refine_iters", refine_iters)):
         try:
             operator.index(value)   # ints and numpy integers pass, unlike floats
@@ -497,6 +565,9 @@ def check_oracle_args(grid_n: int, refine_iters: int) -> None:
             raise DomainError(f"{name} must be an integer, got {value!r}") from None
     if not 8 <= grid_n <= GRID_N_MAX:
         raise DomainError(f"grid_n must be in [8, {GRID_N_MAX}], got {grid_n}")
+    if (count := _orbit_count(grid_n)) > (limit := _orbit_count(GRID_N_MAX)):
+        raise DomainError(f"grid_n {grid_n} has {count} orbit settings, above the limit of "
+                          f"{limit} (grid_n {GRID_N_MAX}) that bounds the grid's memory")
     if refine_iters < 0:
         raise DomainError(f"refine_iters must be >= 0, got {refine_iters}")
 

@@ -95,9 +95,11 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
                         help="seed for randomized scans (default %(default)s)")
     parser.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N,
                         help="grid resolution per angle for the CHSH maximizer, "
-                             f"8 to {GRID_N_MAX} (default %(default)s)")
+                             f"8 to {GRID_N_MAX}, odd values up to 45 (default %(default)s)")
     parser.add_argument("--refine-iters", type=int, default=DEFAULT_REFINE_ITERS,
-                        help="Newton refinement steps of the CHSH maximizer")
+                        help="most Newton refinement steps of the CHSH maximizer, which "
+                             "stops sooner once a step gains no more than the value's "
+                             "rounding (default %(default)s)")
 
 
 def _state_from_args(args: argparse.Namespace):

@@ -189,6 +189,34 @@ def test_oracle_rejects_a_grid_above_the_cap(monkeypatch):
         oracle_bell_max(embed(make_state(SQ2, -SQ2, 0, 0)), grid_n=bell.GRID_N_MAX + 1)
 
 
+@pytest.mark.parametrize("grid_n", [47, 63])
+def test_oracle_rejects_an_odd_grid_with_more_orbits_than_the_cap(grid_n, monkeypatch):
+    # an odd grid_n nearly doubles the orbit count R: R(63) = 3844 against
+    # R(64) = 1985, and its arrays grow as R^2; none may be built
+    monkeypatch.setattr(bell, "_grid_constants", None)
+    with pytest.raises(DomainError, match=f"grid_n {grid_n} has {(grid_n - 1) ** 2} orbit"):
+        oracle_bell_max(embed(make_state(SQ2, -SQ2, 0, 0)), grid_n=grid_n)
+
+
+@pytest.mark.parametrize("grid_n", [45, 64])
+def test_oracle_accepts_the_largest_grids_within_the_cap(grid_n, monkeypatch):
+    # R(45) = 1936 and R(64) = 1985: the call passes its checks and asks for the grid
+    class Built(Exception):
+        pass
+
+    def built(n):
+        raise Built(n)
+
+    monkeypatch.setattr(bell, "_grid_constants", built)
+    with pytest.raises(Built):
+        oracle_bell_max(embed(make_state(SQ2, -SQ2, 0, 0)), grid_n=grid_n)
+
+
+def test_orbit_count_closed_form_matches_the_representatives():
+    for grid_n in range(8, 66):
+        assert bell._orbit_count(grid_n) == len(_orbit_representatives(grid_n)[0])
+
+
 def test_oracle_rejects_negative_refine_iters():
     with pytest.raises(DomainError, match="refine_iters"):
         oracle_bell_max(embed(make_state(SQ2, -SQ2, 0, 0)), refine_iters=-1)
@@ -468,11 +496,11 @@ def test_pruning_stays_exact_with_a_wrong_tensor_or_noisy_correlations(monkeypat
     rng = np.random.default_rng(5)
     pair_values = bell._pair_values
 
-    def wrong_tensor(image, pairs, space):
+    def wrong_tensor(image, norms, pairs, space):
         scale = np.abs(image).max()
-        return pair_values(image * (1.0 + 2.0 ** -24)
-                           + rng.uniform(-1.0, 1.0, image.shape) * 2.0 ** -26 * scale,
-                           pairs, space)
+        wrong = (image * (1.0 + 2.0 ** -24)
+                 + rng.uniform(-1.0, 1.0, image.shape) * 2.0 ** -26 * scale)
+        return pair_values(wrong, np.einsum('ij,ij->i', wrong, wrong), pairs, space)
 
     def exact_keys(image, pairs):
         totals = bell._pair_totals(image, *np.divmod(pairs, len(image)))
@@ -486,11 +514,11 @@ def test_pruning_stays_exact_with_a_wrong_tensor_or_noisy_correlations(monkeypat
             reach = min(reach, bell._key_error(m_sq, rho))
         return totals, keys, reach
 
-    def noisy(image, pairs, space):
+    def noisy(image, norms, pairs, space):
         _, keys, reach = exact_keys(image, pairs)
         return keys + rng.uniform(-1.0, 1.0, keys.shape) * reach
 
-    def worst(image, pairs, space):
+    def worst(image, norms, pairs, space):
         # less 2^-22, the float32 rounding of a key below 8
         totals, keys, reach = exact_keys(image, pairs)
         reach -= 2.0 ** -22
@@ -514,7 +542,7 @@ def test_pruning_stays_exact_with_a_wrong_tensor_or_noisy_correlations(monkeypat
                 assert np.array_equal(angles, ref_angles)
                 grid = _grid_constants(grid_n)
                 image = _tensor_image(bell._pauli_forms(psi.tolist()), grid.bloch)
-                keys = perturb(image, grid.pairs, _workspace(len(image)))
+                keys = perturb(image, _row_norms(image), grid.pairs, _workspace(len(image)))
                 first, second = np.divmod(grid.pairs[int(np.argmax(keys))], len(image))
                 reordered += not np.array_equal(
                     ref_angles[4:], [grid.chis[first], grid.phis[first],
@@ -570,6 +598,78 @@ def test_polish_leaves_the_stall_by_a_gradient_step():
     assert shortfall <= 1e-9
 
 
+def _symmetric(rng, eigenvalues):
+    q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    h = (q * eigenvalues) @ q.T
+    return 0.5 * (h + h.T)
+
+
+def test_saddle_free_step_matches_numpy():
+    # |H|^-1 G = V diag(1/max(|lambda|, 1e-8 max|lambda|)) V^T G, in floats
+    # against numpy, on definite and indefinite H and on H with two
+    # eigenvalues near 1e-9 of the largest, which the floor lifts
+    rng = np.random.default_rng(24)
+    cases = []
+    for _ in range(200):
+        cases.append(_symmetric(rng, rng.uniform(0.1, 2.0, 4)))
+        cases.append(_symmetric(rng, rng.uniform(-2.0, 2.0, 4)))
+        top = rng.uniform(0.5, 2.0)
+        tiny = top * 1e-9 * rng.uniform(0.5, 2.0, 2) * rng.choice([-1.0, 1.0], 2)
+        cases.append(_symmetric(rng, [top, -rng.uniform(1e-3, 1.0) * top, *tiny]))
+        cases.append(rng.normal(size=(4, 4)) + rng.normal(size=(4, 4)).T)
+    for hess in cases:
+        hess = 0.5 * (hess + hess.T)
+        grad = rng.normal(size=4) * 10.0 ** rng.uniform(-8, 0)
+        curvatures, vectors = np.linalg.eigh(hess)
+        curvatures = np.abs(curvatures)
+        expected = vectors @ ((vectors.T @ grad)
+                              / np.maximum(curvatures, 1e-8 * curvatures.max()))
+        step, top = bell._saddle_free_step(hess, grad.tolist())
+        assert top == curvatures.max()
+        assert np.abs(np.array(step) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_bell_imports_no_private_numpy_module():
+    # read from the source: the oracle's eigensolver is public np.linalg.eigh,
+    # never a numpy module or attribute whose name starts with "_"
+    tree = ast.parse(Path(bell.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = [module, *(f"{module}.{alias.name}" for alias in node.names)]
+        elif isinstance(node, ast.Attribute):
+            chain, base = [node.attr], node.value
+            while isinstance(base, ast.Attribute):
+                chain.append(base.attr)
+                base = base.value
+            if not (isinstance(base, ast.Name) and base.id in ("np", "numpy")):
+                continue
+            names = ["numpy." + ".".join(reversed(chain))]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "numpy":
+                assert not any(part.startswith("_") for part in parts), f"line {node.lineno}"
+
+
+def test_polish_reports_its_steps_and_exit():
+    forms = bell._pauli_forms(coefficient_matrix(embed(
+        make_state(0.8, 0.6, 0.4, 0.2j, auto_normalize=True))).tolist())
+    start = tuple(_bloch_vectors(np.array([0.7, 2.0]), np.array([0.3, -1.0])).tolist())
+    assert bell._polish(forms, *start, 0)[4:] == (0, "cap")
+    b, b_prime, p, m, taken, reason = bell._polish(forms, *start, 1000)
+    assert 0 < taken < 1000 and reason == "rounding"
+    assert bell._polish(forms, *start, taken)[4:] == (taken, "cap")
+    # at |00> the pole pair has m = T(b - b') = 0, a cone point
+    pole = (0.0, 0.0, 1.0)
+    product = bell._pauli_forms(coefficient_matrix([1.0, 0, 0, 0]).tolist())
+    assert bell._polish(product, pole, pole, 40)[4:] == (0, "cone")
+    assert set(bell._POLISH_EXITS) == {"rounding", "no rise", "cap", "cone"}
+
+
 @pytest.mark.parametrize("n", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -1.0),
                                (0.6, -0.48, 0.64), (1e-9, 0.0, 1.0)])
 def test_polish_frames_and_turns_stay_orthonormal(n):
@@ -609,6 +709,11 @@ def _all_totals(corr_t):
                            for ib in range(len(corr_t))])
 
 
+def _row_norms(image):
+    """|a_i|^2 of the rows, summed in float64 as the grid stage sums them."""
+    return np.einsum('ij,ij->i', image, image)
+
+
 def _packed_index(n, i, j):
     """Position of pair (i, j), i <= j, in the row-major packing of n orbits."""
     return i * n - i * (i - 1) // 2 + (j - i)
@@ -629,7 +734,7 @@ def test_pair_bounds_dominate_every_total():
     rounded = 0.0
     for s in [*random_states(20, 11), *near_product, *boundary]:
         _, _, corr_t, image = _grid_correlations(coefficient_matrix(embed(s)), 24)
-        keys = _pair_values(image, pairs, _workspace(len(corr_t)))
+        keys = _pair_values(image, _row_norms(image), pairs, _workspace(len(corr_t)))
         first, second = np.divmod(pairs, len(image))
         exact = (np.linalg.norm(image[first] + image[second], axis=1)
                  + np.linalg.norm(image[first] - image[second], axis=1))
@@ -665,7 +770,7 @@ def test_pair_bounds_are_tight_on_pure_states():
         assert np.abs(np.linalg.norm(image, axis=1) - 1.0).max() < 1e-15
         pairs = _grid_constants(grid_n).pairs
         totals = bell._pair_totals(image, *np.divmod(pairs, len(image)))
-        keys = _pair_values(image, pairs, _workspace(len(corr_t)))
+        keys = _pair_values(image, _row_norms(image), pairs, _workspace(len(corr_t)))
         assert abs(keys.max() - 4.0) <= 2.5e-3
         assert totals.max() <= 2.0 * math.sqrt(2.0) + 1e-15
         assert abs(_grid_stage(psi, grid_n, 40)[0] - 2.0 * math.sqrt(2.0)) < 1e-15

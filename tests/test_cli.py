@@ -395,6 +395,8 @@ def test_analyze_oracle_rejects_negative_refine_iters(capsys):
 @pytest.mark.parametrize("argv", [
     ["analyze", *SINGLET_FLAGS, "--oracle", "--grid-n", "65"],
     ["kaon", "--eps-re", "0.1", "--oracle", "--grid-n", "65"],
+    # odd: within [8, 64], but with more orbit settings than 64 has
+    ["analyze", *SINGLET_FLAGS, "--oracle", "--grid-n", "63"],
 ])
 def test_oracle_rejects_a_grid_above_the_cap_before_building_it(argv, monkeypatch, capsys):
     # the grid's arrays grow as grid_n^4; none may be built
@@ -412,6 +414,8 @@ def test_oracle_rejects_a_grid_above_the_cap_before_building_it(argv, monkeypatc
     # the checks draw from seeds seed to seed + 5, so -1 would break some
     (["verify", "quick", "--seed", "-1"], "seed"),
     (["verify", "full", "--seed", "-5"], "seed"),
+    # odd: within [8, 64], but with more orbit settings than 64 has
+    (["verify", "full", "--grid-n", "47"], "grid_n"),
 ])
 def test_verify_rejects_bad_oracle_args_before_any_check(argv, arg, monkeypatch, capsys):
     def no_check(name, fn):

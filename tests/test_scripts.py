@@ -37,6 +37,13 @@ def test_script_exits_zero():
                      r"median \d+\.\d ms, worst \d+\.\d ms, "
                      r"worst \|oracle - analytic\| = \d\.\d{3}e[-+]\d\d$",
                      result.stdout, re.MULTILINE)
+    # every refinement ends for one of the four reasons: 2 random states, 6 boundary ones
+    exits = re.search(r"^refinement exits at up to 100 steps: random (.*); boundary family (.*)$",
+                      result.stdout, re.MULTILINE)
+    assert exits
+    for counts, total in zip(exits.groups(), (2, 6)):
+        match = re.fullmatch(r"rounding (\d+), no rise (\d+), cap (\d+), cone (\d+)", counts)
+        assert match and sum(map(int, match.groups())) == total
     if sys.platform.startswith("linux"):
         assert "minor page faults per oracle call: first call " in result.stdout
 

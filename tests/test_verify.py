@@ -72,3 +72,10 @@ def test_verify_rejects_non_integer_oracle_args_before_any_check(kwargs, monkeyp
             checks(level, **kwargs)
         with pytest.raises(DomainError, match=arg):
             run_verify(level, **kwargs)
+
+
+def test_oracle_boundary_check_passes_at_grid_n_10_with_the_default_step_cap():
+    # at 40 Newton steps 34 of these 200 near-maximal states stopped up to
+    # 7.6e-8 short at grid_n 10, as the steps crawl along the ridge
+    passed, detail = judge(checks("full", grid_n=10)["oracle-boundary-200"]())
+    assert passed, detail

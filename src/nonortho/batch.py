@@ -57,11 +57,15 @@ def _states(mu_sq: np.ndarray, x: np.ndarray, y: np.ndarray, eta: np.ndarray):
 def grid_rows(values: np.ndarray, run: int, start: int, stop: int) -> np.ndarray:
     """Rows ``start`` to ``stop`` of a row-major meshgrid column.
 
-    Row r holds ``values[(r // run) % len(values)]``: each value for ``run``
-    rows in turn, cyclically.  On the k-th of a meshgrid's axes, ``run`` is
-    the product of the later axes' lengths; a fixed parameter is one value.
+    Row r holds ``values[..., (r // run) % n]``, n values along the last
+    axis: each value for ``run`` rows in turn, cyclically.  On the k-th of a
+    meshgrid's axes, ``run`` is the product of the later axes' lengths; a
+    fixed parameter is one value.  A 2-D ``values`` holds one value per
+    column (a sweep's CSV fields), laid out the same way.  The cycle is an
+    explicit remainder: ``take``'s mode="wrap" subtracts n from an index
+    until it is in range, a cost that grows with the row number.
     """
-    return values.take(np.arange(start, stop) // run, mode="wrap")
+    return values.take(np.arange(start, stop) // run % values.shape[-1], axis=-1)
 
 
 def sweep_blocks(columns: Sequence[tuple[np.ndarray, int]],

@@ -32,8 +32,8 @@ from .batch import grid_rows, sweep_blocks, wrap_angles
 from .bell import DEFAULT_GRID_N, DEFAULT_REFINE_ITERS, GRID_N_MAX
 from .errors import NonorthoError
 from .kaon import KaonEvolution
-from .report import (CSV_COLUMNS, analyze_state, csv_lines, csv_numbers, kaon_report,
-                     to_json)
+from .report import (CSV_COLUMNS, analyze_state, csv_block, csv_fields, csv_numbers,
+                     kaon_report, to_json)
 from .sampling import DEFAULT_SEED
 from .state import make_state
 from .verify import run_verify
@@ -139,24 +139,18 @@ def _state_from_args(args: argparse.Namespace):
         raise CliError(type(exc).__name__, str(exc)) from exc
 
 
-def _write_lines(fh, lines: Iterable[str]) -> None:
-    for line in lines:
-        fh.write(line)
-        fh.write("\n")
-
-
-def _emit(lines: Iterable[str], path: str | None) -> None:
-    """Write each line and a newline to PATH, or to stdout.
+def _emit(texts: Iterable[str], path: str | None) -> None:
+    """Write the texts, each ending in its newline, to PATH, or to stdout.
 
     A PATH that cannot be opened or written raises CliError("OutputFile"),
     so stdout carries only the error object.
     """
     if path is None:
-        _write_lines(sys.stdout, lines)
+        sys.stdout.writelines(texts)
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            _write_lines(fh, lines)
+            fh.writelines(texts)
     except OSError as exc:
         raise CliError("OutputFile", f"cannot write output file: {exc}") from exc
 
@@ -167,7 +161,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                            refine_iters=args.refine_iters)
     doc = report.to_dict()
     doc["seed"] = args.seed
-    _emit([to_json(doc)], args.json)
+    _emit([to_json(doc) + "\n"], args.json)
     return 0
 
 
@@ -226,9 +220,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     varies slowest); the other parameters take their --fix or
     SWEEP_DEFAULTS values, and eta is wrapped to (-pi, pi].  A grid of more
     than SWEEP_ROWS_MAX rows is rejected before any axis is built.  Every
-    row is checked before any is written; then each parameter's distinct
-    values are formatted once and laid out per block by ``batch.grid_rows``,
-    beside the scalars of ``batch.sweep_blocks``.
+    row is checked before any is written.  Then each parameter's distinct
+    values are formatted once, as NUL-padded byte fields, and each block's
+    text is one ``report.csv_block`` call (see :func:`_sweep_lines`), which
+    formats the block's six report scalars with one numpy kernel, byte for
+    byte as ``"%.12g"``.
     """
     specs = _parse_sweep_spec(args.sweep, "--sweep")
     if not specs:
@@ -259,22 +255,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # the blocks wait as float columns until every row has passed, so a
     # rejected row leaves only the error object
     blocks = list(sweep_blocks([(axes[name], runs[name]) for name in SWEEP_PARAMS], rows))
-    # each distinct value is formatted once, and its text laid out per block
-    texts = {name: np.array(csv_numbers(values.tolist()), dtype=object)
-             for name, values in axes.items()}
-    _emit(_sweep_lines(texts, runs, blocks), args.csv)
+    # each distinct value is formatted once, and its bytes laid out per block
+    fields = {name: csv_fields(csv_numbers(values.tolist())) for name, values in axes.items()}
+    _emit(_sweep_lines(fields, runs, blocks), args.csv)
     return 0
 
 
-def _sweep_lines(texts: dict, runs: dict, blocks: list) -> Iterator[str]:
-    """The CSV header, then one text per block of ``batch.sweep_blocks`` scalars."""
-    yield ",".join(CSV_COLUMNS)
+def _sweep_lines(fields: dict, runs: dict, blocks: list) -> Iterator[str]:
+    """The CSV header line, then the lines of each block, one text per block.
+
+    A block's text is one ``report.csv_block`` call: its parameter fields are
+    the columns of ``fields`` laid out by ``batch.grid_rows``, and its six
+    ``batch.sweep_blocks`` scalar columns are formatted together.
+    """
+    yield ",".join(CSV_COLUMNS) + "\n"
     start = 0
     for scalars in blocks:
         stop = start + len(scalars[0])
-        params = [grid_rows(texts[name], runs[name], start, stop).tolist()
-                  for name in SWEEP_PARAMS]
-        yield csv_lines(zip(*params, *(column.tolist() for column in scalars)))
+        yield csv_block([grid_rows(fields[name], runs[name], start, stop)
+                         for name in SWEEP_PARAMS], scalars)
         start = stop
 
 
@@ -290,7 +289,7 @@ def cmd_kaon(args: argparse.Namespace) -> int:
     except NonorthoError as exc:
         raise CliError(type(exc).__name__, str(exc)) from exc
     doc["seed"] = args.seed
-    _emit([to_json(doc)], args.json)
+    _emit([to_json(doc) + "\n"], args.json)
     return 0
 
 

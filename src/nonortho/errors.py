@@ -10,7 +10,7 @@ class LinearDependence(NonorthoError):
 
 
 class NotNormalized(NonorthoError):
-    """State norm differs from 1 beyond tolerance and rescaling was not requested."""
+    """State norm differs from 1 beyond tolerance, unrescaled or after rescaling."""
 
 
 class ZeroState(NonorthoError):
@@ -35,3 +35,7 @@ class NoCompatibleNu(NonorthoError):
 
 class SingularNorm(NonorthoError):
     """The overall intensity factor is singular for this CP parameter."""
+
+
+class WitnessUnverified(NonorthoError):
+    """A feasibility witness state could not be built or validated in double precision."""

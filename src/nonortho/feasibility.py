@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoCompatibleNu
+from .errors import DomainError, NoCompatibleNu, NonorthoError, WitnessUnverified
 from .closed_forms import _clamp_unit
 from .schmidt import SchmidtForm, schmidt_decompose
 from .state import ORTHO_EPS, make_state, state_from_magnitudes
@@ -239,11 +239,22 @@ def maximal_feasibility(abs_x: float, abs_y: float) -> FeasibilityVerdict:
 
 def _validated_feasible(verdict: str, witness_q: float, required_eta: float | None,
                         abs_x: float, abs_y: float) -> FeasibilityVerdict:
+    """The verdict with its witness state's pipeline d, which must be below 1e-10.
+
+    Raises WitnessUnverified, naming the witness, when its state cannot be
+    built or misses the gate: near |x| = |y| = 1 the witness
+    q = 1/(2(1 - |x||y|)) cancels in double precision.
+    """
     eta = required_eta if required_eta is not None else math.pi
-    d = state_deviation(witness_q, abs_x, abs_y, eta)
+    witness = "feasibility witness q={} at |x|={}, |y|={}".format
+    try:
+        d = state_deviation(witness_q, abs_x, abs_y, eta)
+    except NonorthoError as exc:
+        raise WitnessUnverified(f"{witness(witness_q, abs_x, abs_y)} has no valid state: "
+                                f"{exc}") from exc
     if d >= 1e-10:
-        raise ArithmeticError(
-            f"feasible witness q={witness_q} failed validation: pipeline d={d:.3e}")
+        raise WitnessUnverified(f"{witness(witness_q, abs_x, abs_y)} failed validation: "
+                                f"pipeline d={d:.3e}")
     return FeasibilityVerdict(verdict, witness_q=witness_q,
                               required_eta=required_eta, witness_pipeline_d=d)
 

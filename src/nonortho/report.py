@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -185,32 +185,140 @@ def to_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, allow_nan=False)
 
 
-# one conversion per value: "%.12g" % v and f"{v:.12g}" print the same digits
+# The one CSV number format: "%.12g" % v and f"{v:.12g}" print the same digits.
 _CSV_NUMBER = f"%.{CSV_SIG_DIGITS}g"
-_CSV_LINE = ",".join(["%s"] * 4 + [_CSV_NUMBER] * (len(CSV_COLUMNS) - 4))
 
 
 def csv_numbers(values: Iterable[float]) -> list[str]:
-    """The CSV text of each value, in the number format of :func:`csv_lines`."""
+    """The CSV text of each value: ``"%.12g" % v``."""
     return list(map(_CSV_NUMBER.__mod__, values))
-
-
-def csv_lines(rows: Iterable[tuple]) -> str:
-    """CSV text of report rows, one line each.
-
-    A row is a tuple in CSV_COLUMNS order: the four parameters as text from
-    :func:`csv_numbers`, so that a sweep formats each distinct parameter
-    value once, then the six report scalars as floats.
-    """
-    return "\n".join(map(_CSV_LINE.__mod__, rows))
 
 
 def csv_row(mu_sq: float, x_abs: float, y_abs: float, eta: float,
             report: EntanglementReport) -> list[str]:
-    values = (*csv_numbers((mu_sq, x_abs, y_abs, eta)), report.lambda_plus,
-              report.lambda_minus, report.bell_analytic, report.d, report.concurrence,
-              report.entropy_bits)
-    return csv_lines([values]).split(",")
+    return csv_numbers((mu_sq, x_abs, y_abs, eta, report.lambda_plus, report.lambda_minus,
+                        report.bell_analytic, report.d, report.concurrence,
+                        report.entropy_bits))
+
+
+# A sweep block's CSV text is built as one (bytes, rows) uint8 matrix: each
+# field is a run of rows holding its text NUL-padded, commas and the newline
+# are constant rows, and the NULs are deleted from the transposed bytes.
+CSV_FIELD_BYTES = 19   # the longest "%.12g" text, "-1.23456789012e-308"
+# fl(10^k) > 10^k for k = -4..-1, so v >= fl(10^k) exactly when v >= 10^k
+_DECADES = np.array([1e-3, 1e-2, 1e-1, 1.0])
+_TO_INTEGER = np.array([1e15, 1e14, 1e13, 1e12, 1e11])                 # 10^(11 - e)
+_TO_FIXED = 10 ** np.arange(5, dtype=np.int64)                         # 10^(e + 4)
+_TIE_WINDOW = 2.0 ** -13
+
+
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Character columns of the fixed-point field [NUL, tens, units, '.', 15 digits].
+
+    ``fraction[:, g]`` is the three digits of a fraction group g < 1000 and
+    ``fraction[:, 1000 + g]`` the same with its trailing zeros NUL, for the
+    last nonzero group.  ``units[:, i]`` is NUL, the tens, the units and the
+    point of an integer part i <= 10, and ``units[:, 11 + i]`` the same
+    without the point, for a value with no nonzero fraction digit.
+    """
+    g = np.arange(1000)
+    digits = np.stack([g // 100, g // 10 % 10, g % 10]) + ord("0")
+    trailing = np.stack([g == 0, g % 100 == 0, g % 10 == 0])
+    fraction = np.concatenate([digits, np.where(trailing, 0, digits)], axis=1)
+    i = np.arange(22) % 11
+    units = np.stack([np.zeros(22, dtype=np.int64), np.where(i >= 10, ord("1"), 0),
+                      i % 10 + ord("0"), np.where(np.arange(22) < 11, ord("."), 0)])
+    return fraction.astype(np.uint8), units.astype(np.uint8)
+
+
+_FRACTION_CHARS, _UNITS_CHARS = _digit_tables()
+
+
+def csv_fields(texts: Sequence[str], width: int | None = None) -> np.ndarray:
+    """The texts as NUL-padded byte columns: a (width, len(texts)) uint8 matrix.
+
+    ``width`` defaults to the longest text; a longer text would be cut.
+    """
+    fixed = np.array(texts, dtype=bytes if width is None else f"S{width}")
+    return np.ascontiguousarray(fixed.view(np.uint8).reshape(len(texts), -1).T)
+
+
+def csv_number_fields(values: np.ndarray) -> np.ndarray:
+    """The ``"%.12g"`` text of each value as a NUL-padded byte column, mostly in numpy.
+
+    Returns a (CSV_FIELD_BYTES, len(values)) uint8 matrix; deleting its NULs,
+    which may lead a column as well as trail it, leaves each value's text.
+
+    A value v with 1e-4 <= v < 10 prints "%.12g" as a fixed-point number,
+    which is built here from its 12 significant digits.  With
+    e = floor(log10 v) (exactly, by comparison with the decades),
+    P = v 10^(11 - e) lies in [1e11, 1e12), and the power of ten is an
+    exact double since 11 - e <= 15.  The product P' = fl(P) < 2^40 is
+    rounded once, to within half an ulp, so |P' - P| <= 2^-14.  Outside
+    the tie window, where P' lies within 1/2 - 2^-13 of rint(P'), P and P'
+    lie between the same two half-integers, so rint(P') is P correctly
+    rounded: the 12 digits "%.12g" prints (rint(P') = 1e12 carries into
+    the next decade).  Then F = rint(P') 10^(e + 4) <= 10^16 is v in units
+    of 10^-15, exactly in int64; its six groups of three digits come from
+    the tables, and the leading and trailing zeros "%.12g" drops are NUL.
+    Every other value (zero, v < 1e-4 or v >= 10, negatives, -0.0,
+    non-finite values and the near-ties) is formatted by ``"%.12g"`` and
+    written into its column.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    fast = (values >= 1e-4) & (values < 10.0)
+    v = np.where(fast, values, 1.0)
+    decade = _DECADES.searchsorted(v, side="right")   # e + 4
+    scaled = v * _TO_INTEGER.take(decade)
+    rounded = np.rint(scaled)
+    fast &= np.abs(scaled - rounded) < 0.5 - _TIE_WINDOW
+    fixed = rounded.astype(np.int64) * _TO_FIXED.take(decade)
+    # six groups of three digits, the integer part first, each split off by a
+    # scalar divisor (numpy divides by a scalar far faster than by an array)
+    groups = np.empty((6, v.size), dtype=np.int64)
+    for j in range(5, 0, -1):
+        above = fixed // 1000
+        groups[j] = fixed - 1000 * above
+        fixed = above
+    groups[0] = fixed
+    # last[j]: every fraction group after group j is zero, so that group j is
+    # the last printed and takes the table columns with trailing zeros NUL
+    last = np.empty(groups.shape, dtype=bool)
+    last[5] = True
+    for j in range(4, -1, -1):
+        np.logical_and(last[j + 1], groups[j + 1] == 0, out=last[j])
+    out = np.empty((CSV_FIELD_BYTES, v.size), dtype=np.uint8)
+    _UNITS_CHARS.take(groups[0] + 11 * last[0], axis=1, out=out[:4], mode="clip")
+    for j in range(1, 6):
+        _FRACTION_CHARS.take(groups[j] + 1000 * last[j], axis=1, out=out[3 * j + 1:3 * j + 4],
+                             mode="clip")
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        out[:, slow] = csv_fields(csv_numbers(values[slow].tolist()), CSV_FIELD_BYTES)
+    return out
+
+
+def csv_block(params: Sequence[np.ndarray], scalars: Sequence[np.ndarray]) -> str:
+    """CSV text of a block of sweep rows, each line ending in a newline.
+
+    ``params`` are the four parameter columns already as byte fields, one
+    (width, rows) matrix each (from :func:`csv_fields`, laid out per row),
+    so that a sweep formats each distinct parameter value once; ``scalars``
+    are the six report-scalar columns as float arrays, formatted by one
+    :func:`csv_number_fields` call.
+    """
+    rows = len(scalars[0])
+    numbers = csv_number_fields(np.concatenate(scalars)).reshape(CSV_FIELD_BYTES, -1, rows)
+    fields = [*params, *numbers.transpose(1, 0, 2)]
+    matrix = np.empty((sum(len(f) + 1 for f in fields), rows), dtype=np.uint8)
+    top = 0
+    for field in fields:
+        matrix[top:top + len(field)] = field
+        top += len(field)
+        matrix[top] = ord(",")
+        top += 1
+    matrix[-1] = ord("\n")
+    return matrix.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _spin_observable(chi: float, phi: float, plus: np.ndarray,

@@ -98,9 +98,9 @@ def make_state(mu: complex, nu: complex, x: complex, y: complex,
     # an amplitude beyond ~1e154 overflows to a non-finite residual, which fails
     residual = normalization_residual(mu, nu, x, y)
     if not residual <= NORM_TOL:
-        raise NotNormalized(
-            f"norm residual {residual:.3e} exceeds {NORM_TOL:.0e}; "
-            "pass auto_normalize=True to rescale")
+        advice = (" even after rescaling to unit norm" if auto_normalize
+                  else "; pass auto_normalize=True to rescale")
+        raise NotNormalized(f"norm residual {residual:.3e} exceeds {NORM_TOL:.0e}{advice}")
     return NonorthogonalState(mu, nu, x, y)
 
 

@@ -31,7 +31,7 @@ from .feasibility import (VERDICT_FEASIBLE_DEGENERATE, VERDICT_FEASIBLE_ORTHOGON
                           state_deviation)
 from .kaon import (KaonEvolution, kaon_deviation_closed_form, kaon_entangled_state,
                    kaon_overlap, weak_decay_norm)
-from .report import analyze_state, canonical_bell_value
+from .report import analyze_state, canonical_bell_value, csv_number_fields, csv_numbers
 from .sampling import DEFAULT_SEED, random_states
 from .schmidt import reconstruct, reduced_density, schmidt_decompose
 from .state import embed, eta_phase, make_state, state_from_magnitudes
@@ -311,12 +311,35 @@ def _check_feasible_orthogonal() -> list[Gate]:
             Gate("witness d", verdict.witness_pipeline_d, high=1e-10)]
 
 
+def _check_csv_format(seed: int, per_decade: int = 2400, uniform: int = 7900) -> list[Gate]:
+    """The sweep CSV's number kernel against ``"%.12g"``, value by value.
+
+    The values are the kernel's hard cases, about 20 000 in all: near-ties
+    (k + 1/2) 10^(e - 11) of its 12-digit rounding in each decade e = -4..0,
+    powers of ten from 10^-5 to 10 and the doubles two ulps either side,
+    signed zeros, subnormals and U(0, 3).
+    """
+    rng = np.random.default_rng(seed + 6)
+    ties = [(rng.integers(10 ** 11, 10 ** 12, per_decade) + 0.5) / 10.0 ** (11 - e)
+            for e in range(-4, 1)]
+    powers = 10.0 ** np.arange(-5, 2)
+    below, above = np.nextafter(powers, 0.0), np.nextafter(powers, 20.0)
+    near = [powers, below, np.nextafter(below, 0.0), above, np.nextafter(above, 20.0)]
+    values = np.concatenate([*ties, *near, [0.0, -0.0],
+                             math.ulp(0.0) * rng.integers(1, 2 ** 52, 50),
+                             rng.uniform(0.0, 3.0, uniform)])
+    fields = csv_number_fields(values)
+    got = [field.tobytes().replace(b"\0", b"").decode("ascii") for field in fields.T]
+    mismatches = sum(a != b for a, b in zip(got, csv_numbers(values.tolist())))
+    return [Gate(f"values unlike %.12g (of {values.size})", mismatches, high=0)]
+
+
 def checks(level: str = "quick", seed: int = DEFAULT_SEED, grid_n: int = DEFAULT_GRID_N,
            refine_iters: int = DEFAULT_REFINE_ITERS) -> dict[str, Check]:
     """The named checks of one level, in run order, each not yet run.
 
     Raises before any check runs for an unknown level, a negative ``seed``
-    (the checks draw from seeds ``seed`` to ``seed + 5``) or oracle
+    (the checks draw from seeds ``seed`` to ``seed + 6``) or oracle
     arguments ``check_oracle_args`` rejects, at either level.
     """
     if level not in ("quick", "full"):
@@ -338,6 +361,7 @@ def checks(level: str = "quick", seed: int = DEFAULT_SEED, grid_n: int = DEFAULT
         "kaon-suite": _check_kaon,
         "kaon-closed-form": _check_kaon_closed_form,
         "scan-vs-pipeline": lambda: _check_scan_vs_pipeline(seed),
+        "csv-format": lambda: _check_csv_format(seed),
     }
     if level == "full":
         table["nn-generic-impossibility"] = _check_nn_generic

@@ -178,6 +178,18 @@ def test_grid_rows_match_the_meshgrid(shape):
         assert batch.grid_rows(values[:1], rows, 0, rows).tolist() == [values[0]] * rows
 
 
+def test_grid_rows_lay_out_byte_columns_far_into_a_sweep():
+    # a 2-D array holds one value per column, as a sweep's CSV fields do;
+    # rows past a million index the cycle by its remainder
+    fields = np.arange(12, dtype=np.uint8).reshape(3, 4)
+    for run, start in ((1, 0), (3, 5), (1, 10 ** 6 + 1), (7, 4 * 10 ** 6 + 3)):
+        cycle = (np.arange(start, start + 50) // run) % 4
+        assert batch.grid_rows(fields, run, start, start + 50).tolist() == \
+            fields[:, cycle].tolist()
+        assert batch.grid_rows(fields[0], run, start, start + 50).tolist() == \
+            fields[0, cycle].tolist()
+
+
 def test_clamp_matches_scalar_clamp():
     values = [-2e-12, -1e-12, -5e-13, -0.0, 0.0, 0.5, 1.0, 1.0 + 5e-13, 1.0 + 1e-12,
               1.0 + 2e-12, math.nan]
@@ -206,3 +218,23 @@ def test_wrap_angles_matches_scalar():
     angles = np.array([-math.pi, math.pi, 0.0, -0.0, 3 * math.pi, -3 * math.pi, 1e300,
                        -7.5, 7.5, 2 * math.pi])
     assert batch.wrap_angles(angles).tolist() == [wrap_angle(a) for a in angles.tolist()]
+
+
+@pytest.mark.parametrize("sweeps,fixes", [
+    ([("x_abs", 0.0, 0.9, 70), ("y_abs", 0.0, 0.9, 70)], {"mu_sq": 1e-320}),
+    ([("eta", -3.0, 3.0, 70), ("mu_sq", 0.0, 1e-300, 70)], {"x_abs": 0.6, "y_abs": 0.2}),
+])
+def test_sweep_csv_with_tiny_scalars_across_a_block_boundary(sweeps, fixes):
+    # zero and subnormal scalars take the formatter's "%.12g" fallback; the
+    # rows run past BLOCK_ROWS, so two blocks are formatted
+    assert math.prod(steps for *_, steps in sweeps) > batch.BLOCK_ROWS
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(sweep_argv(sweeps, fixes)) == 0
+    text = buf.getvalue()
+    want = [",".join(CSV_COLUMNS)] + [",".join(f"{v:.12g}" for v in values)
+                                      for values in reference_rows(sweeps, fixes)]
+    assert text == "\n".join(want) + "\n"
+    tiny = [i for i, line in enumerate(want[1:])
+            if min(map(float, line.split(",")[4:])) < 2.3e-308]
+    assert tiny[0] < batch.BLOCK_ROWS <= tiny[-1]

@@ -730,6 +730,32 @@ def test_kaon_rejects_nan_epsilon(capsys):
     assert json.loads(out)["error"]["type"] == "DomainError"
 
 
+EQUAL_OVERLAP_STATE = ["--mu-re", "0.6", "--mu-im", "0", "--nu-re", "0.5", "--nu-im", "0"]
+
+
+def test_equal_overlaps_near_one_end_in_a_report_or_an_error_object(capsys):
+    # the feasibility witness q = 1/(2(1 - |x|^2)) cancels as |x| = |y| -> 1;
+    # a witness that fails validation is a WitnessUnverified error object
+    argvs = [["analyze", *EQUAL_OVERLAP_STATE, "--x-re", repr(t), "--x-im", "0",
+              "--y-re", repr(t), "--y-im", "0", "--normalize"]
+             for t in (1.0 - 10.0 ** -k for k in np.linspace(2.0, 13.0, 45).tolist())]
+    argvs.append(["kaon", "--eps-re", "0.9999"])
+    kinds = []
+    for argv in argvs:
+        code, out = run_cli(argv, capsys)
+        assert code in (0, 2), argv
+        kinds.append("report" if code == 0 else json.loads(out)["error"]["type"])
+    assert kinds[-1] == "WitnessUnverified"
+    assert "report" in kinds
+    repro = ["analyze", *EQUAL_OVERLAP_STATE, "--x-re", "0.9999999683772234", "--x-im", "0",
+             "--y-re", "0.9999999683772234", "--y-im", "0", "--normalize"]
+    code, out = run_cli(repro, capsys)
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "WitnessUnverified"
+    assert err["message"].startswith("feasibility witness q=")
+
+
 def test_verify_quick_passes(capsys):
     code, out = run_cli(["verify", "quick"], capsys)
     assert code == 0

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonortho.errors import DomainError, NoCompatibleNu
+from nonortho.errors import DomainError, NoCompatibleNu, WitnessUnverified
 from nonortho.feasibility import (VERDICT_FEASIBLE_DEGENERATE,
                                   VERDICT_FEASIBLE_ORTHOGONAL, VERDICT_INFEASIBLE,
                                   concurrence_scan, deviation,
@@ -135,6 +135,17 @@ class TestMaximalFeasibility:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             maximal_feasibility(1.0, 0.3)
+
+    @pytest.mark.parametrize("overlap,why", [
+        (0.9999999801278153, "failed validation: pipeline d="),
+        (0.9999999969541447, "has no valid state: no nonnegative |nu| exists"),
+    ])
+    def test_a_witness_that_cancels_is_a_named_error(self, overlap, why):
+        # q = 1/(2(1 - |x||y|)) cancels this close to 1: the witness misses
+        # its gate or its state cannot be built
+        with pytest.raises(WitnessUnverified, match=r"^feasibility witness q=") as exc:
+            maximal_feasibility(overlap, overlap)
+        assert why in str(exc.value)
 
     def test_margin_is_closed_form_in_the_floor(self):
         cases = ([((s, 0.0), on_case_floor(s)) for s in ON_OVERLAPS]

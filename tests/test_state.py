@@ -50,6 +50,19 @@ def test_unnormalized_rejected_without_flag():
         make_state(1, 1, 0.9, 0)
 
 
+def test_not_normalized_message_says_whether_it_rescaled():
+    with pytest.raises(NotNormalized) as plain:
+        make_state(2, 0.5, 0.3, 0.2)
+    assert str(plain.value) == ("norm residual 3.370e+00 exceeds 1e-12; "
+                                "pass auto_normalize=True to rescale")
+    # the norm cancels this close to |x| = |y| = 1, so the rescaled state misses it
+    with pytest.raises(NotNormalized) as rescaled:
+        make_state(9.868842363928767, -9.868842325603154, 0.9999999999999998,
+                   0.9999999999999998, auto_normalize=True)
+    assert str(rescaled.value).endswith("exceeds 1e-12 even after rescaling to unit norm")
+    assert "auto_normalize" not in str(rescaled.value)
+
+
 def test_embed_singlet():
     v = embed(make_state(SQ2, -SQ2, 0, 0))
     assert np.allclose(v, [0, -SQ2, SQ2, 0], atol=1e-15)

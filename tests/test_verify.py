@@ -79,3 +79,11 @@ def test_oracle_boundary_check_passes_at_grid_n_10_with_the_default_step_cap():
     # 7.6e-8 short at grid_n 10, as the steps crawl along the ridge
     passed, detail = judge(checks("full", grid_n=10)["oracle-boundary-200"]())
     assert passed, detail
+
+
+def test_csv_format_check_passes_and_fails_without_the_tie_window(monkeypatch):
+    assert judge(verify_mod._check_csv_format(1729)) == (
+        True, "values unlike %.12g (of 19987) 0 (tol 0)")
+    monkeypatch.setattr("nonortho.report._TIE_WINDOW", -1.0)
+    passed, detail = judge(verify_mod._check_csv_format(1729))
+    assert not passed

@@ -7,7 +7,7 @@ two independent routes), the feasibility case analysis over the overlap
 pattern, and the neutral-kaon application.
 """
 
-from .bell import analytic_bell, oracle_bell_max
+from .bell import analytic_bell, oracle_bell_max, oracle_bell_run
 from .errors import (DomainError, LinearDependence, NoCompatibleNu,
                      NonHermitianDrift, NonorthoError, NotNormalized,
                      PhaseUndefined, SingularNorm, ZeroState)

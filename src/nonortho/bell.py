@@ -14,6 +14,7 @@ of the settings grid that maximizes it, one setting per {Theta, -Theta} pair
 and each unordered pair once.  Newton steps on B and B' (A and A'
 re-derived) refine that pair, also along the nearly flat ridge the value
 has near maximal violation, and A and A' are then set exactly.
+``oracle_bell_run`` also returns how that refinement ended.
 """
 
 from __future__ import annotations
@@ -494,27 +495,28 @@ def _direction_angles(n) -> list[float]:
 
 
 def _pair_settings(psi: list, forms, grid: _Grid, ib: int, ibp: int,
-                   steps: int) -> tuple[float, np.ndarray]:
+                   steps: int) -> tuple[float, np.ndarray, int, str]:
     """The CHSH value and the angles of A, A', B, B' from the grid's B pair (ib, ibp).
 
     B and B' start at the pair's settings and take up to ``steps`` Newton
     steps (``_polish``); A and A' point along p = T(b + b') and
     m = T(b - b').  The value is ``_chsh_value`` at the angles, and the
-    angles are a new array.
+    angles are a new array; the Newton step count and exit reason follow.
     """
-    b, b_prime, p, m, taken, _ = _polish(forms, tuple(grid.bloch[ib].tolist()),
-                                         tuple(grid.bloch[ibp].tolist()), steps)
+    b, b_prime, p, m, taken, reason = _polish(forms, tuple(grid.bloch[ib].tolist()),
+                                              tuple(grid.bloch[ibp].tolist()), steps)
     if taken:
         angles_b = _direction_angles(b) + _direction_angles(b_prime)
     else:
         angles_b = [float(grid.chis[ib]), float(grid.phis[ib]),
                     float(grid.chis[ibp]), float(grid.phis[ibp])]
     angles = _direction_angles(p) + _direction_angles(m) + angles_b
-    return _chsh_value(psi, angles), np.array(angles)
+    return _chsh_value(psi, angles), np.array(angles), taken, reason
 
 
-def _grid_stage(psi: np.ndarray, grid_n: int, steps: int) -> tuple[float, np.ndarray]:
-    """The CHSH value and angles from the settings grid's best B pair, A and A' free.
+def _grid_stage(psi: np.ndarray, grid_n: int,
+                steps: int) -> tuple[float, np.ndarray, int, str]:
+    """``_pair_settings``' result for the settings grid's best B pair, A and A' free.
 
     A B pair (+-Theta_i, +-Theta_j) reaches the value |a_i + a_j| +
     |a_i - a_j| whatever the signs and the order of i, j, so only i <= j is
@@ -572,6 +574,22 @@ def check_oracle_args(grid_n: int, refine_iters: int) -> None:
         raise DomainError(f"refine_iters must be >= 0, got {refine_iters}")
 
 
+class OracleRun(NamedTuple):
+    """The oracle's CHSH value, its polish's Newton steps and exit reason (``_POLISH_EXITS``)."""
+
+    value: float
+    steps: int
+    exit: str
+
+
+def oracle_bell_run(vector: np.ndarray, grid_n: int = DEFAULT_GRID_N,
+                    refine_iters: int = DEFAULT_REFINE_ITERS) -> OracleRun:
+    """``oracle_bell_max``'s value, with its polish's step count and exit reason."""
+    check_oracle_args(grid_n, refine_iters)
+    value, _, steps, reason = _grid_stage(coefficient_matrix(vector), grid_n, refine_iters)
+    return OracleRun(value, steps, reason)
+
+
 def oracle_bell_max(vector: np.ndarray, grid_n: int = DEFAULT_GRID_N,
                     refine_iters: int = DEFAULT_REFINE_ITERS) -> float:
     """Brute-force CHSH maximum over all four settings.
@@ -585,5 +603,4 @@ def oracle_bell_max(vector: np.ndarray, grid_n: int = DEFAULT_GRID_N,
     end early once none can gain above that rounding.  Raises DomainError
     for arguments ``check_oracle_args`` rejects.
     """
-    check_oracle_args(grid_n, refine_iters)
-    return _grid_stage(coefficient_matrix(vector), grid_n, refine_iters)[0]
+    return oracle_bell_run(vector, grid_n, refine_iters).value

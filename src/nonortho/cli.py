@@ -40,6 +40,8 @@ from .verify import run_verify
 
 STATE_KEYS = ("mu_re", "mu_im", "nu_re", "nu_im", "x_re", "x_im", "y_re", "y_im")
 
+SEED_IN_REPORT = 'copied into the JSON "seed" field; this command draws no random number'
+
 SWEEP_PARAMS = ("mu_sq", "x_abs", "y_abs", "eta")
 SWEEP_DEFAULTS = {"mu_sq": 0.5, "x_abs": 0.0, "y_abs": 0.0, "eta": math.pi}
 # A sweep checks every row before it writes any (so a rejected row leaves
@@ -90,9 +92,9 @@ def _add_output_flag(parser: argparse.ArgumentParser, fmt: str) -> None:
                         help=f"write the {fmt.upper()} output to PATH instead of stdout")
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+def _add_run_flags(parser: argparse.ArgumentParser, seed_help: str) -> None:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for randomized scans (default %(default)s)")
+                        help=f"{seed_help} (default %(default)s)")
     parser.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N,
                         help="grid resolution per angle for the CHSH maximizer, "
                              f"8 to {GRID_N_MAX}, odd values up to 45 (default %(default)s)")
@@ -128,15 +130,12 @@ def _state_from_args(args: argparse.Namespace):
                     "MissingInput",
                     f"--{key.replace('_', '-')} is required (or use --input)")
             values[key] = flag
-    try:
-        return make_state(
-            complex(values["mu_re"], values["mu_im"]),
-            complex(values["nu_re"], values["nu_im"]),
-            complex(values["x_re"], values["x_im"]),
-            complex(values["y_re"], values["y_im"]),
-            auto_normalize=args.normalize)
-    except NonorthoError as exc:
-        raise CliError(type(exc).__name__, str(exc)) from exc
+    return make_state(
+        complex(values["mu_re"], values["mu_im"]),
+        complex(values["nu_re"], values["nu_im"]),
+        complex(values["x_re"], values["x_im"]),
+        complex(values["y_re"], values["y_im"]),
+        auto_normalize=args.normalize)
 
 
 def _emit(texts: Iterable[str], path: str | None) -> None:
@@ -282,12 +281,8 @@ def cmd_kaon(args: argparse.Namespace) -> int:
     evolution = None
     if args.t is not None:
         evolution = KaonEvolution(gamma_s=args.gamma_s, gamma_l=args.gamma_l, t=args.t)
-    try:
-        doc = kaon_report(eps, eta=args.eta, evolution=evolution,
-                          with_oracle=args.oracle, grid_n=args.grid_n,
-                          refine_iters=args.refine_iters)
-    except NonorthoError as exc:
-        raise CliError(type(exc).__name__, str(exc)) from exc
+    doc = kaon_report(eps, eta=args.eta, evolution=evolution, with_oracle=args.oracle,
+                      grid_n=args.grid_n, refine_iters=args.refine_iters)
     doc["seed"] = args.seed
     _emit([to_json(doc) + "\n"], args.json)
     return 0
@@ -305,17 +300,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if summary.ok else 1
 
 
-def closed_stdout_status() -> int:
-    """Exit status after the reader closed stdout early (``| head``).
-
-    Points stdout at devnull, so that the interpreter's final flush cannot
-    fail again, and returns 141 = 128 + SIGPIPE, as a process ended by that
-    signal would exit.
-    """
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 141
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -327,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="report for one state")
     _add_state_flags(p)
     _add_output_flag(p, "json")
-    _add_run_flags(p)
+    _add_run_flags(p, SEED_IN_REPORT)
     p.add_argument("--oracle", action="store_true",
                    help="also run the brute-force CHSH maximizer")
     p.set_defaults(func=cmd_analyze)
@@ -353,14 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=None,
                    help="elapsed time; enables the intensity factor output")
     _add_output_flag(p, "json")
-    _add_run_flags(p)
+    _add_run_flags(p, SEED_IN_REPORT)
     p.add_argument("--oracle", action="store_true",
                    help="also run the brute-force CHSH maximizer")
     p.set_defaults(func=cmd_kaon)
 
     p = sub.add_parser("verify", help="run the self-check suites")
     p.add_argument("level", choices=("quick", "full"), nargs="?", default="quick")
-    _add_run_flags(p)
+    _add_run_flags(p, "seed of the checks' random draws")
     p.set_defaults(func=cmd_verify)
 
     parser.commands = sub.choices
@@ -393,7 +377,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parse_args(argv)
         return args.func(args)
     except BrokenPipeError:
-        return closed_stdout_status()
+        # the reader closed stdout early (``| head``): point stdout at devnull, so that the
+        # interpreter's final flush cannot fail again, and exit 128 + SIGPIPE, as that signal would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except CliError as exc:
         print(exc.to_json())
         return 2

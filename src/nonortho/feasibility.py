@@ -35,6 +35,12 @@ SCAN_ETA_POINTS = 720
 SCAN_Q_POINTS = 2000
 
 
+def _check_overlaps(abs_x: float, abs_y: float) -> None:
+    """Raise DomainError unless both overlap magnitudes lie in [0, 1)."""
+    if not (0.0 <= abs_x < 1.0 and 0.0 <= abs_y < 1.0):
+        raise DomainError(f"overlaps out of range: {abs_x}, {abs_y}")
+
+
 def deviation(form: SchmidtForm) -> float:
     """d = 1 - |2 c+ c-|^2, clamped to [0, 1] against rounding no wider than 1e-12."""
     return _clamp_unit(1.0 - (2.0 * abs(form.c_plus) * abs(form.c_minus)) ** 2,
@@ -56,8 +62,7 @@ def mu_squared_solutions(abs_x: float, abs_y: float, d: float,
     which is a meaningful verdict rather than a failure.  ``eta`` is only
     consulted when both overlaps are nonzero.
     """
-    if not (0.0 <= abs_x < 1.0 and 0.0 <= abs_y < 1.0):
-        raise DomainError(f"overlaps out of range: {abs_x}, {abs_y}")
+    _check_overlaps(abs_x, abs_y)
     if not (0.0 <= d < 1.0):
         raise DomainError(f"deviation target out of range: {d}")
     case = overlap_case(abs_x, abs_y)
@@ -129,8 +134,7 @@ def deviation_closed_form(abs_mu: float, abs_x: float, abs_y: float, eta: float,
     Raises NoCompatibleNu when the selected branch admits no nonnegative
     |nu|.
     """
-    if not (0.0 <= abs_x < 1.0 and 0.0 <= abs_y < 1.0):
-        raise DomainError(f"overlaps out of range: {abs_x}, {abs_y}")
+    _check_overlaps(abs_x, abs_y)
     if abs_mu < 0.0:
         raise DomainError(f"abs_mu must be nonnegative, got {abs_mu}")
     q = abs_mu * abs_mu
@@ -221,8 +225,7 @@ def maximal_feasibility(abs_x: float, abs_y: float) -> FeasibilityVerdict:
     1 - sqrt(1 - f) = f / (1 + sqrt(1 - f)) from the case floor f, written
     without the cancellation near f = 0.
     """
-    if not (0.0 <= abs_x < 1.0 and 0.0 <= abs_y < 1.0):
-        raise DomainError(f"overlaps out of range: {abs_x}, {abs_y}")
+    _check_overlaps(abs_x, abs_y)
     case = overlap_case(abs_x, abs_y)
     if case == "OO":
         return _validated_feasible(VERDICT_FEASIBLE_ORTHOGONAL, 0.5, None,

@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from .closed_forms import LN2, entropy_bits, report_scalars
+from .errors import DomainError
 from .schmidt import eigh_2x2
 from .state import NonorthogonalState
 
@@ -39,7 +40,7 @@ def concurrence_spin_flip(vector: np.ndarray) -> float:
 def entanglement_entropy(concurrence: float) -> float:
     """Entropy in bits from the concurrence: h((1 - sqrt(1 - C^2)) / 2)."""
     if not (0.0 <= concurrence <= 1.0):
-        raise ValueError(f"concurrence out of range: {concurrence}")
+        raise DomainError(f"concurrence out of range: {concurrence}")
     return entropy_bits(concurrence)
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_forms import _clamp_unit, report_scalars
+from .errors import DomainError
 from .state import NonorthogonalState, embed
 
 DEGENERACY_TOL = 1e-10
@@ -72,7 +73,7 @@ def reduced_density(state: NonorthogonalState, side: str) -> np.ndarray:
         return psi @ psi.conj().T
     if side == "B":
         return psi.T @ psi.conj()
-    raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    raise DomainError(f"side must be 'A' or 'B', got {side!r}")
 
 
 def schmidt_eigenvalues(state: NonorthogonalState) -> tuple[float, float]:

@@ -15,6 +15,7 @@ import pytest
 import nonortho.measures as measures_mod
 import nonortho.state as state_mod
 import nonortho.verify as verify_mod
+from nonortho.bell import OracleRun
 from nonortho.measures import concurrence_det, concurrence_spin_flip
 from nonortho.state import embed, make_state
 from nonortho.verify import checks, judge, run_verify
@@ -111,12 +112,17 @@ def nan(*args, **kwargs):
     return math.nan
 
 
+def nan_run(*args, **kwargs):
+    # a polish that ended normally, so only the NaN value can fail the checks
+    return OracleRun(math.nan, 1, "rounding")
+
+
 @pytest.mark.parametrize("route, names", [
-    ("oracle_bell_max", ["oracle-vs-analytic-100", "oracle-boundary-200"]),
+    ("oracle_bell_run", ["oracle-vs-analytic-100", "oracle-boundary-200"]),
     ("canonical_bell_value", ["canonical-settings-1k"]),
 ])
 def test_criterion_9c_nan_chsh_route_fails_its_checks(route, names, monkeypatch):
-    monkeypatch.setattr(verify_mod, route, nan)
+    monkeypatch.setattr(verify_mod, route, nan_run if route == "oracle_bell_run" else nan)
     for name in names:
         assert not check_passes(name)
 

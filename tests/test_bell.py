@@ -142,6 +142,30 @@ def test_canonical_route_is_independent_of_the_oracle():
     assert route not in imported
 
 
+def _private_bell_names(path):
+    """The ``_`` names ``path`` imports from nonortho.bell or reads off a module named bell."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in (
+                (0, "nonortho.bell"), (1, "bell")):
+            names.update(alias.name for alias in node.names if alias.name.startswith("_"))
+        elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+              and ast.unparse(node.value).rpartition(".")[2] == "bell"):
+            names.add(node.attr)
+    return names
+
+
+def test_no_module_outside_bell_takes_its_private_names():
+    # the oracle's internals may change freely: only bell.py and the tests use them
+    root = Path(__file__).resolve().parent.parent
+    files = [*(root / "src").rglob("*.py"), *(root / "scripts").rglob("*.py")]
+    files.remove(root / "src" / "nonortho" / "bell.py")
+    assert len(files) > 10
+    assert {path.name: names for path in files if (names := _private_bell_names(path))} == {}
+    # the scan sees both forms, as this file uses them
+    assert {"_grid_stage", "_pair_settings"} <= _private_bell_names(Path(__file__))
+
+
 @given(valid_states())
 @settings(max_examples=150)
 def test_canonical_reaches_analytic(s):
@@ -267,7 +291,7 @@ def test_folded_grid_matches_full_scan(s):
     # A and A' range over every setting, a superset of the grid's
     psi = coefficient_matrix(embed(s))
     for grid_n in (8, 9):
-        folded, angles = _grid_stage(psi, grid_n, 40)
+        folded, angles = _grid_stage(psi, grid_n, 40)[:2]
         assert folded >= _full_grid_best(psi, grid_n) - 1e-14
         # the angles attain the stage's value
         assert abs(_chsh_value(psi, angles) - folded) <= 1e-15
@@ -389,7 +413,7 @@ def _probe_reference_oracle(psi, best, angles, refine_iters=40):
 def _assert_grid_stage_matches_the_references(psi):
     """The grid stage against the brute force, and its angles against its value."""
     for grid_n in (8, 9, 24):
-        best, angles = _grid_stage(psi, grid_n, 40)
+        best, angles = _grid_stage(psi, grid_n, 40)[:2]
         assert best >= _brute_force_best(psi, _grid_constants(grid_n).bloch) - 1e-14
         assert np.isfinite(angles).all()
         assert abs(_chsh_value(psi, angles) - best) <= 1e-15
@@ -439,9 +463,9 @@ def _reference_grid_stage(psi, grid_n, steps):
 def _assert_grid_exact(psi):
     """The pruned grid stage matches the unpruned reference bit for bit."""
     for grid_n in (8, 9, 24):
-        best, angles = _grid_stage(psi, grid_n, 40)
-        ref_best, ref_angles = _reference_grid_stage(psi, grid_n, 40)
-        assert best == ref_best
+        best, angles, *run = _grid_stage(psi, grid_n, 40)
+        ref_best, ref_angles, *ref_run = _reference_grid_stage(psi, grid_n, 40)
+        assert best == ref_best and run == ref_run
         assert np.array_equal(angles, ref_angles)
 
 
@@ -529,14 +553,14 @@ def test_pruning_stays_exact_with_a_wrong_tensor_or_noisy_correlations(monkeypat
     for i, s in enumerate(states):
         psi = coefficient_matrix(embed(s))
         for grid_n in (8, 9, 24):
-            expected[i, grid_n] = _reference_grid_stage(psi, grid_n, 40)
+            expected[i, grid_n] = _reference_grid_stage(psi, grid_n, 40)[:2]
     reordered = 0
     for perturb in (wrong_tensor, noisy, worst):
         monkeypatch.setattr(bell, "_pair_values", perturb)
         for i, s in enumerate(states):
             psi = coefficient_matrix(embed(s))
             for grid_n in (8, 9, 24):
-                best, angles = _grid_stage(psi, grid_n, 40)
+                best, angles = _grid_stage(psi, grid_n, 40)[:2]
                 ref_best, ref_angles = expected[i, grid_n]
                 assert best == ref_best
                 assert np.array_equal(angles, ref_angles)
@@ -556,11 +580,11 @@ def test_grid_angles_are_finite_on_product_states():
     for vector in ([1.0, 0, 0, 0], [0.6, 0, 0.8j, 0], embed(make_state(1, 0, 0.5, 0.3))):
         psi = coefficient_matrix(vector)
         for grid_n in (8, 9, 24):
-            best, angles = _grid_stage(psi, grid_n, 40)
+            best, angles = _grid_stage(psi, grid_n, 40)[:2]
             assert np.isfinite(angles).all()
             assert abs(_chsh_value(psi, angles) - best) <= 1e-15
             assert best <= 2.0 + 1e-15
-    best, angles = _grid_stage(coefficient_matrix([1.0, 0, 0, 0]), 24, 40)
+    best, angles = _grid_stage(coefficient_matrix([1.0, 0, 0, 0]), 24, 40)[:2]
     assert best == 2.0 and angles[4] == angles[6] == 0.0
 
 
@@ -571,7 +595,7 @@ def test_refine_starts_from_the_grid_value_exactly():
         psi = coefficient_matrix(embed(s))
         for grid_n in (8, 9, 24):
             grid = _grid_constants(grid_n)
-            best, angles = _reference_grid_stage(psi, grid_n, 0)
+            best, angles = _reference_grid_stage(psi, grid_n, 0)[:2]
             settings = set(zip(grid.chis.tolist(), grid.phis.tolist()))
             b_angles = angles[4:].tolist()
             assert {tuple(b_angles[:2]), tuple(b_angles[2:])} <= settings
@@ -656,13 +680,17 @@ def test_bell_imports_no_private_numpy_module():
 
 
 def test_polish_reports_its_steps_and_exit():
-    forms = bell._pauli_forms(coefficient_matrix(embed(
-        make_state(0.8, 0.6, 0.4, 0.2j, auto_normalize=True))).tolist())
+    v = embed(make_state(0.8, 0.6, 0.4, 0.2j, auto_normalize=True))
+    forms = bell._pauli_forms(coefficient_matrix(v).tolist())
     start = tuple(_bloch_vectors(np.array([0.7, 2.0]), np.array([0.3, -1.0])).tolist())
     assert bell._polish(forms, *start, 0)[4:] == (0, "cap")
     b, b_prime, p, m, taken, reason = bell._polish(forms, *start, 1000)
     assert 0 < taken < 1000 and reason == "rounding"
     assert bell._polish(forms, *start, taken)[4:] == (taken, "cap")
+    # the oracle's run passes its polish's ending out with the oracle's value
+    run = bell.oracle_bell_run(v)
+    assert run.value == oracle_bell_max(v) and run.exit == "rounding" and run.steps > 0
+    assert bell.oracle_bell_run(v, refine_iters=run.steps) == (run.value, run.steps, "cap")
     # at |00> the pole pair has m = T(b - b') = 0, a cone point
     pole = (0.0, 0.0, 1.0)
     product = bell._pauli_forms(coefficient_matrix([1.0, 0, 0, 0]).tolist())
@@ -866,7 +894,7 @@ def test_workspace_layout_reuse_and_keys():
     # the operands' ones stay as written, and the rest holds the last
     # state's a, 2 a and |a|^2, each rounded once to float32
     psi = coefficient_matrix(embed(_workspace_states()[0]))
-    best, angles = _grid_stage(psi, 24, 40)
+    best, angles = _grid_stage(psi, 24, 40)[:2]
     assert not np.shares_memory(angles, flat)
     image = _tensor_image(bell._pauli_forms(psi.tolist()), _grid_constants(24).bloch)
     assert (space.left[:, 4] == 1.0).all() and (space.right[3] == 1.0).all()
@@ -972,7 +1000,7 @@ def test_exact_moves_match_the_probe_refinement_at_its_fixed_points():
         psi = coefficient_matrix(embed(s))
         for grid_n in (8, 9, 24):
             oracle = oracle_bell_max(embed(s), grid_n)
-            best, angles = _grid_stage(psi, grid_n, 40)
+            best, angles = _grid_stage(psi, grid_n, 40)[:2]
             assert best == oracle
             probe, probe_fixed = _probe_reference_oracle(psi, best, angles)
             if probe_fixed:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from nonortho.errors import DomainError
 from nonortho.measures import (concurrence_det, concurrence_spin_flip,
                                entanglement_entropy, entropy_direct, entropy_nats)
 from nonortho.schmidt import reduced_density
@@ -56,6 +57,12 @@ def test_entropy_frozen_value():
 def test_entropy_out_of_range():
     with pytest.raises(ValueError):
         entanglement_entropy(1.5)
+
+
+@pytest.mark.parametrize("concurrence", [-0.1, 1.5, math.nan])
+def test_entropy_out_of_range_is_a_domain_error(concurrence):
+    with pytest.raises(DomainError, match="concurrence out of range"):
+        entanglement_entropy(concurrence)
 
 
 @given(valid_states())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from nonortho.errors import DomainError
 from nonortho.schmidt import (eigh_2x2, reconstruct, reduced_density,
                               schmidt_decompose, schmidt_eigenvalues)
 from nonortho.state import embed, make_state, state_from_magnitudes
@@ -41,6 +42,11 @@ def test_reduced_density_singlet():
     s = make_state(SQ2, -SQ2, 0, 0)
     assert np.allclose(reduced_density(s, "A"), np.eye(2) / 2, atol=1e-15)
     assert np.allclose(reduced_density(s, "B"), np.eye(2) / 2, atol=1e-15)
+
+
+def test_reduced_density_rejects_an_unknown_side():
+    with pytest.raises(DomainError, match="side must be 'A' or 'B', got 'C'"):
+        reduced_density(make_state(SQ2, -SQ2, 0, 0), "C")
 
 
 def test_reduced_density_product_state_rank_one():

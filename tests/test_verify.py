@@ -75,10 +75,13 @@ def test_verify_rejects_non_integer_oracle_args_before_any_check(kwargs, monkeyp
 
 
 def test_oracle_boundary_check_passes_at_grid_n_10_with_the_default_step_cap():
-    # at 40 Newton steps 34 of these 200 near-maximal states stopped up to
-    # 7.6e-8 short at grid_n 10, as the steps crawl along the ridge
     passed, detail = judge(checks("full", grid_n=10)["oracle-boundary-200"]())
     assert passed, detail
+    # at 40 Newton steps 34 of these 200 near-maximal states stop up to 7.6e-8
+    # short, as the steps crawl along the ridge, and 41 polishes stop at the cap
+    assert judge(checks("full", grid_n=10, refine_iters=40)["oracle-boundary-200"]()) == (
+        False, "worst boundary-state shortfall vs canonical 7.61e-08 (tol 1e-9, 34/200 "
+               "outside), polishes stopped at the step cap 41 (tol 0)")
 
 
 def test_csv_format_check_passes_and_fails_without_the_tie_window(monkeypatch):

@@ -59,8 +59,7 @@ class CliError(Exception):
         self.kind = kind
 
     def to_json(self) -> str:
-        return json.dumps({"error": {"type": self.kind, "message": str(self)}},
-                          indent=2)
+        return to_json({"error": {"type": self.kind, "message": str(self)}})
 
 
 class _Parser(argparse.ArgumentParser):

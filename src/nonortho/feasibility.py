@@ -12,7 +12,8 @@ discriminant analysis splits by overlap pattern:
                                 where the boundary family q = 1/(2(1-|x||y|))
                                 is maximal.
 
-Feasible witnesses are validated by running the state pipeline.  Infeasible
+A feasible witness is validated by building its state and computing d from
+that state's Schmidt coefficients, with no local bases.  Infeasible
 verdicts carry the exact margin from the case floor; the scan oracle over
 the (eta, q) domain is the independent check of that floor, run by
 ``verify``, the tests and ``analyze --oracle``.
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, NoCompatibleNu, NonorthoError, WitnessUnverified
 from .closed_forms import _clamp_unit
-from .schmidt import SchmidtForm, schmidt_decompose
+from .schmidt import SchmidtForm, schmidt_coefficients, schmidt_decompose
 from .state import ORTHO_EPS, make_state, state_from_magnitudes
 
 SCAN_ETA_POINTS = 720
@@ -49,8 +50,15 @@ def deviation(form: SchmidtForm) -> float:
 
 def state_deviation(mu_sq: float, x_abs: float, y_abs: float,
                     eta: float = math.pi) -> float:
-    """Pipeline deviation of the canonical state with these magnitudes."""
-    return deviation(schmidt_decompose(state_from_magnitudes(mu_sq, x_abs, y_abs, eta)))
+    """Pipeline deviation of the canonical state with these magnitudes.
+
+    The state is built by ``state_from_magnitudes`` and d comes from its
+    Schmidt coefficients alone (:func:`schmidt.schmidt_coefficients`), with
+    no local bases: the same magnitudes ``schmidt_decompose`` gives c+ and
+    c-, before their phases are attached.
+    """
+    s_plus, s_minus = schmidt_coefficients(state_from_magnitudes(mu_sq, x_abs, y_abs, eta))
+    return _clamp_unit(1.0 - (2.0 * s_plus * s_minus) ** 2, "deviation")
 
 
 def mu_squared_solutions(abs_x: float, abs_y: float, d: float,
@@ -220,8 +228,9 @@ def maximal_feasibility(abs_x: float, abs_y: float) -> FeasibilityVerdict:
     """Can these overlap magnitudes support maximal CHSH violation?
 
     Equal overlaps are matched within 1e-12, as is the orthogonality
-    threshold.  Feasible witnesses are checked by constructing the state and
-    requiring pipeline d < 1e-10.  Infeasible verdicts carry the margin
+    threshold.  A feasible witness is checked by constructing its state and
+    requiring d < 1e-10 from its Schmidt coefficients
+    (:func:`state_deviation`).  Infeasible verdicts carry the margin
     1 - sqrt(1 - f) = f / (1 + sqrt(1 - f)) from the case floor f, written
     without the cancellation near f = 0.
     """
@@ -243,6 +252,9 @@ def maximal_feasibility(abs_x: float, abs_y: float) -> FeasibilityVerdict:
 def _validated_feasible(verdict: str, witness_q: float, required_eta: float | None,
                         abs_x: float, abs_y: float) -> FeasibilityVerdict:
     """The verdict with its witness state's pipeline d, which must be below 1e-10.
+
+    d is :func:`state_deviation` of the witness: the state is built and d
+    read from its Schmidt coefficients alone, with no bases.
 
     Raises WitnessUnverified, naming the witness, when its state cannot be
     built or misses the gate: near |x| = |y| = 1 the witness

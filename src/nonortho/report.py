@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -177,12 +178,35 @@ def kaon_report(eps: complex, eta: float = math.pi,
     return doc
 
 
-def to_json(doc: dict) -> str:
-    """Indented strict JSON; floats print as their shortest round-trip repr.
+# json.dumps with an indent runs the pure-Python encoder; the C encoder,
+# built here once, writes a report's values.  Its item separator carries the
+# second level's newline and indent.  JSONEncoder.encode would build a fresh
+# C encoder on every call, which costs as much as the Python encoder saves.
+_ENCODE = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
+                         ": ", ",\n    ", False, False, False)
 
-    A non-finite float raises ValueError rather than printing NaN.
+
+def to_json(doc: dict) -> str:
+    """``json.dumps(doc, indent=2, allow_nan=False)``, byte for byte, through the C encoder.
+
+    A report's values are scalars, or flat dicts and lists of scalars, so
+    each top-level value is encoded on its own, and a non-empty container
+    gets its newlines and indents after the opening and before the closing
+    bracket.  Floats print as their shortest round-trip repr.  A non-finite
+    float raises ValueError rather than printing NaN; so does a container
+    nested in a container, which this layout would indent wrongly.  A key
+    that is not a string raises TypeError.
     """
-    return json.dumps(doc, indent=2, allow_nan=False)
+    items = []
+    for key, value in doc.items():
+        text = "".join(_ENCODE(value, 0))
+        if isinstance(value, (dict, list, tuple)) and value:
+            inner = value.values() if isinstance(value, dict) else value
+            if any(isinstance(item, (dict, list, tuple)) for item in inner):
+                raise ValueError(f"report value {key!r} nests a container")
+            text = f"{text[0]}\n    {text[1:-1]}\n  {text[-1]}"
+        items.append(f"{encode_basestring_ascii(key)}: {text}")
+    return "{\n  " + ",\n  ".join(items) + "\n}" if items else "{}"
 
 
 # The one CSV number format: "%.12g" % v and f"{v:.12g}" print the same digits.

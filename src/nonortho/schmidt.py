@@ -25,6 +25,11 @@ from .state import NonorthogonalState, embed
 DEGENERACY_TOL = 1e-10
 
 
+def _spectrum_2x2(a: float, c: float, b: complex) -> tuple[float, float]:
+    """(mid, r) of the Hermitian [[a, b], [conj(b), c]]: its eigenvalues are mid -+ r."""
+    return 0.5 * (a + c), math.hypot(0.5 * (a - c), abs(b))
+
+
 def eigh_2x2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form eigendecomposition of a 2x2 Hermitian matrix.
 
@@ -36,9 +41,7 @@ def eigh_2x2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = h[0, 0].real
     c = h[1, 1].real
     b = h[0, 1]
-    half_diff = 0.5 * (a - c)
-    r = math.hypot(half_diff, abs(b))
-    mid = 0.5 * (a + c)
+    mid, r = _spectrum_2x2(a, c, b)
     lo, hi = mid - r, mid + r
     scale = max(abs(a), abs(c), abs(b))
     if r <= max(1e-300, scale * 1e-32):
@@ -116,26 +119,42 @@ def _first_big_phase(v: np.ndarray) -> float:
     return 0.0
 
 
+def schmidt_coefficients(state: NonorthogonalState,
+                         gram: np.ndarray | None = None) -> tuple[float, float]:
+    """(s_plus, s_minus) = (|c_plus|, |c_minus|), from psi^dag psi alone, with no bases.
+
+    s_plus = sqrt(lambda_plus), the larger eigenvalue of ``gram`` =
+    psi^dag psi in closed form (stable everywhere, including degeneracy),
+    and s_minus = |det psi| / s_plus = |mu nu| N_A N_B / s_plus, which
+    avoids the cancellation the small eigenvalue suffers near product
+    states.  ``gram`` is formed from the state when not given.
+    """
+    if gram is None:
+        psi = coefficient_matrix(embed(state))
+        gram = psi.conj().T @ psi
+    mid, r = _spectrum_2x2(gram[0, 0].real, gram[1, 1].real, gram[0, 1])
+    s_plus = math.sqrt(_clamp_unit(mid + r, "lambda_plus"))
+    # the ordering s_minus <= s_plus is exact in real arithmetic; the min
+    # guards the one-ulp rounding of the division
+    s_minus = min(abs(state.mu * state.nu) * state.n_a * state.n_b / s_plus,
+                  s_plus)
+    return s_plus, s_minus
+
+
 def schmidt_decompose(state: NonorthogonalState) -> SchmidtForm:
     """Split the embedded state as c_minus |-,-> + c_plus |+,+>.
 
     The eigenbases come from the closed-form eigendecomposition of
     psi^dag psi: the right singular vectors give side B (conjugated), psi
-    maps them to side A.  The coefficient magnitudes are sqrt(lambda_plus)
-    from the eigensolver (stable everywhere, including degeneracy) and
-    |det psi| / sqrt(lambda_plus) for the small one, which avoids the
-    cancellation the small eigenvalue suffers near product states.  The
-    minus vector on side A is re-orthogonalized against the plus vector so
-    the basis stays orthonormal even when lambda_minus underflows.
+    maps them to side A.  The coefficient magnitudes are those of
+    :func:`schmidt_coefficients`.  The minus vector on side A is
+    re-orthogonalized against the plus vector so the basis stays
+    orthonormal even when lambda_minus underflows.
     """
     psi = coefficient_matrix(embed(state))
-    evals, w = eigh_2x2(psi.conj().T @ psi)
-    lam_plus = _clamp_unit(evals[1], "lambda_plus")
-    s_plus = math.sqrt(lam_plus)
-    # the ordering s_minus <= s_plus is exact in real arithmetic; the min
-    # guards the one-ulp rounding of the division
-    s_minus = min(abs(state.mu * state.nu) * state.n_a * state.n_b / s_plus,
-                  s_plus)
+    gram = psi.conj().T @ psi
+    s_plus, s_minus = schmidt_coefficients(state, gram)
+    evals, w = eigh_2x2(gram)
     lam_minus = s_minus * s_minus
 
     w_minus, w_plus = w[:, 0], w[:, 1]
@@ -163,7 +182,9 @@ def schmidt_decompose(state: NonorthogonalState) -> SchmidtForm:
         c_minus=c_minus, c_plus=c_plus,
         a_minus=vecs["a-"], a_plus=vecs["a+"],
         b_minus=vecs["b-"], b_plus=vecs["b+"],
-        degenerate=(lam_plus - lam_minus) < DEGENERACY_TOL)
+        # evals[1] is lambda_plus unclamped: it is at least 1/2, and the clamp moves
+        # only values above 1, far from degeneracy
+        degenerate=(evals[1] - lam_minus) < DEGENERACY_TOL)
 
 
 def reconstruct(form: SchmidtForm) -> np.ndarray:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +13,9 @@ from nonortho.feasibility import (VERDICT_FEASIBLE_DEGENERATE,
                                   mu_squared_solutions, nn_case_floor,
                                   on_case_floor, state_deviation)
 from nonortho.measures import concurrence_det
+from nonortho.sampling import random_states
 from nonortho.schmidt import schmidt_decompose
-from nonortho.state import make_state
+from nonortho.state import eta_phase, make_state, state_from_magnitudes
 from nonortho.verify import NN_PAIRS, ON_OVERLAPS
 
 from conftest import valid_states
@@ -31,6 +33,17 @@ class TestDeviation:
     def test_single_overlap_balanced(self):
         # |mu|^2 = 1/2 with one overlap s^2 = 0.1 gives d = 0.1
         assert state_deviation(0.5, math.sqrt(0.1), 0.0) == pytest.approx(0.1, abs=1e-12)
+
+    def test_state_deviation_matches_the_full_decomposition(self):
+        """d from the Schmidt coefficients alone is the full decomposition's d within 1e-15."""
+        magnitudes = [(abs(s.mu) ** 2, abs(s.x), abs(s.y), eta_phase(s))
+                      for s in random_states(500, 3)]
+        magnitudes += [(1.0 / (2.0 * (1.0 - t * t)), t, t, math.pi)
+                       for t in np.linspace(0.01, 0.97, 100).tolist()]
+        magnitudes.append((0.5, 0.0, 0.0, math.pi))   # the OO witness
+        for args in magnitudes:
+            full = deviation(schmidt_decompose(state_from_magnitudes(*args)))
+            assert abs(state_deviation(*args) - full) <= 1e-15, args
 
     @given(valid_states())
     def test_links_concurrence(self, s):

@@ -1,11 +1,76 @@
-"""The sweep CSV's block formatter and its number kernel against "%.12g"."""
+"""The report JSON writer against json.dumps, and the sweep CSV's block formatter
+and its number kernel against "%.12g"."""
 
+import json
 import math
 
 import numpy as np
+import pytest
 
-from nonortho.report import (CSV_FIELD_BYTES, csv_block, csv_fields, csv_number_fields,
-                             csv_numbers)
+from nonortho.cli import CliError
+from nonortho.kaon import KaonEvolution
+from nonortho.report import (CSV_FIELD_BYTES, analyze_state, csv_block, csv_fields,
+                             csv_number_fields, csv_numbers, kaon_report, to_json)
+from nonortho.state import make_state, state_from_magnitudes
+
+SQ2 = 1.0 / math.sqrt(2.0)
+
+
+def report_documents():
+    """Report and error documents as the CLI writes them, and edge cases of the writer."""
+    nn = make_state(0.5 + 0.5j, -0.3 + 0.6j, 0.6 - 0.3j, 0.1 + 0.7j, auto_normalize=True)
+    docs = {
+        "analyze": analyze_state(nn).to_dict(),
+        "analyze --oracle": analyze_state(nn, with_oracle=True).to_dict(),
+        # OO singlet: both warnings (degenerate Schmidt form, eta undefined)
+        "oo": analyze_state(make_state(SQ2, -SQ2, 0, 0)).to_dict(),
+        "on": analyze_state(make_state(0.6, 0.5, 0.3, 0, auto_normalize=True)).to_dict(),
+        "nn-equal": analyze_state(state_from_magnitudes(0.55, 0.3, 0.3)).to_dict(),
+        "kaon": kaon_report(0.3 - 0.2j),
+        "kaon --t": kaon_report(0.1, evolution=KaonEvolution(1.0, 0.002, 1.5)),
+        "error": {"error": {"type": "WitnessUnverified", "message": 'q="0.5"\tat |x|=1\n'}},
+        "edge": {"warning": ["Schmidt \u00e9cart \u2264 1e-10 \u2014 \U0001d451"],
+                 "numpy": np.float64(0.1), "nested": {"numpy": np.float64(-2.5)},
+                 "negative zero": -0.0, "subnormal": 5e-324, "list": [-0.0, 5e-324, None],
+                 "empty dict": {}, "empty list": [], "flags": [True, False]},
+        "empty": {},
+    }
+    for name in ("analyze", "analyze --oracle", "oo", "on", "nn-equal", "kaon", "kaon --t"):
+        docs[name]["seed"] = 20261017
+    return docs
+
+
+def test_oo_document_has_both_warnings_and_no_eta():
+    doc = report_documents()["oo"]
+    assert len(doc["warnings"]) == 2 and doc["eta"] is None
+    assert isinstance(doc["feasibility"], dict)
+
+
+@pytest.mark.parametrize("name", list(report_documents()))
+def test_json_writer_matches_json_dumps(name):
+    doc = report_documents()[name]
+    assert to_json(doc) == json.dumps(doc, indent=2, allow_nan=False)
+
+
+def test_error_object_matches_json_dumps():
+    error = CliError("Usage", "nonortho analyze: argument --grid-n: invalid int value: 'abc'")
+    doc = {"error": {"type": error.kind, "message": str(error)}}
+    assert error.to_json() == json.dumps(doc, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_writer_rejects_non_finite_floats(value):
+    for doc in ({"d": value}, {"input": {"mu_re": value}}, {"warnings": [0.5, value]},
+                {"d": np.float64(value)}):
+        with pytest.raises(ValueError):
+            to_json(doc)
+
+
+@pytest.mark.parametrize("doc", [{"a": {"b": {"c": 1.0}}}, {"a": [[1.0]]}, {"a": {"b": []}},
+                                 {"a": [0.5, {"b": 1.0}]}, {"a": ({},)}])
+def test_json_writer_rejects_deeper_nesting(doc):
+    with pytest.raises(ValueError):
+        to_json(doc)
 
 
 def kernel_texts(values):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 
 from nonortho.errors import DomainError
-from nonortho.schmidt import (eigh_2x2, reconstruct, reduced_density,
+from nonortho.schmidt import (eigh_2x2, reconstruct, reduced_density, schmidt_coefficients,
                               schmidt_decompose, schmidt_eigenvalues)
 from nonortho.state import embed, make_state, state_from_magnitudes
 from nonortho.verify import max_deviation_up_to_phase
@@ -180,6 +180,16 @@ def test_decompose_properties(s):
         assert abs(np.linalg.norm(pair[0]) - 1.0) <= 1e-12
         assert abs(np.linalg.norm(pair[1]) - 1.0) <= 1e-12
         assert abs(np.vdot(pair[0], pair[1])) <= 1e-12
+
+
+@given(valid_states())
+def test_coefficients_are_the_decomposition_magnitudes(s):
+    form = schmidt_decompose(s)
+    s_plus, s_minus = schmidt_coefficients(s)
+    assert s_minus <= s_plus
+    # c+ and c- are these magnitudes times a unit phase, within a few roundings
+    assert abs(form.c_plus) == pytest.approx(s_plus, rel=5e-16)
+    assert abs(form.c_minus) == pytest.approx(s_minus, rel=5e-16, abs=1e-300)
 
 
 @given(valid_states())

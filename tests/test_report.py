@@ -40,10 +40,13 @@ def report_documents():
     return docs
 
 
-def test_oo_document_has_both_warnings_and_no_eta():
-    doc = report_documents()["oo"]
-    assert len(doc["warnings"]) == 2 and doc["eta"] is None
-    assert isinstance(doc["feasibility"], dict)
+def test_documents_have_the_fields_they_stand_for():
+    docs = report_documents()
+    assert docs["analyze --oracle"]["bell_oracle"] is not None
+    assert len(docs["oo"]["warnings"]) == 2 and docs["oo"]["eta"] is None
+    assert isinstance(docs["oo"]["feasibility"], dict)
+    assert docs["on"]["feasibility"]["margin"] is not None
+    assert docs["kaon --t"]["kaon"]["weak_decay_norm"] is not None
 
 
 @pytest.mark.parametrize("name", list(report_documents()))
